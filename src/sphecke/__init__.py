@@ -16,7 +16,7 @@ from .errors import (
     WeylCapError,
     WindowError,
 )
-from .kostka import KostkaCache, QPoly, kl_matrix, kostant_q, lusztig_q_analogue
+from .kostka import QPoly, kl_matrix, kostant_q, lusztig_q_analogue
 from .laurent import Laurent
 from .rootdata import (
     RepSpec,
@@ -60,6 +60,7 @@ from .lseries import (
     l_series,
     membership_witness,
     verify_fixed_point,
+    verify_gj_standard,
     verify_unitarity,
     zeta_closed_form,
     zeta_over_l,

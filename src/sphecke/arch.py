@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import rep_weight_multiset
+from .characters import rep_weight_list, rep_weight_multiset
 from .errors import InvalidInput, PoleError
-from .rootdata import RepSpec, RootDatum, Vec, l_constant, weyl_elements
+from .rootdata import RepSpec, RootDatum, Vec, l_constant, row_reduce, weyl_elements
 
 # Lanczos g=7, n=9 coefficient set (double precision)
 _LANCZOS_G = 7.0
@@ -105,12 +105,9 @@ def arch_params(
     p=Fraction(2),
     field_tag: str = "real",
 ) -> ArchParams:
-    weights = []
-    for w, m in sorted(rep_weight_multiset(rd, rho).items(), reverse=True):
-        weights.extend([w] * m)
     return ArchParams(
         lam=tuple(lam),
-        weights=tuple(weights),
+        weights=tuple(rep_weight_list(rd, rho)),
         s=s,
         l=l_constant(rd, rho),
         p=p,
@@ -308,24 +305,6 @@ def threshold(
     raise InvalidInput("field_tag must be 'real' or 'complex'")
 
 
-def _solve_square(rows):
-    """Exact solve of a square Fraction system; None if singular."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][-1] for i in range(n)]
-
-
 def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
     """Largest C with sum_k |w_k(x)| >= C sum_t |x_t| for all x.
 
@@ -337,9 +316,7 @@ def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
     m = rd.rank
     if m > 4:
         raise InvalidInput("weight-norm constant limited to rank <= 4")
-    weights = []
-    for w, mult in sorted(rep_weight_multiset(rd, rho).items(), reverse=True):
-        weights.extend([w] * mult)
+    weights = rep_weight_list(rd, rho)
     best = None
     for signs in itertools.product((1, -1), repeat=m):
         # face coordinates u >= 0 with sum u = 1; x_t = signs_t u_t
@@ -350,8 +327,10 @@ def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
         for subset in itertools.combinations(range(len(cuts)), m - 1):
             rows = [list(cuts[i]) + [Fraction(0)] for i in subset]
             rows.append([Fraction(1)] * m + [Fraction(1)])
-            sol = _solve_square(rows)
-            if sol is None or any(u < 0 for u in sol):
+            if len(row_reduce(rows, m)) < m:
+                continue  # singular: the cuts meet in no single vertex
+            sol = [row[-1] for row in rows]
+            if any(u < 0 for u in sol):
                 continue
             val = sum(abs(sum(f[t] * sol[t] for t in range(m))) for f in forms)
             if best is None or val < best:
@@ -414,9 +393,7 @@ def seminorm_probe(
     """
     p = Fraction(p)
     eps = Fraction(2) / p - 1
-    weights = []
-    for w, mult in sorted(rep_weight_multiset(rd, rho).items(), reverse=True):
-        weights.extend([w] * mult)
+    weights = rep_weight_list(rd, rho)
     verts = [tuple(float(v) for v in vert) for vert in _orbit_vertices(rd, eps)]
     dirs = _directions(rd.rank, directions)
     pole_flag = False

@@ -67,6 +67,14 @@ def rep_weight_multiset(rd: RootDatum, rho_or_hw) -> CharExpansion:
     return weight_multiplicities(rd, hw)
 
 
+def rep_weight_list(rd: RootDatum, rho_or_hw) -> list[Vec]:
+    """The weights as a flat list, descending, each repeated by its multiplicity."""
+    out = []
+    for w, m in sorted(rep_weight_multiset(rd, rho_or_hw).items(), reverse=True):
+        out.extend([w] * m)
+    return out
+
+
 def char_mul(a: CharExpansion, b: CharExpansion) -> CharExpansion:
     out = {}
     for va, ca in a.items():

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: basic, kostka, satake, convolve, kernel, verify, zeta,
-arch, decomp, cache.  Output is canonical JSON (sorted keys, canonical
+arch, decomp.  Output is canonical JSON (sorted keys, canonical
 term order), so identical inputs produce identical bytes.  Exit codes:
 0 success/PASS, 1 verification mismatch, 2 invalid input or usage.
 """
@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import arch as _arch
 from .errors import InvalidInput
-from .kostka import KostkaCache, lusztig_q_analogue
-from .laurent import Laurent
+from .kostka import lusztig_q_analogue
 from .lseries import (
     SchwartzElement,
     basic_function,
     gamma_kernel,
+    h_value,
+    l_series,
     verify_fixed_point,
+    verify_gj_standard,
     verify_unitarity,
     zeta_closed_form,
     zeta_over_l,
@@ -46,8 +46,6 @@ from .satake import (
     specialize,
 )
 from .serialize import element_from_obj, element_to_obj
-
-CACHE_ENV = "SPHECKE_CACHE_DIR"
 
 
 def _parse_vec(text: str):
@@ -119,13 +117,7 @@ def _cmd_kostka(args) -> int:
     rd = _load_datum(args)
     lam = _parse_vec(getattr(args, "lam"))
     mu = _parse_vec(args.mu)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache = KostkaCache(os.path.join(cache_dir, "kostka.jsonl"))
-        poly = cache.lookup(rd, lam, mu)
-    else:
-        poly = lusztig_q_analogue(rd, lam, mu)
+    poly = lusztig_q_analogue(rd, lam, mu)
     print(poly)
     if args.json:
         _emit(args, {"lambda": list(lam), "mu": list(mu), "qpoly": poly.to_json()})
@@ -172,56 +164,13 @@ def _cmd_decomp(args) -> int:
     return 0
 
 
-def _verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
-    """Indicator identity: the half-shift specialization of the basic
-    element is the characteristic function of the nonnegative cells."""
-    if not rd.cartan.startswith("GL"):
-        raise InvalidInput("the indicator identity is a GL preset statement")
-    n = rd.rank
-    if rho.highest_weight != (1,) + (0,) * (n - 1):
-        raise InvalidInput("the indicator identity needs the standard rho")
-    basic = basic_function(rd, rho, N)
-    sp = specialize(basic.element, Fraction(-(n - 1), 2))
-    mismatch = None
-    for k in range(N + 1):
-        seen = dict(sp.grades.get(k, {}))
-        for mu, coeff in sorted(seen.items(), reverse=True):
-            want = Laurent.one() if min(mu) >= 0 else Laurent.zero()
-            if coeff != want:
-                mismatch = {"grade": k, "mu": list(mu), "expected": str(want), "got": str(coeff)}
-                break
-        if mismatch is None:
-            # every nonnegative dominant cell of this grade must be present
-            from .rootdata import dominant_below
-
-            for lam, _ in sym_power_decomp(rd, rho, k):
-                for mu in dominant_below(rd, lam):
-                    if min(mu) >= 0 and mu not in seen:
-                        mismatch = {
-                            "grade": k,
-                            "mu": list(mu),
-                            "expected": "1",
-                            "got": "absent",
-                        }
-                        break
-                if mismatch:
-                    break
-        if mismatch:
-            break
-    return {
-        "name": "gj-standard",
-        "status": "PASS" if mismatch is None else "FAIL",
-        "first_mismatch": mismatch,
-    }
-
-
 def _cmd_verify(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
     names = {
         "fixed-point": lambda: verify_fixed_point(rd, rho, args.N).to_json(),
         "unitarity": lambda: verify_unitarity(rd, rho, args.N).to_json(),
-        "gj-standard": lambda: _verify_gj_standard(rd, rho, args.N),
+        "gj-standard": lambda: verify_gj_standard(rd, rho, args.N),
     }
     if args.what == "all":
         selected = ["fixed-point", "unitarity"] + (
@@ -229,12 +178,7 @@ def _cmd_verify(args) -> int:
         )
     else:
         selected = [args.what]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(name, pool.submit(names[name])) for name in selected]
-            reports = [f.result() for _, f in futures]
-    else:
-        reports = [names[name]() for name in selected]
+    reports = [names[name]() for name in selected]
     ok = all(r["status"] == "PASS" for r in reports)
     _emit(args, {"reports": reports, "status": "PASS" if ok else "FAIL"})
     print("PASS" if ok else "FAIL")
@@ -253,28 +197,17 @@ def _cmd_zeta(args) -> int:
         zp = zeta_over_l(rd, rho, h)
         _emit(args, {"x_support": zp.x_support(), "text": str(zp)})
         return 0
+    if args.c is None:
+        raise InvalidInput("need --c (or --over-l)")
     c = tuple(float(x) for x in args.c.split(","))
+    s = complex(args.s)
     basic = basic_function(rd, rho, 0)
-    closed = zeta_closed_form(rd, rho, SchwartzElement(basic, h), c, args.q, complex(args.s))
+    closed = zeta_closed_form(rd, rho, SchwartzElement(basic, h), c, args.q, s)
     truncated = None
     rel = None
     if args.N:
-        from .lseries import l_series as _ls
-
-        ls = _ls(rd, rho, args.N)
-        ev = eval_numeric(ls, c, args.q, complex(args.s), args.N)
-        sh = satake(h)
-        hval = 0j
-        lconst = basic.l
-        for g, terms in sh.grades.items():
-            shiftv = args.q ** (-(complex(args.s) + lconst / 2) * g)
-            for lam, coeff in terms.items():
-                from .characters import char_eval, weight_multiplicities
-
-                hval += shiftv * coeff.eval_complex(args.q, complex(args.s)) * char_eval(
-                    weight_multiplicities(rd, lam), c
-                )
-        truncated = ev.value * hval
+        ev = eval_numeric(l_series(rd, rho, args.N), c, args.q, s, args.N)
+        truncated = ev.value * h_value(rd, rho, h, c, args.q, s)
         rel = abs(truncated - closed) / max(abs(closed), 1e-300)
     _emit(
         args,
@@ -335,25 +268,6 @@ def _cmd_arch(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        raise InvalidInput("need --cache-dir or SPHECKE_CACHE_DIR")
-    path = os.path.join(cache_dir, "kostka.jsonl")
-    os.makedirs(cache_dir, exist_ok=True)
-    cache = KostkaCache(path)
-    if args.verb == "stats":
-        st = cache.stats()
-        _emit(args, {"entries": st.entries, "skipped": st.skipped, "path": path})
-    elif args.verb == "clear":
-        cache.clear()
-        _emit(args, {"cleared": True, "path": path})
-    elif args.verb == "export":
-        for line in cache.export_lines():
-            print(line)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -365,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", help="preset name (gl1..gl4, b2..b4, c2..c4, d3, d4, g2)")
         p.add_argument("--datum", help="JSON root-datum file")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1)
         if rho:
             p.add_argument("--rho", default="std", help="'std' or comma highest weight")
         if n:
@@ -380,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, rho=False)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--cache-dir")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_kostka)
 
@@ -435,12 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="5,15,30,60")
     p.add_argument("--csv", help="write probe shells as CSV here")
     p.set_defaults(fn=_cmd_arch)
-
-    p = sub.add_parser("cache", help="disk cache administration")
-    p.add_argument("verb", choices=["stats", "clear", "export"])
-    p.add_argument("--cache-dir")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cache)
 
     return top
 

@@ -3,16 +3,11 @@
 ``kostant_q`` counts expressions of a vector as sums of positive roots,
 graded by length; ``lusztig_q_analogue`` is the Weyl alternating sum of
 those counts, the change-of-basis polynomial between Weyl characters
-and double-coset indicators.  Values can be memoized on disk through
-``KostkaCache`` (one JSON record per line, versioned).
+and double-coset indicators.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import GradeMismatchError, NonDominantError
@@ -30,8 +25,6 @@ from .rootdata import (
     vsub,
     weyl_elements,
 )
-
-CACHE_VERSION = 1
 
 
 class QPoly:
@@ -109,10 +102,6 @@ class QPoly:
     def to_json(self):
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls({int(e): int(c) for e, c in obj})
-
 
 @cache
 def _context(rd: RootDatum) -> PartitionContext:
@@ -186,104 +175,3 @@ def kl_matrix(rd: RootDatum, grade: int, lambdas) -> tuple[list[Vec], dict]:
             row[mu] = Laurent({(shift - 2 * e, 0): c for e, c in kq.coeffs.items()})
         matrix[lam] = row
     return order, matrix
-
-
-# ---------------------------------------------------------------------------
-# optional disk cache
-
-
-@dataclass
-class CacheStats:
-    entries: int
-    hits: int
-    misses: int
-    skipped: int
-
-
-class KostkaCache:
-    """Line-JSON disk memo for the alternating-sum polynomials.
-
-    Purely advisory: corrupt or version-mismatched records are skipped
-    and recomputed; results never depend on cache state.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self._lock = threading.Lock()
-        self._table = {}
-        self.hits = 0
-        self.misses = 0
-        self.skipped = 0
-        self._load()
-
-    def _load(self):
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if rec.get("version") != CACHE_VERSION:
-                        self.skipped += 1
-                        continue
-                    key = (
-                        rec["key"]["cartan"],
-                        tuple(rec["key"]["lam"]),
-                        tuple(rec["key"]["mu"]),
-                    )
-                    self._table[key] = QPoly.from_json(rec["qpoly"])
-                except (ValueError, KeyError, TypeError):
-                    self.skipped += 1
-
-    def lookup(self, rd: RootDatum, lam: Vec, mu: Vec) -> QPoly:
-        key = (rd.cartan, lam, mu)
-        with self._lock:
-            hit = self._table.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self.misses += 1
-        val = lusztig_q_analogue(rd, lam, mu)
-        rec = {
-            "key": {"cartan": rd.cartan, "lam": list(lam), "mu": list(mu)},
-            "qpoly": val.to_json(),
-            "version": CACHE_VERSION,
-        }
-        with self._lock:
-            self._table[key] = val
-            try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            except OSError:
-                pass  # cache is advisory
-        return val
-
-    def stats(self) -> CacheStats:
-        return CacheStats(len(self._table), self.hits, self.misses, self.skipped)
-
-    def clear(self):
-        with self._lock:
-            self._table.clear()
-            try:
-                if os.path.exists(self.path):
-                    os.remove(self.path)
-            except OSError:
-                pass
-
-    def export_lines(self):
-        with self._lock:
-            items = sorted(
-                self._table.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            )
-        for (cartan, lam, mu), poly in items:
-            yield json.dumps(
-                {
-                    "key": {"cartan": cartan, "lam": list(lam), "mu": list(mu)},
-                    "qpoly": poly.to_json(),
-                    "version": CACHE_VERSION,
-                },
-                sort_keys=True,
-            )

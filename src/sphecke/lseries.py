@@ -19,6 +19,7 @@ from .characters import (
     char_eval,
     dual_weight,
     ext_power_decomp,
+    rep_weight_list,
     rep_weight_multiset,
     sym_power_decomp,
     weight_multiplicities,
@@ -372,24 +373,75 @@ def verify_unitarity(
     return report
 
 
+def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
+    """Indicator identity: the half-shift specialization of the basic
+    element is the characteristic function of the nonnegative cells.
+
+    Returns the report's JSON object directly (name, status,
+    first_mismatch)."""
+    if not rd.cartan.startswith("GL"):
+        raise InvalidInput("the indicator identity is a GL preset statement")
+    n = rd.rank
+    if rho.highest_weight != (1,) + (0,) * (n - 1):
+        raise InvalidInput("the indicator identity needs the standard rho")
+    basic = basic_function(rd, rho, N)
+    sp = specialize(basic.element, Fraction(-(n - 1), 2))
+    mismatch = None
+    for k in range(N + 1):
+        seen = dict(sp.grades.get(k, {}))
+        for mu, coeff in sorted(seen.items(), reverse=True):
+            want = Laurent.one() if min(mu) >= 0 else Laurent.zero()
+            if coeff != want:
+                mismatch = {"grade": k, "mu": list(mu), "expected": str(want), "got": str(coeff)}
+                break
+        if mismatch is None:
+            # every nonnegative dominant cell of this grade must be present
+            for lam, _ in sym_power_decomp(rd, rho, k):
+                for mu in dominant_below(rd, lam):
+                    if min(mu) >= 0 and mu not in seen:
+                        mismatch = {
+                            "grade": k,
+                            "mu": list(mu),
+                            "expected": "1",
+                            "got": "absent",
+                        }
+                        break
+                if mismatch:
+                    break
+        if mismatch:
+            break
+    return {
+        "name": "gj-standard",
+        "status": "PASS" if mismatch is None else "FAIL",
+        "first_mismatch": mismatch,
+    }
+
+
 # ---------------------------------------------------------------------------
 # zeta evaluation
 
 
-def _weights_of_rho(rd: RootDatum, rho: RepSpec):
-    out = []
-    for v, m in sorted(rep_weight_multiset(rd, rho).items(), reverse=True):
-        out.extend([v] * m)
-    return out
+def h_value(rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: complex) -> complex:
+    """Transform of h at the numeric point, grade g shifted by q^(-(s+l/2) g)."""
+    l = l_constant(rd, rho)
+    total = 0j
+    for g, terms in satake(h).grades.items():
+        shift = q ** (-(s + l / 2) * g)
+        for lam, coeff in terms.items():
+            total += (
+                shift
+                * coeff.eval_complex(q, s)
+                * char_eval(weight_multiplicities(rd, lam), c)
+            )
+    return total
 
 
 def zeta_closed_form(
     rd: RootDatum, rho: RepSpec, f: SchwartzElement, c, q: float, s: complex
 ) -> complex:
     """Product formula for the zeta value of basic*h at a numeric point."""
-    l = l_constant(rd, rho)
     value = 1.0 + 0j
-    for w in _weights_of_rho(rd, rho):
+    for w in rep_weight_list(rd, rho):
         factor = 1.0 + 0j
         for ci, e in zip(c, w):
             if e:
@@ -398,17 +450,7 @@ def zeta_closed_form(
         if abs(factor) >= 1:
             raise PoleError(f"outside convergence region at weight {w}")
         value *= 1 / (1 - factor)
-    sh = satake(f.h)
-    hval = 0j
-    for g, terms in sh.grades.items():
-        shift = q ** (-(s + l / 2) * g)
-        for lam, coeff in terms.items():
-            hval += (
-                shift
-                * coeff.eval_complex(q, s)
-                * char_eval(weight_multiplicities(rd, lam), c)
-            )
-    return value * hval
+    return value * h_value(rd, rho, f.h, c, q, s)
 
 
 @dataclass

@@ -283,16 +283,20 @@ def l_constant(rd: RootDatum, rho: RepSpec) -> int:
     return l
 
 
-def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
-    """Exact rational coefficients of target in the simple roots, or None."""
-    if not simple:
-        return () if all(x == 0 for x in target) else None
-    m = len(target)
-    k = len(simple)
-    rows = [[Fraction(simple[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Exact Gauss-Jordan elimination, in place, on the first ``ncols`` columns.
+
+    Later columns (right-hand sides) are carried along.  Returns the
+    pivot columns: pivot i sits in row i with value 1, every other entry
+    of its column is zero, and the rows after the last pivot are zero in
+    the first ``ncols`` columns.  The rank is the number of pivots.
+    """
+    m = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -303,15 +307,19 @@ def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][-1] != 0:
-            return None
+        pivots.append(c)
+    return pivots
+
+
+def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
+    """Exact rational coefficients of target in the simple roots, or None."""
+    k = len(simple)
+    rows = [[Fraction(s[i]) for s in simple] + [Fraction(x)] for i, x in enumerate(target)]
+    pivots = row_reduce(rows, k)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
+    for i, c in enumerate(pivots):
         coeffs[c] = rows[i][-1]
     return tuple(coeffs)
 
@@ -442,20 +450,11 @@ def validate_rho(rd: RootDatum, rho: RepSpec) -> ValidationReport:
             f"weights with grade != 1: {bad[:4]}{'...' if len(bad) > 4 else ''}"
         )
     # spanning = torus-level faithfulness proxy
-    reduced: list[list[Fraction]] = []
-    for w in weights:
-        row = [Fraction(x) for x in w]
-        for b in reduced:
-            piv = next(i for i, x in enumerate(b) if x != 0)
-            if row[piv] != 0:
-                f = row[piv] / b[piv]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(x != 0 for x in row):
-            reduced.append(row)
-    if len(reduced) < rd.rank:
+    span = len(row_reduce([[Fraction(x) for x in w] for w in weights], rd.rank))
+    if span < rd.rank:
         report.passed = False
         report.failures.append(
-            f"weights span only {len(reduced)} of {rd.rank} torus directions"
+            f"weights span only {span} of {rd.rank} torus directions"
         )
     report.notes.append(
         "torus-level proxy only: connectedness of the kernel and global "

@@ -1,12 +1,9 @@
 import itertools
-import json
 
 import pytest
 
 from sphecke.errors import GradeMismatchError
-from sphecke.kernels import available_backends
 from sphecke.kostka import (
-    KostkaCache,
     QPoly,
     kl_matrix,
     kostant_q,
@@ -186,71 +183,3 @@ def test_qpoly_str():
     assert str(QPoly({0: 3, -1: 1})) == "q^-1 + 3"
     assert str(QPoly()) == "0"
     assert str(QPoly({1: -2})) == "-2*q"
-
-
-def test_backends_agree():
-    backends = available_backends()
-    if "cython" not in backends:
-        pytest.skip("compiled kernel unavailable")
-    roots = tuple(sorted(GL3.positive_roots, reverse=True))
-    ctx_a = backends["python"](roots, GL3.pair2_form)
-    ctx_b = backends["cython"](roots, GL3.pair2_form)
-    for beta in itertools.product(range(-3, 4), repeat=3):
-        if sum(beta) != 0:
-            continue
-        assert ctx_a.counts(beta) == ctx_b.counts(beta)
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "kostka.jsonl"
-    cache = KostkaCache(str(path))
-    val = cache.lookup(GL3, (2, 1, 0), (1, 1, 1))
-    assert val == QPoly({1: 1, 2: 1})
-    # re-open: hit from disk
-    cache2 = KostkaCache(str(path))
-    assert cache2.lookup(GL3, (2, 1, 0), (1, 1, 1)) == val
-    assert cache2.hits == 1
-
-
-def test_cache_ignores_corrupt_lines(tmp_path):
-    path = tmp_path / "kostka.jsonl"
-    cache = KostkaCache(str(path))
-    cache.lookup(GL2, (2, 0), (1, 1))
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("not json at all\n")
-        fh.write(json.dumps({"key": "missing fields"}) + "\n")
-        fh.write(
-            json.dumps(
-                {
-                    "key": {"cartan": "GL2", "lam": [3, 1], "mu": [2, 2]},
-                    "qpoly": [[0, 99]],
-                    "version": 999,
-                }
-            )
-            + "\n"
-        )
-    cache2 = KostkaCache(str(path))
-    assert cache2.stats().skipped == 3
-    # the version-mismatched entry is recomputed, not trusted
-    assert cache2.lookup(GL2, (3, 1), (2, 2)) == lusztig_q_analogue(GL2, (3, 1), (2, 2))
-
-
-def test_cache_clear_and_determinism(tmp_path):
-    path = tmp_path / "kostka.jsonl"
-    cache = KostkaCache(str(path))
-    a = cache.lookup(GL3, (3, 0, 0), (1, 1, 1))
-    cache.clear()
-    assert cache.stats().entries == 0
-    b = KostkaCache(str(path)).lookup(GL3, (3, 0, 0), (1, 1, 1))
-    assert a == b
-
-
-def test_cache_export_lines(tmp_path):
-    path = tmp_path / "kostka.jsonl"
-    cache = KostkaCache(str(path))
-    cache.lookup(GL2, (2, 0), (1, 1))
-    lines = list(cache.export_lines())
-    assert len(lines) == 1
-    rec = json.loads(lines[0])
-    assert rec["key"]["cartan"] == "GL2"
-    assert rec["qpoly"] == [[1, 1]]

@@ -20,6 +20,7 @@ from sphecke.lseries import (
     membership_witness,
     rho_dim,
     verify_fixed_point,
+    verify_gj_standard,
     verify_unitarity,
     zeta_closed_form,
     zeta_over_l,
@@ -284,6 +285,33 @@ def test_fixed_point_detects_corruption():
     assert -4 <= grade <= -2  # corruption at grade 3 surfaces in the telescope
 
 
+@pytest.mark.parametrize(
+    "corrupt, grade, mu, got",
+    [
+        (lambda g: g.__setitem__((1, 1), g[(1, 1)] + Laurent.term(1, x=2)), 2, [1, 1], "v^2 + 1"),
+        (lambda g: g.pop((2, 0)), 2, [2, 0], "absent"),
+    ],
+    ids=["changed-coefficient", "missing-cell"],
+)
+def test_gj_standard_detects_corruption(monkeypatch, corrupt, grade, mu, got):
+    import sphecke.lseries as ls_mod
+
+    assert verify_gj_standard(GL2, STD2, 4)["status"] == "PASS"
+    real = ls_mod.basic_function
+
+    def corrupted(rd, rho, N):
+        basic = real(rd, rho, N)
+        grades = {k: dict(t) for k, t in basic.element.grades.items()}
+        corrupt(grades[2])
+        element = GradedElement(rd, CELLS, grades, basic.element.window)
+        return basic.__class__(rd, rho, N, element, basic.coeff_map)
+
+    monkeypatch.setattr(ls_mod, "basic_function", corrupted)
+    report = verify_gj_standard(GL2, STD2, 4)
+    assert report["status"] == "FAIL"
+    assert report["first_mismatch"] == {"grade": grade, "mu": mu, "expected": "1", "got": got}
+
+
 def test_unitarity_passes():
     assert verify_unitarity(GL1, STD1, 8).status == "PASS"
     assert verify_unitarity(GL2, STD2, 5).status == "PASS"
@@ -442,15 +470,21 @@ def test_fourier_output_stays_in_space():
 
 
 def test_weight_cache_concurrent_reads():
-    import concurrent.futures
+    import threading
 
     from sphecke.characters import weight_multiplicities
 
     lams = [(k, 1, 0) for k in range(1, 7)]
+    results = [None] * 8
 
-    def work(lam):
-        return sum(weight_multiplicities(GL3, lam).values())
+    def work(slot):
+        results[slot] = [sum(weight_multiplicities(GL3, lam).values()) for lam in lams]
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(work, lams * 8))
-    assert results == [work(lam) for lam in lams] * 8
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    want = [sum(weight_multiplicities(GL3, lam).values()) for lam in lams]
+    assert results == [want] * 8

@@ -214,6 +214,13 @@ def test_validate_rho_sym2_fails_grade():
     assert any("grade" in f for f in report.failures)
 
 
+def test_validate_rho_fails_span():
+    # a grade-one character of B2: one weight, three torus directions
+    report = validate_rho(build_preset("b2"), RepSpec((0, 0, 1)))
+    assert not report.passed
+    assert report.failures == ["weights span only 1 of 3 torus directions"]
+
+
 def test_validate_rho_notes_torus_proxy():
     report = validate_rho(GL1, RepSpec((1,)))
     assert report.passed
