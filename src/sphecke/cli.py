@@ -49,7 +49,10 @@ from .serialize import element_from_obj, element_to_obj
 
 
 def _parse_vec(text: str):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidInput(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _load_datum(args) -> RootDatum:

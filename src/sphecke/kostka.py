@@ -15,10 +15,7 @@ from .kernels import PartitionContext
 from .rootdata import (
     RootDatum,
     Vec,
-    dominant_below,
-    height2,
     mat_apply,
-    poset_sorted,
     sigma_grade,
     vadd,
     vscale,
@@ -146,32 +143,3 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> QPoly:
     if any(c < 0 for c in total.coeffs.values()):
         raise RuntimeError(f"negative coefficient in K[{lam},{mu}]: {total}")
     return total
-
-
-def kl_matrix(rd: RootDatum, grade: int, lambdas) -> tuple[list[Vec], dict]:
-    """Change-of-basis block on the downward closure of ``lambdas``.
-
-    Returns (ordered weights, matrix) where matrix[lam][mu] is the
-    v-ring coefficient v^(-2<rho_B,mu>) K[lam,mu](q^-1) and the order
-    is a linear extension of dominance, largest first.
-    """
-    from .laurent import Laurent
-
-    for lam in lambdas:
-        if sigma_grade(rd, lam) != grade:
-            raise GradeMismatchError(f"{lam} not in grade {grade}")
-    closure = set()
-    for lam in lambdas:
-        closure.update(dominant_below(rd, lam))
-    order = poset_sorted(rd, closure)
-    matrix = {}
-    for lam in order:
-        row = {}
-        for mu in dominant_below(rd, lam):
-            kq = lusztig_q_analogue(rd, lam, mu)
-            if not kq:
-                continue
-            shift = -height2(rd, mu)  # exponent of v on q^(-<rho_B,mu>)
-            row[mu] = Laurent({(shift - 2 * e, 0): c for e, c in kq.coeffs.items()})
-        matrix[lam] = row
-    return order, matrix

@@ -59,6 +59,11 @@ def _require_valid(rd: RootDatum, rho: RepSpec):
         raise InvalidInput(f"representation fails validation: {report.failures}")
 
 
+def _require_truncation(N: int):
+    if N < 0:
+        raise InvalidInput(f"truncation N must be nonnegative, got {N}")
+
+
 def rho_dim(rd: RootDatum, rho: RepSpec) -> int:
     return sum(rep_weight_multiset(rd, rho).values())
 
@@ -70,11 +75,24 @@ def rho_dim(rd: RootDatum, rho: RepSpec) -> int:
 def l_series(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     """Character-side expansion: grade k holds the k-th symmetric power."""
     _require_valid(rd, rho)
+    _require_truncation(N)
     grades = {}
     for k in range(N + 1):
         x = Laurent.term(1, x=k)
         grades[k] = {lam: x * m for lam, m in sym_power_decomp(rd, rho, k)}
     return GradedElement(rd, CHARS, grades, Window(None, N))
+
+
+def _basic_grade(rd: RootDatum, rho: RepSpec, k: int) -> dict:
+    """Nonzero cell coefficients of grade k as polynomials in q^-1,
+    mu descending: c_mu = sum over lam of mult(lam, Sym^k rho) K[lam,mu](q^-1)."""
+    table = {}
+    for lam, mult in sym_power_decomp(rd, rho, k):
+        for mu in dominant_below(rd, lam):
+            kq = lusztig_q_analogue(rd, lam, mu)
+            if kq:
+                table[mu] = table.get(mu, QPoly.zero()) + kq.substitute_inverse().scale(mult)
+    return dict(sorted(table.items(), reverse=True))
 
 
 def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> QPoly:
@@ -84,27 +102,17 @@ def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> QPoly:
     k = sigma_grade(rd, mu)
     if k < 0:
         return QPoly.zero()
-    total = QPoly.zero()
-    for lam, mult in sym_power_decomp(rd, rho, k):
-        kq = lusztig_q_analogue(rd, lam, mu) if _leq_fast(rd, mu, lam) else None
-        if kq:
-            total = total + kq.substitute_inverse().scale(mult)
-    return total
-
-
-def _leq_fast(rd: RootDatum, mu: Vec, lam: Vec) -> bool:
-    return mu in set(dominant_below(rd, lam))
+    return _basic_grade(rd, rho, k).get(mu, QPoly.zero())
 
 
 @dataclass
 class BasicFunction:
-    """Truncated basic element plus its coefficient table."""
+    """Truncated basic element."""
 
     rd: RootDatum
     rho: RepSpec
     N: int
     element: GradedElement
-    coeff_map: dict
 
     @property
     def l(self) -> int:
@@ -119,23 +127,15 @@ def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> BasicFunction:
     with ``l_series`` under the transform is the defining test.
     """
     _require_valid(rd, rho)
+    _require_truncation(N)
     grades = {}
-    coeff_map = {}
     for k in range(N + 1):
-        support = set()
-        for lam, _ in sym_power_decomp(rd, rho, k):
-            support.update(dominant_below(rd, lam))
-        terms = {}
-        for mu in sorted(support, reverse=True):
-            cq = basic_coeff(rd, rho, mu)
-            if not cq:
-                continue
-            coeff_map[mu] = cq
-            lc = Laurent({(2 * e - height2(rd, mu), k): c for e, c in cq.coeffs.items()})
-            terms[mu] = lc
-        grades[k] = terms
+        grades[k] = {
+            mu: Laurent({(2 * e - height2(rd, mu), k): c for e, c in cq.coeffs.items()})
+            for mu, cq in _basic_grade(rd, rho, k).items()
+        }
     element = GradedElement(rd, CELLS, grades, Window(None, N))
-    return BasicFunction(rd, rho, N, element, coeff_map)
+    return BasicFunction(rd, rho, N, element)
 
 
 def basic_at(basic: BasicFunction, s: Fraction) -> GradedElement:
@@ -197,6 +197,7 @@ class KernelElement:
 def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> KernelElement:
     """Shifted basic element convolved with the inverse-series polynomial."""
     _require_valid(rd, rho)
+    _require_truncation(N)
     l = l_constant(rd, rho)
     depth = rho_dim(rd, rho)
     basic = basic_function(rd, rho, N + depth)
@@ -311,6 +312,7 @@ def verify_fixed_point(
     which must be the identity on [-N, 0]; that telescope carries the
     whole analytic content and every grade of it is exact.
     """
+    _require_truncation(N)
     start = time.monotonic()
     report = VerifyReport("fixed-point", "PASS")
     if basic is None:
@@ -349,6 +351,7 @@ def verify_unitarity(
     flipped shifted basic on [-N, 0], and the shifted basic against the
     flipped inverse series on [0, N].
     """
+    _require_truncation(N)
     start = time.monotonic()
     report = VerifyReport("unitarity", "PASS")
     if basic is None:
@@ -379,6 +382,7 @@ def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
 
     Returns the report's JSON object directly (name, status,
     first_mismatch)."""
+    _require_truncation(N)
     if not rd.cartan.startswith("GL"):
         raise InvalidInput("the indicator identity is a GL preset statement")
     n = rd.rank

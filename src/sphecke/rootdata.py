@@ -358,11 +358,6 @@ def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
     return out
 
 
-def poset_sorted(rd: RootDatum, weights) -> list[Vec]:
-    """Linear extension of dominance, largest first, ties reverse-lex."""
-    return sorted(weights, key=lambda w: (height2(rd, w), w), reverse=True)
-
-
 # ---------------------------------------------------------------------------
 # Weyl group
 

@@ -28,11 +28,12 @@ from .characters import (
     weight_multiplicities,
 )
 from .errors import InvalidInput, WindowError
-from .kostka import kl_matrix
+from .kostka import lusztig_q_analogue
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
     Vec,
+    dominant_below,
     dual_weight_vec,
     height2,
     sigma_grade,
@@ -199,9 +200,17 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 
 @cache
 def kl_row(rd: RootDatum, lam: Vec) -> tuple:
-    """Expansion of the lam-character into cell indicators (forward map)."""
-    _, matrix = kl_matrix(rd, sigma_grade(rd, lam), (lam,))
-    return tuple(sorted(matrix[lam].items(), reverse=True))
+    """Expansion of the lam-character into cell indicators (forward map).
+
+    The mu entry is v^(-2<rho_B,mu>) K[lam,mu](q^-1), mu descending.
+    """
+    row = []
+    for mu in dominant_below(rd, lam):
+        kq = lusztig_q_analogue(rd, lam, mu)
+        if kq:
+            shift = -height2(rd, mu)
+            row.append((mu, Laurent({(shift - 2 * e, 0): c for e, c in kq.coeffs.items()})))
+    return tuple(row)
 
 
 @cache

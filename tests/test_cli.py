@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sphecke.cli import main
 from sphecke.rootdata import build_gl, datum_to_json
 
@@ -72,6 +74,39 @@ def test_invalid_rho_exit_2(capsys):
     code, _, err = run(capsys, "basic", "--group", "gl2", "--rho", "2,0", "--N", "2")
     assert code == 2
     assert "invalid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basic", "--group", "gl2", "--rho", "1,x"],
+        ["kostka", "--group", "gl2", "--lambda", "2,x", "--mu", "1,1"],
+        ["satake", "--group", "gl2", "--mu", "a"],
+        ["convolve", "--group", "gl2", "--mu", "1,0", "--nu", "x,0"],
+    ],
+    ids=["basic", "kostka", "satake", "convolve"],
+)
+def test_malformed_vector_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "fixed-point", "--group", "gl2", "--N", "-3"],
+        ["basic", "--group", "gl2", "--N", "-2"],
+        ["kernel", "--group", "gl2", "--N", "-1"],
+    ],
+    ids=["verify", "basic", "kernel"],
+)
+def test_negative_truncation_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
 
 
 def test_convolve_output(capsys):

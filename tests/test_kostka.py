@@ -5,7 +5,6 @@ import pytest
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
     QPoly,
-    kl_matrix,
     kostant_q,
     lusztig_q_analogue,
 )
@@ -20,6 +19,7 @@ from sphecke.rootdata import (
     vsub,
     weyl_elements,
 )
+from sphecke.satake import kl_row
 
 GL1 = build_gl(1)
 GL2 = build_gl(2)
@@ -152,30 +152,20 @@ def test_lusztig_positivity():
             assert all(c > 0 for c in poly.coeffs.values())
 
 
-def test_kl_matrix_gl2_grade1():
-    order, m = kl_matrix(GL2, 1, [(1, 0)])
-    assert order == [(1, 0)]
-    assert m[(1, 0)][(1, 0)] == Laurent.term(1, v=-1)
+def test_kl_row_gl2_grade1():
+    assert kl_row(GL2, (1, 0)) == (((1, 0), Laurent.term(1, v=-1)),)
 
 
-def test_kl_matrix_gl2_grade2():
-    order, m = kl_matrix(GL2, 2, [(2, 0), (1, 1)])
-    assert order == [(2, 0), (1, 1)]
-    assert m[(2, 0)][(2, 0)] == Laurent.term(1, v=-2)
-    assert m[(2, 0)][(1, 1)] == Laurent.term(1, v=-2)  # q^-1 at v-weight 0
-    assert (1, 1) not in m[(1, 1)] or m[(1, 1)][(1, 1)] == Laurent.one()
-    assert m[(1, 1)][(1, 1)] == Laurent.one()
+def test_kl_row_gl2_grade2():
+    assert kl_row(GL2, (2, 0)) == (
+        ((2, 0), Laurent.term(1, v=-2)),
+        ((1, 1), Laurent.term(1, v=-2)),  # q^-1 at v-weight 0
+    )
+    assert kl_row(GL2, (1, 1)) == (((1, 1), Laurent.one()),)
 
 
-def test_kl_matrix_gl1():
-    order, m = kl_matrix(GL1, 3, [(3,)])
-    assert order == [(3,)]
-    assert m[(3,)][(3,)] == Laurent.one()
-
-
-def test_kl_matrix_rejects_mixed_grades():
-    with pytest.raises(GradeMismatchError):
-        kl_matrix(GL2, 2, [(2, 0), (1, 0)])
+def test_kl_row_gl1():
+    assert kl_row(GL1, (3,)) == (((3,), Laurent.one()),)
 
 
 def test_qpoly_str():

@@ -26,7 +26,7 @@ from sphecke.lseries import (
     zeta_over_l,
 )
 from sphecke.characters import weight_multiplicities
-from sphecke.rootdata import RepSpec, build_gl, dominant_below, sigma_grade
+from sphecke.rootdata import RepSpec, build_gl, build_preset, dominant_below, sigma_grade
 from sphecke.satake import (
     CELLS,
     GradedElement,
@@ -92,7 +92,16 @@ def test_basic_coeff_examples():
 
 def test_basic_function_defining_identity():
     # the transform of the assembled element reproduces the graded series
-    for rd, rho, n in [(GL1, STD1, 6), (GL2, STD2, 5), (GL3, STD3, 4), (GL2, CUBIC, 3)]:
+    for rd, rho, n in [
+        (GL1, STD1, 6),
+        (GL2, STD2, 5),
+        (GL3, STD3, 4),
+        (GL2, CUBIC, 3),
+        (GL2, RepSpec((4, -3)), 3),  # Sym^3 holds a constituent twice
+        (build_preset("b2"), RepSpec((1, 0, 1)), 4),
+        (build_preset("c2"), RepSpec((1, 0, 1)), 4),
+        (build_preset("g2"), RepSpec((0, -1, 1)), 3),
+    ]:
         basic = basic_function(rd, rho, n)
         assert satake(basic.element) == l_series(rd, rho, n)
 
@@ -276,7 +285,6 @@ def test_fixed_point_detects_corruption():
     corrupted = basic.__class__(
         basic.rd, basic.rho, basic.N,
         GradedElement(GL2, CELLS, grades, basic.element.window),
-        basic.coeff_map,
     )
     report = verify_fixed_point(GL2, STD2, 4, basic=corrupted)
     assert report.status == "FAIL"
@@ -304,7 +312,7 @@ def test_gj_standard_detects_corruption(monkeypatch, corrupt, grade, mu, got):
         grades = {k: dict(t) for k, t in basic.element.grades.items()}
         corrupt(grades[2])
         element = GradedElement(rd, CELLS, grades, basic.element.window)
-        return basic.__class__(rd, rho, N, element, basic.coeff_map)
+        return basic.__class__(rd, rho, N, element)
 
     monkeypatch.setattr(ls_mod, "basic_function", corrupted)
     report = verify_gj_standard(GL2, STD2, 4)

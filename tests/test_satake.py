@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sphecke.errors import WindowError
-from sphecke.kostka import kl_matrix
 from sphecke.laurent import Laurent
-from sphecke.rootdata import RepSpec, build_gl, dominant_below, sigma_grade
+from sphecke.rootdata import RepSpec, build_gl, build_preset, dominant_below, sigma_grade
 from sphecke.satake import (
     CELLS,
     CHARS,
@@ -21,6 +20,7 @@ from sphecke.satake import (
     eval_numeric,
     identity_element,
     inverse_satake,
+    kl_row,
     satake,
     satake_basis,
     satake_basis_row,
@@ -74,13 +74,18 @@ def test_satake_basis_element_shape():
 
 def test_unitriangular_inversion():
     # forward matrix times the solved rows gives the identity on the block
-    for lam in [(3, 0), (2, 2), (4, 1)]:
-        block = dominant_below(GL2, lam)
-        _, m = kl_matrix(GL2, sigma_grade(GL2, lam), (lam,))
-        for a in block:
+    for rd, lam in [
+        (GL2, (3, 0)),
+        (GL2, (2, 2)),
+        (GL2, (4, 1)),
+        (build_preset("b2"), (1, 0, 1)),
+        (build_preset("c2"), (1, 0, 1)),
+        (build_preset("g2"), (0, -1, 1)),
+    ]:
+        for a in dominant_below(rd, lam):
             acc = {}
-            for nu, coeff in m[a].items():
-                for b, w in satake_basis_row(GL2, nu):
+            for nu, coeff in kl_row(rd, a):
+                for b, w in satake_basis_row(rd, nu):
                     acc[b] = acc.get(b, Laurent.zero()) + coeff * w
             for b, v in acc.items():
                 want = Laurent.one() if b == a else Laurent.zero()
