@@ -13,12 +13,11 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InvalidInput, NonDominantError
-from .kostka import lusztig_q_analogue
+from .kostka import kostka_row
 from .rootdata import (
     RepSpec,
     RootDatum,
     Vec,
-    dominant_below,
     dual_weight_vec,
     height2,
     sigma_grade,
@@ -51,10 +50,8 @@ def weight_multiplicities(rd: RootDatum, lam: Vec) -> CharExpansion:
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
     out = {}
-    for mu in dominant_below(rd, lam):
-        m = lusztig_q_analogue(rd, lam, mu).at_one()
-        if m == 0:
-            continue
+    for mu, kq in kostka_row(rd, lam):
+        m = kq.at_one()
         for nu in weyl_orbit(rd, mu):
             out[nu] = m
     if sum(out.values()) != weyl_dim(rd, lam):

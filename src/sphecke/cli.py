@@ -3,7 +3,8 @@
 Subcommands: basic, kostka, satake, convolve, kernel, verify, zeta,
 arch, decomp.  Output is canonical JSON (sorted keys, canonical
 term order), so identical inputs produce identical bytes.  Exit codes:
-0 success/PASS, 1 verification mismatch, 2 invalid input or usage.
+0 success/PASS, 1 verification mismatch, 2 invalid input or usage,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -48,11 +49,18 @@ from .satake import (
 from .serialize import element_from_obj, element_to_obj
 
 
-def _parse_vec(text: str):
+def _parse_num(text: str, conv):
+    """``conv(text)`` for conv in int, float, complex or Fraction; a malformed
+    number or a zero denominator raises InvalidInput."""
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InvalidInput(f"expected comma-separated integers, got {text!r}") from None
+        return conv(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"malformed number {text!r} (want {conv.__name__})") from None
+
+
+def _parse_vec(text: str, conv=int):
+    """Comma-separated numbers, each read by ``conv``."""
+    return tuple(_parse_num(x, conv) for x in text.split(","))
 
 
 def _load_datum(args) -> RootDatum:
@@ -109,7 +117,7 @@ def _cmd_basic(args) -> int:
     basic = basic_function(rd, rho, args.N)
     element = basic.element
     if args.specialize is not None:
-        element = specialize(element, Fraction(args.specialize))
+        element = specialize(element, _parse_num(args.specialize, Fraction))
     payload = _element_payload(element)
     payload["datum"] = datum_to_json(rd)
     _emit(args, payload)
@@ -149,7 +157,7 @@ def _cmd_kernel(args) -> int:
     kern = gamma_kernel(rd, rho, args.N)
     element = kern.element
     if args.specialize is not None:
-        element = specialize(element, Fraction(args.specialize))
+        element = specialize(element, _parse_num(args.specialize, Fraction))
     _emit(args, _element_payload(element))
     return 0
 
@@ -202,8 +210,8 @@ def _cmd_zeta(args) -> int:
         return 0
     if args.c is None:
         raise InvalidInput("need --c (or --over-l)")
-    c = tuple(float(x) for x in args.c.split(","))
-    s = complex(args.s)
+    c = _parse_vec(args.c, float)
+    s = _parse_num(args.s, complex)
     basic = basic_function(rd, rho, 0)
     closed = zeta_closed_form(rd, rho, SchwartzElement(basic, h), c, args.q, s)
     truncated = None
@@ -227,14 +235,15 @@ def _cmd_arch(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
     out: dict
+    if args.op in ("lfactor", "gamma"):
+        lam = _parse_vec(args.lam, float)
+        params = _arch.arch_params(
+            rd, rho, lam, _parse_num(args.s, complex), _parse_num(args.p, Fraction), args.field
+        )
     if args.op == "lfactor":
-        lam = tuple(float(x) for x in args.lam.split(","))
-        params = _arch.arch_params(rd, rho, lam, complex(args.s), Fraction(args.p), args.field)
         val = _arch.lfactor_real(params) if args.field == "real" else _arch.lfactor_cplx(params)
         out = {"value": [val.real, val.imag]}
     elif args.op == "gamma":
-        lam = tuple(float(x) for x in args.lam.split(","))
-        params = _arch.arch_params(rd, rho, lam, complex(args.s), Fraction(args.p), args.field)
         g = _arch.gamma_factor(params)
         out = {
             "value": [g.value.real, g.value.imag],
@@ -244,14 +253,14 @@ def _cmd_arch(args) -> int:
     elif args.op == "stirling":
         out = {"ratio": _arch.stirling_ratio(args.x, args.y)}
     elif args.op == "threshold":
-        val = _arch.threshold(rd, rho, Fraction(args.p), args.which, args.field)
+        val = _arch.threshold(rd, rho, _parse_num(args.p, Fraction), args.which, args.field)
         out = {"threshold": str(val)}
     elif args.op == "crho":
         out = {"c_rho": str(_arch.c_rho_constant(rd, rho))}
     elif args.op == "probe":
         rep = _arch.seminorm_probe(
-            rd, rho, complex(args.s), Fraction(args.p), args.t,
-            radii=tuple(float(r) for r in args.radii.split(",")),
+            rd, rho, _parse_num(args.s, complex), _parse_num(args.p, Fraction), args.t,
+            radii=_parse_vec(args.radii, float),
         )
         out = {
             "max_log_value": rep.max_log_value,
@@ -391,6 +400,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other failure is ours, not a mismatch
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 ``kostant_q`` counts expressions of a vector as sums of positive roots,
 graded by length; ``lusztig_q_analogue`` is the Weyl alternating sum of
 those counts, the change-of-basis polynomial between Weyl characters
-and double-coset indicators.
+and double-coset indicators; ``kostka_row`` gives a whole row of it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .kernels import PartitionContext
 from .rootdata import (
     RootDatum,
     Vec,
+    dominant_below,
     mat_apply,
     sigma_grade,
     vadd,
@@ -112,6 +113,33 @@ def kostant_q(rd: RootDatum, beta: Vec) -> QPoly:
     return QPoly(_context(rd).counts(beta))
 
 
+def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[Vec, int]]:
+    """Pairs (w(2 lam + 2 rho), sign of w) over the Weyl group."""
+    lam2 = vadd(vscale(2, lam), rd.rho_b_times2)
+    return [
+        (mat_apply(w, lam2), -1 if length % 2 else 1)
+        for w, length in weyl_elements(rd)
+    ]
+
+
+def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec) -> QPoly:
+    """K[lam, mu] from the shifted orbit of lam: the signed sum of the
+    graded partition counts of (w(2 lam + 2 rho) - (2 mu + 2 rho)) / 2."""
+    mu2 = vadd(vscale(2, mu), rd.rho_b_times2)
+    ctx = _context(rd)
+    total = {}
+    for image, sign in orbit:
+        beta2 = vsub(image, mu2)
+        if any(x % 2 for x in beta2):
+            raise RuntimeError("odd coordinate in shifted Weyl sum")
+        for e, c in ctx.counts(tuple(x // 2 for x in beta2)).items():
+            total[e] = total.get(e, 0) + sign * c
+    out = QPoly(total)
+    if any(c < 0 for c in out.coeffs.values()):
+        raise RuntimeError(f"negative coefficient in K[{lam},{mu}]: {out}")
+    return out
+
+
 @cache
 def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> QPoly:
     """Weyl alternating sum of graded partition counts.
@@ -126,20 +154,17 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> QPoly:
         raise GradeMismatchError(
             f"grades differ: {sigma_grade(rd, lam)} vs {sigma_grade(rd, mu)}"
         )
-    rho2 = rd.rho_b_times2
-    lam2 = vadd(vscale(2, lam), rho2)
-    mu2 = vadd(vscale(2, mu), rho2)
-    ctx = _context(rd)
-    total = QPoly.zero()
-    for w, length in weyl_elements(rd):
-        beta2 = vsub(mat_apply(w, lam2), mu2)
-        if any(x % 2 for x in beta2):
-            raise RuntimeError("odd coordinate in shifted Weyl sum")
-        beta = tuple(x // 2 for x in beta2)
-        counts = ctx.counts(beta)
-        if counts:
-            term = QPoly(counts)
-            total = total + (term if length % 2 == 0 else -term)
-    if any(c < 0 for c in total.coeffs.values()):
-        raise RuntimeError(f"negative coefficient in K[{lam},{mu}]: {total}")
-    return total
+    return _alternating_sum(rd, _shifted_orbit(rd, lam), lam, mu)
+
+
+@cache
+def kostka_row(rd: RootDatum, lam: Vec) -> tuple:
+    """The nonzero (mu, K[lam, mu]) over the dominant mu <= lam, mu
+    descending, all from one shifted Weyl orbit of lam."""
+    orbit = _shifted_orbit(rd, lam)
+    row = []
+    for mu in dominant_below(rd, lam):
+        kq = _alternating_sum(rd, orbit, lam, mu)
+        if kq:
+            row.append((mu, kq))
+    return tuple(row)

@@ -25,7 +25,7 @@ from .characters import (
     weight_multiplicities,
 )
 from .errors import InvalidInput, PoleError
-from .kostka import QPoly, lusztig_q_analogue
+from .kostka import QPoly, kostka_row
 from .laurent import Laurent
 from .rootdata import (
     RepSpec,
@@ -88,10 +88,8 @@ def _basic_grade(rd: RootDatum, rho: RepSpec, k: int) -> dict:
     mu descending: c_mu = sum over lam of mult(lam, Sym^k rho) K[lam,mu](q^-1)."""
     table = {}
     for lam, mult in sym_power_decomp(rd, rho, k):
-        for mu in dominant_below(rd, lam):
-            kq = lusztig_q_analogue(rd, lam, mu)
-            if kq:
-                table[mu] = table.get(mu, QPoly.zero()) + kq.substitute_inverse().scale(mult)
+        for mu, kq in kostka_row(rd, lam):
+            table[mu] = table.get(mu, QPoly.zero()) + kq.substitute_inverse().scale(mult)
     return dict(sorted(table.items(), reverse=True))
 
 

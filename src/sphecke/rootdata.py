@@ -19,7 +19,6 @@ basis coordinates.  In all presets the coroot forms are integral.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -203,16 +202,17 @@ def _euclidean_simples(kind: str, r: int):
 def build_preset(label: str) -> RootDatum:
     """Named data: gl1..gl4 plus central extensions of B, C, D, G types."""
     label = label.lower()
-    if label.startswith("gl"):
+    if label.startswith("gl") and label[2:].isdigit():
         return build_gl(int(label[2:]))
     if label == "g2":
         # root-basis coordinates plus a central coordinate
         simples = [(1, 0, 0), (-2, -1, 0)]
         forms = [(2, -1, 0), (-1, 0, 0)]
         return _assemble("G2", 3, simples, forms, (0, 0, 1))
-    kind, r = label[0].upper(), int(label[1:])
-    if kind not in "BCD" or not 2 <= r <= 4:
+    kind, digits = label[:1].upper(), label[1:]
+    if kind not in "BCD" or digits not in ("2", "3", "4"):
         raise InvalidInput(f"unknown preset {label}")
+    r = int(digits)
     base_simples, base_forms = _euclidean_simples(kind, r)
     simples = [s + (0,) for s in base_simples]
     forms = [f + (0,) for f in base_forms]
@@ -336,26 +336,29 @@ def dominance_leq(rd: RootDatum, mu: Vec, lam: Vec) -> bool:
 
 
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
-    """All dominant mu <= lam, reverse-lexicographically descending."""
+    """All dominant mu <= lam, reverse-lexicographically descending.
+
+    A breadth-first walk down from lam that subtracts one positive root
+    at a time and keeps only dominant weights.  It reaches every
+    dominant mu <= lam because any two comparable dominant weights are
+    joined by a chain of dominant weights whose steps are single
+    positive roots (Stembridge, *The partial order of dominant weights*,
+    Adv. Math. 136 (1998)).
+    """
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
-    if not rd.simple_roots:
-        return [lam]
-    low = mat_apply(rd.w0, lam)
-    bounds = solve_simple_coeffs(rd.simple_roots, vsub(lam, low))
-    if bounds is None or any(b.denominator != 1 or b < 0 for b in bounds):
-        raise InvalidInput(f"longest-element bound failed for {lam}")
-    out = []
-    ranges = [range(int(b) + 1) for b in bounds]
-    for coeffs in itertools.product(*ranges):
-        mu = lam
-        for c, a in zip(coeffs, rd.simple_roots):
-            if c:
-                mu = vsub(mu, vscale(c, a))
-        if rd.is_dominant(mu):
-            out.append(mu)
-    out.sort(reverse=True)
-    return out
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for v in frontier:
+            for alpha in rd.positive_roots:
+                mu = vsub(v, alpha)
+                if mu not in seen and rd.is_dominant(mu):
+                    seen.add(mu)
+                    new.append(mu)
+        frontier = new
+    return sorted(seen, reverse=True)
 
 
 # ---------------------------------------------------------------------------

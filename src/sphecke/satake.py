@@ -28,12 +28,11 @@ from .characters import (
     weight_multiplicities,
 )
 from .errors import InvalidInput, WindowError
-from .kostka import lusztig_q_analogue
+from .kostka import kostka_row
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
     Vec,
-    dominant_below,
     dual_weight_vec,
     height2,
     sigma_grade,
@@ -205,11 +204,9 @@ def kl_row(rd: RootDatum, lam: Vec) -> tuple:
     The mu entry is v^(-2<rho_B,mu>) K[lam,mu](q^-1), mu descending.
     """
     row = []
-    for mu in dominant_below(rd, lam):
-        kq = lusztig_q_analogue(rd, lam, mu)
-        if kq:
-            shift = -height2(rd, mu)
-            row.append((mu, Laurent({(shift - 2 * e, 0): c for e, c in kq.coeffs.items()})))
+    for mu, kq in kostka_row(rd, lam):
+        shift = -height2(rd, mu)
+        row.append((mu, Laurent({(shift - 2 * e, 0): c for e, c in kq.coeffs.items()})))
     return tuple(row)
 
 

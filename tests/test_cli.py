@@ -83,13 +83,34 @@ def test_invalid_rho_exit_2(capsys):
         ["kostka", "--group", "gl2", "--lambda", "2,x", "--mu", "1,1"],
         ["satake", "--group", "gl2", "--mu", "a"],
         ["convolve", "--group", "gl2", "--mu", "1,0", "--nu", "x,0"],
+        ["basic", "--group", "gl2", "--N", "1", "--specialize", "x"],
+        ["kernel", "--group", "gl2", "--N", "1", "--specialize", "1/0"],
+        ["zeta", "--group", "gl2", "--c", "0.3,y"],
+        ["zeta", "--group", "gl2", "--c", "0.3,0.2", "--s", "x"],
+        ["arch", "lfactor", "--group", "gl2", "--lam", "1,x"],
+        ["arch", "probe", "--group", "gl2", "--s", "x"],
+        ["arch", "probe", "--group", "gl2", "--radii", "5,x"],
+        ["arch", "threshold", "--group", "b2", "--rho", "1,0,1", "--p", "1/0"],
+        ["kostka", "--group", "foo", "--lambda", "1", "--mu", "1"],
     ],
-    ids=["basic", "kostka", "satake", "convolve"],
+    ids=[
+        "basic", "kostka", "satake", "convolve", "specialize", "specialize-zero",
+        "zeta-c", "zeta-s", "arch-lam", "arch-s", "arch-radii", "arch-p-zero", "preset",
+    ],
 )
 def test_malformed_vector_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_internal_error_exit_3(capsys):
+    # gamma overflows at this spectral parameter; that is not a mismatch (1)
+    code, out, err = run(capsys, "arch", "gamma", "--group", "gl2", "--lam", "800,-800")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: OverflowError")
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
     QPoly,
     kostant_q,
+    kostka_row,
     lusztig_q_analogue,
 )
 from sphecke.laurent import Laurent
@@ -150,6 +151,26 @@ def test_lusztig_positivity():
         for mu in dominant_below(GL3, lam):
             poly = lusztig_q_analogue(GL3, lam, mu)
             assert all(c > 0 for c in poly.coeffs.values())
+
+
+def test_kostka_row_matches_cells():
+    # the row from one shifted orbit equals the nonzero per-cell sums, in order
+    cases = {
+        "gl3": [(2, 1, 0), (3, 1, -1), (4, 0, 0)],
+        "b2": [(1, 0, 1), (2, 1, 0), (3, 1, -2)],
+        "c2": [(1, 0, 1), (2, 2, 0), (3, 1, 1)],
+        "g2": [(0, -1, 1), (-1, -2, 0), (-2, -4, 1)],
+        "d4": [(1, 1, 0, 0, 0), (2, 1, 1, -1, 1)],
+    }
+    for label, weights in cases.items():
+        rd = build_preset(label)
+        for lam in weights:
+            want = tuple(
+                (mu, K)
+                for mu in dominant_below(rd, lam)
+                if (K := lusztig_q_analogue(rd, lam, mu))
+            )
+            assert kostka_row(rd, lam) == want, (label, lam)
 
 
 def test_kl_row_gl2_grade1():

@@ -115,15 +115,41 @@ def test_dominant_below_examples():
     assert dominant_below(GL3, (2, 1, 0)) == [(2, 1, 0), (1, 1, 1)]
 
 
+# a few dominant weights per preset, some with a nonzero central coordinate
+BOX_ORACLE_WEIGHTS = {
+    "gl1": [(3,), (-2,)],
+    "gl2": [(2, 0), (3, -1), (1, 1)],
+    "gl3": [(3, 1, 0), (2, 0, -2), (1, 1, -1)],
+    "gl4": [(2, 1, 0, -1), (2, 0, 0, 0), (1, 1, -1, -1)],
+    "b2": [(1, 0, 1), (2, 1, -1), (3, 0, 0)],
+    "b3": [(1, 1, 0, 2), (2, 0, 0, -1)],
+    "b4": [(1, 0, 0, 0, 1), (2, 1, 0, 0, -3)],
+    "c2": [(1, 0, 1), (2, 2, 0), (3, 1, -2)],
+    "c3": [(1, 0, 0, 1), (2, 1, 1, 0)],
+    "c4": [(1, 1, 0, 0, 2), (2, 0, 0, 0, -1)],
+    "d3": [(1, 1, -1, 0), (2, 1, 1, 1), (2, 0, 0, -3)],
+    "d4": [(1, 1, 0, 0, 0), (2, 1, 1, -1, 2)],
+    "g2": [(0, -1, 0), (-1, -2, 2), (-2, -4, -1)],
+}
+
+
 def test_dominant_below_box_oracle():
-    # oracle: exhaustive box search over coordinates
-    lam = (3, 1, 0)
-    box = [
-        v
-        for v in itertools.product(range(-2, 4), repeat=3)
-        if GL3.is_dominant(v) and sigma_grade(GL3, v) == 4 and dominance_leq(GL3, v, lam)
-    ]
-    assert sorted(dominant_below(GL3, lam)) == sorted(box)
+    # oracle: exhaustive search of the coordinate box of lam's Weyl orbit,
+    # whose convex hull holds every mu <= lam
+    for label, weights in BOX_ORACLE_WEIGHTS.items():
+        rd = build_preset(label)
+        for lam in weights:
+            orbit = weyl_orbit(rd, lam)
+            ranges = [range(min(c), max(c) + 1) for c in zip(*orbit)]
+            grade = sigma_grade(rd, lam)
+            box = [
+                v
+                for v in itertools.product(*ranges)
+                if rd.is_dominant(v)
+                and sigma_grade(rd, v) == grade
+                and dominance_leq(rd, v, lam)
+            ]
+            assert dominant_below(rd, lam) == box[::-1], (label, lam)
 
 
 def test_dominant_below_downward_closed():
