@@ -105,8 +105,11 @@ def arch_params(
     p=Fraction(2),
     field_tag: str = "real",
 ) -> ArchParams:
+    """Raises LengthMismatchError unless lam has one entry per coordinate."""
+    lam = tuple(lam)
+    rd.check_length(lam)
     return ArchParams(
-        lam=tuple(lam),
+        lam=lam,
         weights=tuple(rep_weight_list(rd, rho)),
         s=s,
         l=l_constant(rd, rho),

@@ -1,10 +1,13 @@
-"""Weyl characters as finite weight multisets, and their plethysms.
+"""Weyl characters, their products, and their plethysms.
 
 A character expansion is a plain dict mapping weight vectors to
-multiplicities, invariant under the Weyl group.  Symmetric and exterior
-powers go through the Newton / power-sum recursion on the weight
-multiset, which works uniformly for any datum; decomposition into
-irreducibles is leading-term subtraction along the dominance order.
+multiplicities, invariant under the Weyl group.  Everything else stays
+in the basis of irreducible characters: a weight multiset times an
+irreducible character is read off by straightening each shifted weight
+under the dot action (``times_char``), which gives tensor products,
+decomposition (times the trivial character), and symmetric and exterior
+powers (Newton's power-sum recursion, one Adams operation at a time),
+uniformly for any datum.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .rootdata import (
     dual_weight_vec,
     height2,
     sigma_grade,
+    straighten,
     weyl_orbit,
 )
 
@@ -72,30 +76,6 @@ def rep_weight_list(rd: RootDatum, rho_or_hw) -> list[Vec]:
     return out
 
 
-def char_mul(a: CharExpansion, b: CharExpansion) -> CharExpansion:
-    out = {}
-    for va, ca in a.items():
-        for vb, cb in b.items():
-            key = tuple(x + y for x, y in zip(va, vb))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
-def char_add(a: CharExpansion, b: CharExpansion, sign: int = 1) -> CharExpansion:
-    out = dict(a)
-    for v, c in b.items():
-        n = out.get(v, 0) + sign * c
-        if n:
-            out[v] = n
-        elif v in out:
-            del out[v]
-    return out
-
-
 def adams(k: int, ch: CharExpansion) -> CharExpansion:
     """Power-sum operation: evaluate the character on k-th powers."""
     out = {}
@@ -105,6 +85,39 @@ def adams(k: int, ch: CharExpansion) -> CharExpansion:
     return out
 
 
+def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
+    """A Weyl-invariant weight multiset times the lam-character, as
+    irreducible highest weight -> coefficient (Brauer-Klimyk: each weight
+    nu contributes its multiplicity, with the sign of the dot action, to
+    the character at straighten(2(nu + lam + rho)); Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, 24 ex. 9)."""
+    lam2 = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
+    out = {}
+    for nu, m in weights.items():
+        hit = straighten(rd, tuple(2 * x + y for x, y in zip(nu, lam2)))
+        if hit is None:
+            continue
+        sign, top = hit
+        c = out.get(top, 0) + sign * m
+        if c:
+            out[top] = c
+        elif top in out:
+            del out[top]
+    return out
+
+
+@cache
+def tensor(rd: RootDatum, lam: Vec, mu: Vec) -> tuple:
+    """(nu, multiplicity) pairs of the irreducibles in V(lam) (x) V(mu)."""
+    if weyl_dim(rd, lam) < weyl_dim(rd, mu):
+        lam, mu = mu, lam
+    return tuple(times_char(rd, weight_multiplicities(rd, mu), lam).items())
+
+
+def _by_height(rd: RootDatum, chars: dict) -> list:
+    return sorted(chars.items(), key=lambda p: (height2(rd, p[0]), p[0]), reverse=True)
+
+
 def _check_invariant(rd: RootDatum, ch) -> None:
     for v, c in ch.items():
         for i in range(len(rd.simple_roots)):
@@ -112,89 +125,55 @@ def _check_invariant(rd: RootDatum, ch) -> None:
                 raise InvalidInput(f"expansion is not Weyl-invariant at {v}")
 
 
-def decompose_generic(rd: RootDatum, ch, *, require_nonneg: bool):
-    """Write a Weyl-invariant expansion as a combination of irreducibles.
-
-    Coefficients may come from any commutative ring supporting +, -,
-    multiplication by int and truthiness; with ``require_nonneg`` the
-    input must be an actual (not virtual) character over the integers.
-    """
-    remaining = {v: c for v, c in ch.items() if c}
-    _check_invariant(rd, remaining)
-    parts = []
-    guard = 0
-    while remaining:
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("decomposition did not terminate")
-        top = max(remaining, key=lambda v: (height2(rd, v), v))
-        if not rd.is_dominant(top):
-            raise InvalidInput(f"maximal weight {top} is not dominant")
-        mult = remaining[top]
-        if require_nonneg and mult < 0:
-            raise InvalidInput(f"negative multiplicity {mult} at {top}")
-        parts.append((top, mult))
-        for v, m in weight_multiplicities(rd, top).items():
-            delta = mult * m
-            cur = remaining.get(v)
-            new = -delta if cur is None else cur - delta
-            if new:
-                remaining[v] = new
-            elif v in remaining:
-                del remaining[v]
-    parts.sort(key=lambda p: (height2(rd, p[0]), p[0]), reverse=True)
+def decompose(rd: RootDatum, ch: CharExpansion):
+    """Irreducible pieces of an actual character, highest first; raises on
+    a non-invariant expansion or a virtual (negative) multiplicity."""
+    ch = {v: c for v, c in ch.items() if c}
+    _check_invariant(rd, ch)
+    parts = _by_height(rd, times_char(rd, ch, (0,) * rd.rank))
+    for lam, mult in parts:
+        if mult < 0:
+            raise InvalidInput(f"negative multiplicity {mult} at {lam}")
     return parts
 
 
-def decompose(rd: RootDatum, ch: CharExpansion):
-    """Integer decomposition; raises on virtual (negative) multiplicities."""
-    return decompose_generic(rd, ch, require_nonneg=True)
+@cache
+def _newton_series(rd: RootDatum, hw: Vec, signed: bool) -> dict:
+    """Grade -> symmetric (exterior, when signed) power of V(hw) in the
+    character basis; ``_power`` fills in grades on demand."""
+    return {0: {(0,) * rd.rank: 1}}
 
 
-def expand_decomp(rd: RootDatum, parts) -> CharExpansion:
-    out = {}
-    for lam, mult in parts:
-        out = char_add(out, {v: mult * m for v, m in weight_multiplicities(rd, lam).items()})
-    return out
-
-
-def _power_series(rd: RootDatum, rho: RepSpec, k: int, signed: bool):
-    """Newton recursion for complete (symmetric) or elementary (exterior)
-    power characters of the weight multiset of rho."""
-    base = rep_weight_multiset(rd, rho)
-    series = [{(0,) * rd.rank: 1}]
-    for n in range(1, k + 1):
+def _power(rd: RootDatum, hw: Vec, n: int, signed: bool) -> dict:
+    """Newton's identity m S^m = sum_j psi^j S^(m-j), signed for exterior
+    powers, with psi^j the j-th Adams operation on the weights of hw.
+    Grade m is written once grades below it are present, and always with
+    the same value, so concurrent callers agree."""
+    series = _newton_series(rd, hw, signed)
+    base = weight_multiplicities(rd, hw)
+    for m in range(len(series), n + 1):
         acc = {}
-        for j in range(1, n + 1):
-            term = char_mul(adams(j, base), series[n - j])
-            sign = 1 if not signed else (1 if j % 2 == 1 else -1)
-            acc = char_add(acc, term, sign)
+        for j in range(1, m + 1):
+            sign = -1 if signed and j % 2 == 0 else 1
+            psi = adams(j, base)
+            for lam, c in series[m - j].items():
+                for nu, k in times_char(rd, psi, lam).items():
+                    acc[nu] = acc.get(nu, 0) + sign * c * k
         out = {}
-        for v, c in acc.items():
-            q, r = divmod(c, n)
+        for nu, c in acc.items():
+            q, r = divmod(c, m)
             if r:
-                raise RuntimeError(f"inexact division by {n} in power recursion")
+                raise RuntimeError(f"inexact division by {m} in power recursion")
             if q:
-                out[v] = q
-        series.append(out)
-    return series
+                out[nu] = q
+        series[m] = out
+    return series[n]
 
 
-def sym_power_char(rd: RootDatum, rho: RepSpec, k: int) -> CharExpansion:
-    if k < 0:
-        raise InvalidInput("power must be nonnegative")
-    return _power_series(rd, rho, k, signed=False)[k]
-
-
-def ext_power_char(rd: RootDatum, rho: RepSpec, i: int) -> CharExpansion:
-    n = sum(rep_weight_multiset(rd, rho).values())
-    if not 0 <= i <= n:
-        raise InvalidInput(f"exterior power {i} outside 0..{n}")
-    return _power_series(rd, rho, i, signed=True)[i]
-
-
-def _graded_decomp(rd: RootDatum, ch: CharExpansion, grade: int):
-    parts = decompose(rd, ch)
+def _graded_decomp(rd: RootDatum, rho: RepSpec, n: int, signed: bool):
+    hw = rho.highest_weight
+    grade = n * sigma_grade(rd, hw)
+    parts = _by_height(rd, _power(rd, hw, n, signed))
     for lam, _ in parts:
         if sigma_grade(rd, lam) != grade:
             raise RuntimeError(f"constituent {lam} off grade {grade}")
@@ -203,14 +182,17 @@ def _graded_decomp(rd: RootDatum, ch: CharExpansion, grade: int):
 
 def sym_power_decomp(rd: RootDatum, rho: RepSpec, k: int):
     """Irreducible pieces of the k-th symmetric power of rho."""
-    grade = k * sigma_grade(rd, rho.highest_weight)
-    return _graded_decomp(rd, sym_power_char(rd, rho, k), grade)
+    if k < 0:
+        raise InvalidInput("power must be nonnegative")
+    return _graded_decomp(rd, rho, k, signed=False)
 
 
 def ext_power_decomp(rd: RootDatum, rho: RepSpec, i: int):
     """Irreducible pieces of the i-th exterior power of rho."""
-    grade = i * sigma_grade(rd, rho.highest_weight)
-    return _graded_decomp(rd, ext_power_char(rd, rho, i), grade)
+    n = sum(rep_weight_multiset(rd, rho).values())
+    if not 0 <= i <= n:
+        raise InvalidInput(f"exterior power {i} outside 0..{n}")
+    return _graded_decomp(rd, rho, i, signed=True)
 
 
 def dual_weight(rd: RootDatum, lam: Vec) -> Vec:

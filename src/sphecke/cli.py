@@ -236,7 +236,7 @@ def _cmd_arch(args) -> int:
     rho = _load_rho(rd, args)
     out: dict
     if args.op in ("lfactor", "gamma"):
-        lam = _parse_vec(args.lam, float)
+        lam = (0.0,) * rd.rank if args.lam is None else _parse_vec(args.lam, float)
         params = _arch.arch_params(
             rd, rho, lam, _parse_num(args.s, complex), _parse_num(args.p, Fraction), args.field
         )
@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arch", help="archimedean numerics")
     p.add_argument("op", choices=["lfactor", "gamma", "stirling", "threshold", "crho", "probe"])
     common(p)
-    p.add_argument("--lam", default="0", help="comma floats: spectral parameter")
+    p.add_argument("--lam", help="comma floats: spectral parameter (default: zero)")
     p.add_argument("--s", default="1.0")
     p.add_argument("--p", default="2")
     p.add_argument("--field", choices=["real", "complex"], default="real")

@@ -425,6 +425,7 @@ def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
 
 def h_value(rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: complex) -> complex:
     """Transform of h at the numeric point, grade g shifted by q^(-(s+l/2) g)."""
+    rd.check_length(tuple(c))
     l = l_constant(rd, rho)
     total = 0j
     for g, terms in satake(h).grades.items():
@@ -442,6 +443,7 @@ def zeta_closed_form(
     rd: RootDatum, rho: RepSpec, f: SchwartzElement, c, q: float, s: complex
 ) -> complex:
     """Product formula for the zeta value of basic*h at a numeric point."""
+    rd.check_length(tuple(c))
     value = 1.0 + 0j
     for w in rep_weight_list(rd, rho):
         factor = 1.0 + 0j

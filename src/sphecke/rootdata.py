@@ -417,6 +417,29 @@ def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
     return orbit
 
 
+def straighten(rd: RootDatum, v2: Vec):
+    """Move v2 = 2(gamma + rho) into the dominant chamber by simple reflections.
+
+    Returns (sign, lam) with 2(lam + rho) = w(v2) strictly dominant and
+    sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
+    sign times that of 2(lam + rho); returns None when v2 lies on a wall,
+    where that sum vanishes.
+    """
+    forms, roots = rd.simple_coroot_forms, rd.simple_roots
+    sign = 1
+    while True:
+        for form, alpha in zip(forms, roots):
+            c = dot(form, v2)
+            if c < 0:
+                break
+            if c == 0:
+                return None
+        else:
+            return sign, tuple((x - r) // 2 for x, r in zip(v2, rd.rho_b_times2))
+        v2 = tuple(x - c * a for x, a in zip(v2, alpha))
+        sign = -sign
+
+
 def dual_weight_vec(rd: RootDatum, lam: Vec) -> Vec:
     """Highest weight of the contragredient: -w0(lam)."""
     return vneg(mat_apply(rd.w0, lam))

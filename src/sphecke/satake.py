@@ -11,8 +11,8 @@ refuse to fabricate grades that the inputs do not determine.
 The transform and its inverse run through the unitriangular
 change-of-basis on each dominance-order block, never through an
 integral.  The product of two elements is computed on the character
-side (multiply weight expansions, split back into irreducibles), which
-makes the transform multiplicative by construction.
+side, one tensor product of irreducibles per pair of constituents,
+which makes the transform multiplicative by construction.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .characters import (
-    char_eval,
-    decompose_generic,
-    weight_multiplicities,
-)
+from .characters import char_eval, tensor, weight_multiplicities
 from .errors import InvalidInput, WindowError
 from .kostka import kostka_row
 from .laurent import Laurent
@@ -276,18 +272,6 @@ def inverse_satake(phi: GradedElement) -> GradedElement:
 # ring structure
 
 
-def _weight_expansion(rd: RootDatum, terms) -> dict:
-    out = {}
-    for lam, c in terms.items():
-        for v, m in weight_multiplicities(rd, lam).items():
-            cur = out.get(v, Laurent.zero()) + c * m
-            if cur:
-                out[v] = cur
-            elif v in out:
-                del out[v]
-    return out
-
-
 def satake_mul(a: GradedElement, b: GradedElement, window: Window | None = None) -> GradedElement:
     """Graded product of two character-side elements."""
     assert a.basis == CHARS and b.basis == CHARS
@@ -295,28 +279,23 @@ def satake_mul(a: GradedElement, b: GradedElement, window: Window | None = None)
     if window is not None:
         _check_window_available(window, wout)
         wout = wout.intersect(window)
-    wa = {k: _weight_expansion(a.rd, t) for k, t in a.grades.items()}
-    wb = {k: _weight_expansion(b.rd, t) for k, t in b.grades.items()}
     out = {}
-    for i, ea in wa.items():
-        for j, eb in wb.items():
+    for i, ta in a.grades.items():
+        for j, tb in b.grades.items():
             g = i + j
             if not wout.knows(g):
                 continue
             acc = out.setdefault(g, {})
-            for v1, c1 in ea.items():
-                for v2, c2 in eb.items():
-                    key = tuple(x + y for x, y in zip(v1, v2))
-                    cur = acc.get(key, Laurent.zero()) + c1 * c2
-                    if cur:
-                        acc[key] = cur
-                    elif key in acc:
-                        del acc[key]
-    graded = {}
-    for g, exp in out.items():
-        parts = decompose_generic(a.rd, exp, require_nonneg=False)
-        graded[g] = {lam: c for lam, c in parts if c}
-    return GradedElement(a.rd, CHARS, graded, wout)
+            for lam, c1 in ta.items():
+                for mu, c2 in tb.items():
+                    c = c1 * c2
+                    for nu, m in tensor(a.rd, lam, mu):
+                        cur = acc.get(nu, Laurent.zero()) + c * m
+                        if cur:
+                            acc[nu] = cur
+                        elif nu in acc:
+                            del acc[nu]
+    return GradedElement(a.rd, CHARS, out, wout)
 
 
 def _check_window_available(requested: Window, available: Window):
@@ -394,6 +373,7 @@ def eval_numeric(
     two grades; ``converged`` is False when the empirical ratio >= 1.
     """
     assert phi.basis == CHARS
+    phi.rd.check_length(tuple(c))
     if not phi.window.knows(N):
         raise WindowError(f"grade {N} outside known window {phi.window}")
     lo = phi.support_min()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from sphecke.errors import InvalidInput, PoleError
+from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.arch import (
     ArchParams,
     arch_params,
@@ -276,6 +276,12 @@ def test_probe_t_zero_finite():
 
 
 # -- parameter container
+
+
+def test_arch_params_rejects_wrong_length():
+    for lam in ((0.5,), (0.5, 0.0, 1.0)):
+        with pytest.raises(LengthMismatchError):
+            arch_params(GL2, STD2, lam, 1.0)
 
 
 def test_arch_params_validation():

@@ -1,20 +1,18 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from sphecke.errors import InvalidInput
 from sphecke.characters import (
-    char_add,
-    char_mul,
     decompose,
     dual_weight,
-    expand_decomp,
-    ext_power_char,
     ext_power_decomp,
+    rep_weight_list,
     rep_weight_multiset,
-    sym_power_char,
     sym_power_decomp,
+    tensor,
     weight_multiplicities,
     weyl_dim,
 )
@@ -30,6 +28,47 @@ GL2 = build_gl(2)
 GL3 = build_gl(3)
 STD2 = RepSpec((1, 0))
 STD3 = RepSpec((1, 0, 0))
+
+
+# -- test-local weight-multiset reference, independent of the character basis
+
+
+def _clean(ch):
+    return {v: c for v, c in ch.items() if c}
+
+
+def _wmul(a, b):
+    out = Counter()
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            out[tuple(x + y for x, y in zip(va, vb))] += ca * cb
+    return _clean(out)
+
+
+def _expand(rd, parts):
+    """Weight multiset of sum mult * V(lam) over the (lam, mult) pairs."""
+    out = Counter()
+    for lam, mult in parts:
+        for v, m in weight_multiplicities(rd, lam).items():
+            out[v] += mult * m
+    return _clean(out)
+
+
+def _subset_sums(weights, pick, k):
+    """Weight multiset of Sym^k (pick = combinations_with_replacement) or
+    Lambda^k (pick = combinations), one monomial per index multiset."""
+    out = Counter(tuple(map(sum, zip(*c))) if c else (0,) * len(weights[0]) for c in pick(weights, k))
+    return _clean(out)
+
+
+# (datum, rho, largest symmetric power checked)
+POWER_CASES = [
+    (GL2, RepSpec((2, -1)), 5),
+    (build_preset("b2"), RepSpec((1, 0, 1)), 4),
+    (build_preset("c2"), RepSpec((1, 0, 1)), 4),
+    (build_preset("g2"), RepSpec((0, -1, 1)), 4),
+    (GL3, STD3, 6),
+]
 
 
 def test_weight_multiplicities_standard():
@@ -101,13 +140,51 @@ def test_plethysm_generating_identity():
     for rd, rho, kmax in [(GL2, STD2, 6), (GL3, STD3, 6), (GL2, RepSpec((2, -1)), 4)]:
         n = sum(rep_weight_multiset(rd, rho).values())
         for k in range(1, kmax + 1):
-            acc = {}
+            acc = Counter()
             for i in range(0, min(k, n) + 1):
-                term = char_mul(
-                    ext_power_char(rd, rho, i), sym_power_char(rd, rho, k - i)
+                term = _wmul(
+                    _expand(rd, ext_power_decomp(rd, rho, i)),
+                    _expand(rd, sym_power_decomp(rd, rho, k - i)),
                 )
-                acc = char_add(acc, term, 1 if i % 2 == 0 else -1)
-            assert acc == {}
+                for v, c in term.items():
+                    acc[v] += c if i % 2 == 0 else -c
+            assert _clean(acc) == {}
+
+
+@pytest.mark.parametrize("rd,rho,kmax", POWER_CASES, ids=lambda x: getattr(x, "cartan", None))
+def test_sym_power_exhaustive_oracle(rd, rho, kmax):
+    weights = rep_weight_list(rd, rho)
+    for k in range(kmax + 1):
+        want = _subset_sums(weights, itertools.combinations_with_replacement, k)
+        assert _expand(rd, sym_power_decomp(rd, rho, k)) == want
+
+
+@pytest.mark.parametrize("rd,rho,kmax", POWER_CASES, ids=lambda x: getattr(x, "cartan", None))
+def test_ext_power_exhaustive_oracle(rd, rho, kmax):
+    weights = rep_weight_list(rd, rho)
+    for i in range(len(weights) + 1):
+        want = _subset_sums(weights, itertools.combinations, i)
+        assert _expand(rd, ext_power_decomp(rd, rho, i)) == want
+
+
+@pytest.mark.parametrize(
+    "label,hws",
+    [
+        ("gl3", [(1, 0, 0), (2, 1, 0), (2, 0, -1), (1, 1, 0), (3, 1, 0)]),
+        ("b2", [(0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, -1), (2, 0, 0)]),
+        ("c2", [(1, 0, 1), (1, 1, 0), (2, 0, 1), (2, 2, -1)]),
+        ("g2", [(0, -1, 1), (-1, -2, 0), (0, -2, 1), (-1, -3, 0)]),
+        ("d4", [(1, 0, 0, 0, 1), (1, 1, 0, 0, 0), (1, 1, 1, 1, 0)]),
+    ],
+)
+def test_tensor_matches_weight_convolution(label, hws):
+    rd = build_preset(label)
+    for lam, mu in itertools.combinations_with_replacement(hws, 2):
+        parts = tensor(rd, lam, mu)
+        assert all(m > 0 for _, m in parts)
+        want = _wmul(weight_multiplicities(rd, lam), weight_multiplicities(rd, mu))
+        assert _expand(rd, parts) == want
+        assert sorted(tensor(rd, mu, lam)) == sorted(parts)
 
 
 def test_sym_power_grading():
@@ -124,7 +201,7 @@ def test_ext_power_grading():
 
 
 def test_decompose_clebsch_gordan():
-    ch = char_mul(
+    ch = _wmul(
         weight_multiplicities(GL2, (1, 0)), weight_multiplicities(GL2, (1, 0))
     )
     assert decompose(GL2, ch) == [((2, 0), 1), ((1, 1), 1)]
@@ -139,7 +216,7 @@ def test_decompose_round_trip():
     assert decompose(GL3, ch) == [((2, 1, 0), 1)]
     # generic combination
     parts = [((3, 1, 0), 2), ((2, 1, 1), 3)]
-    assert decompose(GL3, expand_decomp(GL3, parts)) == parts
+    assert decompose(GL3, _expand(GL3, parts)) == parts
 
 
 def test_decompose_rejects_virtual():

@@ -92,10 +92,15 @@ def test_invalid_rho_exit_2(capsys):
         ["arch", "probe", "--group", "gl2", "--radii", "5,x"],
         ["arch", "threshold", "--group", "b2", "--rho", "1,0,1", "--p", "1/0"],
         ["kostka", "--group", "foo", "--lambda", "1", "--mu", "1"],
+        ["zeta", "--group", "gl2", "--c", "0.3"],
+        ["zeta", "--group", "gl2", "--N", "2", "--c", "0.3,1,5"],
+        ["arch", "lfactor", "--group", "gl2", "--lam", "1"],
+        ["arch", "gamma", "--group", "gl2", "--lam", "1,0,0"],
     ],
     ids=[
         "basic", "kostka", "satake", "convolve", "specialize", "specialize-zero",
         "zeta-c", "zeta-s", "arch-lam", "arch-s", "arch-radii", "arch-p-zero", "preset",
+        "zeta-c-short", "zeta-c-long", "arch-lam-short", "arch-lam-long",
     ],
 )
 def test_malformed_vector_exit_2(capsys, argv):
@@ -184,6 +189,15 @@ def test_arch_threshold_cli(capsys):
     code, out, _ = run(capsys, "arch", "threshold", "--group", "gl2", "--p", "1")
     assert code == 0
     assert json.loads(out)["threshold"] == "1/2"
+
+
+def test_arch_default_lam_is_zero_vector(capsys):
+    for group, rho, zero in (("gl2", "std", "0,0"), ("b2", "1,0,1", "0,0,0")):
+        for op in ("lfactor", "gamma"):
+            base = ["arch", op, "--group", group, "--rho", rho]
+            code, out, _ = run(capsys, *base)
+            assert code == 0
+            assert run(capsys, *base, "--lam", zero) == (0, out, "")
 
 
 def test_arch_stirling_cli(capsys):

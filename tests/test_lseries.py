@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphecke.errors import InvalidInput, PoleError
+from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.kostka import QPoly
 from sphecke.laurent import Laurent
 from sphecke.lseries import (
@@ -14,6 +14,7 @@ from sphecke.lseries import (
     basic_function,
     fourier,
     gamma_kernel,
+    h_value,
     inverse_l_element,
     inverse_l_image,
     l_series,
@@ -364,6 +365,18 @@ def test_zeta_divergence_flag():
     basic = basic_function(GL1, STD1, 0)
     with pytest.raises(PoleError):
         zeta_closed_form(GL1, STD1, SchwartzElement(basic, identity_element(GL1)), (1.0,), 2.0, 0.0)
+
+
+def test_zeta_rejects_wrong_length():
+    f = SchwartzElement(basic_function(GL2, STD2, 0), identity_element(GL2))
+    ls = l_series(GL2, STD2, 2)
+    for c in ((0.3,), (0.3, 0.1, 0.5)):
+        with pytest.raises(LengthMismatchError):
+            zeta_closed_form(GL2, STD2, f, c, 3.0, 1.0)
+        with pytest.raises(LengthMismatchError):
+            h_value(GL2, STD2, f.h, c, 3.0, 1.0)
+        with pytest.raises(LengthMismatchError):
+            eval_numeric(ls, c, 3.0, 1.0, 2)
 
 
 def test_zeta_closed_vs_truncation():

@@ -18,6 +18,7 @@ from sphecke.rootdata import (
     mat_apply,
     pair_rho_b,
     sigma_grade,
+    straighten,
     validate_rho,
     vscale,
     vsub,
@@ -226,6 +227,39 @@ def test_dominance_partial_order():
 
 def test_weyl_orbit_gl3():
     assert weyl_orbit(GL3, (1, 0, 0)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
+def _straighten_oracle(rd, v2):
+    """Search the whole Weyl group for the w taking v2 strictly dominant."""
+    hits = []
+    for w, length in weyl_elements(rd):
+        u = mat_apply(w, v2)
+        if all(sum(a * b for a, b in zip(f, u)) > 0 for f in rd.simple_coroot_forms):
+            lam = tuple((x - r) // 2 for x, r in zip(u, rd.rho_b_times2))
+            hits.append(((-1) ** length, lam))
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+@pytest.mark.parametrize("label", ["gl3", "b2", "b3", "c3", "d4", "g2"])
+def test_straighten_weyl_group_oracle(label):
+    rd = build_preset(label)
+    rng = random.Random(f"straighten:{label}")
+    walls = 0
+    for _ in range(300):
+        v = tuple(rng.randint(-6, 6) for _ in range(rd.rank))
+        v2 = tuple(2 * x + r for x, r in zip(v, rd.rho_b_times2))
+        got = straighten(rd, v2)
+        assert got == _straighten_oracle(rd, v2), v
+        walls += got is None
+    assert 0 < walls < 300
+
+
+def test_straighten_examples():
+    # GL2: 2(gamma + rho) for gamma = (0, 2) reflects to 2((1, 1) + rho), sign -1
+    assert straighten(GL2, (1, 3)) == (-1, (1, 1))
+    assert straighten(GL2, (2, 2)) is None
+    assert straighten(GL3, (2, 0, -2)) == (1, (0, 0, 0))
 
 
 def test_validate_rho_std_passes():

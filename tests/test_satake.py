@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphecke.errors import WindowError
 from sphecke.laurent import Laurent
@@ -218,6 +220,39 @@ def test_commutative_associative():
     c = rand_element(GL3, rng, 1)
     assert convolve(a, b) == convolve(b, a)
     assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
+
+
+RING_POOLS = {
+    "b2": [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 0, 1), (2, 1, -1), (0, 0, -1)],
+    "g2": [(0, 0, 0), (0, -1, 0), (0, -1, 1), (-1, -2, 0), (0, -2, 1), (-1, -3, -1)],
+}
+
+
+def _chars_element(rd, terms):
+    grades = {}
+    for lam, c, v, x in terms:
+        g = grades.setdefault(sigma_grade(rd, lam), {})
+        g[lam] = g.get(lam, Laurent.zero()) + Laurent.term(c, v=v, x=x)
+    return GradedElement(rd, CHARS, grades)
+
+
+@pytest.mark.parametrize("label", sorted(RING_POOLS))
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_satake_mul_ring_laws(label, data):
+    rd = build_preset(label)
+    pool = RING_POOLS[label]
+    assert all(rd.is_dominant(lam) for lam in pool)
+    term = st.tuples(
+        st.sampled_from(pool), st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1)
+    )
+    a, b, c = (
+        _chars_element(rd, data.draw(st.lists(term, max_size=3), label=name)) for name in "abc"
+    )
+    one = satake(identity_element(rd))
+    assert satake_mul(a, one) == a == satake_mul(one, a)
+    assert satake_mul(a, b) == satake_mul(b, a)
+    assert satake_mul(satake_mul(a, b), c) == satake_mul(a, satake_mul(b, c))
 
 
 # -- dual, twist, specialize
