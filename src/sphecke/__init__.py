@@ -16,7 +16,7 @@ from .errors import (
     WeylCapError,
     WindowError,
 )
-from .kostka import QPoly, kostant_q, lusztig_q_analogue
+from .kostka import kostant_q, lusztig_q_analogue
 from .laurent import Laurent
 from .rootdata import (
     RepSpec,

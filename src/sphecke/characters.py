@@ -55,7 +55,7 @@ def weight_multiplicities(rd: RootDatum, lam: Vec) -> CharExpansion:
         raise NonDominantError(f"{lam} is not dominant")
     out = {}
     for mu, kq in kostka_row(rd, lam):
-        m = kq.at_one()
+        m = sum(kq.terms.values())
         for nu in weyl_orbit(rd, mu):
             out[nu] = m
     if sum(out.values()) != weyl_dim(rd, lam):

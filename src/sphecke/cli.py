@@ -107,6 +107,15 @@ def _element_payload(element) -> dict:
     return {"element": element_to_obj(element), "pretty": _pretty_grades(element)}
 
 
+def _q_text(pairs) -> str:
+    """``1 + q + 2*q^2`` from ascending [e, c] pairs with positive c."""
+    parts = []
+    for e, c in pairs:
+        var = "q" if e == 1 else f"q^{e}"
+        parts.append(str(c) if e == 0 else var if c == 1 else f"{c}*{var}")
+    return " + ".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -128,10 +137,11 @@ def _cmd_kostka(args) -> int:
     rd = _load_datum(args)
     lam = _parse_vec(getattr(args, "lam"))
     mu = _parse_vec(args.mu)
-    poly = lusztig_q_analogue(rd, lam, mu)
-    print(poly)
+    # K(q) is a Laurent polynomial in v = q^(1/2) with even exponents only
+    pairs = [[a // 2, c] for (a, _), c in sorted(lusztig_q_analogue(rd, lam, mu).terms.items())]
+    print(_q_text(pairs))
     if args.json:
-        _emit(args, {"lambda": list(lam), "mu": list(mu), "qpoly": poly.to_json()})
+        _emit(args, {"lambda": list(lam), "mu": list(mu), "qpoly": pairs})
     return 0
 
 

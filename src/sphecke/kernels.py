@@ -64,6 +64,3 @@ class PartitionContext:
             t += 1
         self.memo[key] = out
         return out
-
-    def memo_size(self):
-        return len(self.memo)

@@ -82,15 +82,6 @@ class Laurent:
             return self
         return Laurent({(a + v, b + x): c for (a, b), c in self.terms.items()})
 
-    def monomial_inverse(self):
-        """Inverse of a single +-1 monomial (used for unitriangular solves)."""
-        if len(self.terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        ((a, b), c) = next(iter(self.terms.items()))
-        if c not in (1, -1):
-            raise ValueError(f"unit coefficient required: {self}")
-        return Laurent({(-a, -b): c})
-
     def specialize_x(self, s: Fraction):
         """Fold X into v at s (half-integral): X^b -> v^(-2 s b)."""
         s = Fraction(s)
@@ -110,9 +101,6 @@ class Laurent:
         for (a, b), c in self.terms.items():
             total += c * cmath.exp(lq * (a / 2.0 - s * b))
         return total
-
-    def x_support(self):
-        return sorted({b for (_, b) in self.terms})
 
     def __str__(self):
         if not self.terms:

@@ -25,7 +25,7 @@ from .characters import (
     weight_multiplicities,
 )
 from .errors import InvalidInput, PoleError
-from .kostka import QPoly, kostka_row
+from .kostka import kostka_row
 from .laurent import Laurent
 from .rootdata import (
     RepSpec,
@@ -84,23 +84,23 @@ def l_series(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
 
 
 def _basic_grade(rd: RootDatum, rho: RepSpec, k: int) -> dict:
-    """Nonzero cell coefficients of grade k as polynomials in q^-1,
+    """Nonzero cell coefficients of grade k as polynomials in q^-1 = v^-2,
     mu descending: c_mu = sum over lam of mult(lam, Sym^k rho) K[lam,mu](q^-1)."""
     table = {}
     for lam, mult in sym_power_decomp(rd, rho, k):
         for mu, kq in kostka_row(rd, lam):
-            table[mu] = table.get(mu, QPoly.zero()) + kq.substitute_inverse().scale(mult)
+            table[mu] = table.get(mu, Laurent.zero()) + kq * mult
     return dict(sorted(table.items(), reverse=True))
 
 
-def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> QPoly:
-    """Cell coefficient as a polynomial in q^-1 (zero for negative grade)."""
+def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> Laurent:
+    """Cell coefficient as a polynomial in q^-1 = v^-2 (zero for negative grade)."""
     if not rd.is_dominant(mu):
         raise InvalidInput(f"{mu} is not dominant")
     k = sigma_grade(rd, mu)
     if k < 0:
-        return QPoly.zero()
-    return _basic_grade(rd, rho, k).get(mu, QPoly.zero())
+        return Laurent.zero()
+    return _basic_grade(rd, rho, k).get(mu, Laurent.zero())
 
 
 @dataclass
@@ -129,7 +129,7 @@ def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> BasicFunction:
     grades = {}
     for k in range(N + 1):
         grades[k] = {
-            mu: Laurent({(2 * e - height2(rd, mu), k): c for e, c in cq.coeffs.items()})
+            mu: cq.shift(v=-height2(rd, mu), x=k)
             for mu, cq in _basic_grade(rd, rho, k).items()
         }
     element = GradedElement(rd, CELLS, grades, Window(None, N))

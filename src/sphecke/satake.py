@@ -169,7 +169,7 @@ def zero_above_bound(e: GradedElement):
 
 def conv_window(a: GradedElement, b: GradedElement) -> Window:
     """Grades of a*b exactly determined by the stored grades of a and b."""
-    if (not a.grades and a.window == Window()) or (not b.grades and b.window == Window()):
+    if a.is_known_zero() or b.is_known_zero():
         return Window()  # a known zero factor: product known zero everywhere
     his, los = [], []
     if a.window.hi is not None:
@@ -199,11 +199,7 @@ def kl_row(rd: RootDatum, lam: Vec) -> tuple:
 
     The mu entry is v^(-2<rho_B,mu>) K[lam,mu](q^-1), mu descending.
     """
-    row = []
-    for mu, kq in kostka_row(rd, lam):
-        shift = -height2(rd, mu)
-        row.append((mu, Laurent({(shift - 2 * e, 0): c for e, c in kq.coeffs.items()})))
-    return tuple(row)
+    return tuple((mu, k.shift(v=-height2(rd, mu))) for mu, k in kostka_row(rd, lam))
 
 
 @cache
@@ -213,8 +209,7 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
     Solved by back substitution on the downward-closed block: the
     change-of-basis matrix is unitriangular up to unit monomials.
     """
-    diag = Laurent.term(1, v=-height2(rd, mu))
-    inv = diag.monomial_inverse()
+    inv = Laurent.term(1, v=height2(rd, mu))
     out = {mu: inv}
     for nu, m in kl_row(rd, mu):
         if nu == mu:
@@ -234,38 +229,36 @@ def satake_basis(rd: RootDatum, mu: Vec) -> "GradedElement":
     return GradedElement(rd, CHARS, {k: dict(satake_basis_row(rd, mu))})
 
 
+def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:
+    """Expand every vector of f by ``row(rd, vector)``, grade by grade.
+
+    An entry that cancels to zero is removed at once, so one that comes
+    back later moves to the end: ``h_value`` sums in this order, in
+    floating point.
+    """
+    out = {}
+    for k, terms in f.grades.items():
+        acc = out[k] = {}
+        for vec, c in terms.items():
+            for target, w in row(f.rd, vec):
+                cur = acc.get(target, Laurent.zero()) + c * w
+                if cur:
+                    acc[target] = cur
+                else:
+                    del acc[target]  # c * w != 0, so target was there
+    return GradedElement(f.rd, basis, out, f.window)
+
+
 def satake(f: GradedElement) -> GradedElement:
     """Cell basis to character basis, grade by grade."""
     assert f.basis == CELLS
-    out = {}
-    for k, terms in f.grades.items():
-        acc = {}
-        for mu, c in terms.items():
-            for lam, w in satake_basis_row(f.rd, mu):
-                cur = acc.get(lam, Laurent.zero()) + c * w
-                if cur:
-                    acc[lam] = cur
-                elif lam in acc:
-                    del acc[lam]
-        out[k] = acc
-    return GradedElement(f.rd, CHARS, out, f.window)
+    return _change_basis(f, satake_basis_row, CHARS)
 
 
 def inverse_satake(phi: GradedElement) -> GradedElement:
     """Character basis back to cell basis, grade by grade."""
     assert phi.basis == CHARS
-    out = {}
-    for k, terms in phi.grades.items():
-        acc = {}
-        for lam, c in terms.items():
-            for mu, w in kl_row(phi.rd, lam):
-                cur = acc.get(mu, Laurent.zero()) + c * w
-                if cur:
-                    acc[mu] = cur
-                elif mu in acc:
-                    del acc[mu]
-        out[k] = acc
-    return GradedElement(phi.rd, CELLS, out, phi.window)
+    return _change_basis(phi, kl_row, CELLS)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,11 @@ def _oracle_lusztig(rd, lam, mu):
     return {e: c for e, c in total.items() if c}
 
 
+def _in_q(counts):
+    """The Laurent form of sum c q^e, with q = v^2."""
+    return {(2 * e, 0): c for e, c in counts.items()}
+
+
 def test_criterion_4_kostka_oracle_equivalence():
     """Alternating-sum polynomials match exhaustive enumeration, and their
     value at one matches the weight multiplicity, across rank <= 3."""
@@ -165,8 +170,8 @@ def test_criterion_4_kostka_oracle_equivalence():
             wm = weight_multiplicities(rd, lam)
             for mu in dominant_below(rd, lam):
                 got = lusztig_q_analogue(rd, lam, mu)
-                assert got.coeffs == _oracle_lusztig(rd, lam, mu), (lam, mu)
-                assert got.at_one() == wm.get(mu, 0), (lam, mu)
+                assert got.terms == _in_q(_oracle_lusztig(rd, lam, mu)), (lam, mu)
+                assert sum(got.terms.values()) == wm.get(mu, 0), (lam, mu)
                 checked += 1
     # one non-simply-laced datum
     c2 = build_preset("c2")
@@ -180,8 +185,8 @@ def test_criterion_4_kostka_oracle_equivalence():
         wm = weight_multiplicities(c2, lam)
         for mu in dominant_below(c2, lam):
             got = lusztig_q_analogue(c2, lam, mu)
-            assert got.coeffs == _oracle_lusztig(c2, lam, mu), (lam, mu)
-            assert got.at_one() == wm.get(mu, 0), (lam, mu)
+            assert got.terms == _in_q(_oracle_lusztig(c2, lam, mu)), (lam, mu)
+            assert sum(got.terms.values()) == wm.get(mu, 0), (lam, mu)
             checked += 1
     assert checked > 100
     _record(4, time.monotonic() - start, 30)

@@ -47,10 +47,29 @@ def test_basic_indicator_via_cli(capsys):
     assert payload["pretty"]["2"] == {"1,1": "1", "2,0": "1"}
 
 
+KOSTKA_CASES = [
+    ("gl3", "2,1,0", "1,1,1", "q + q^2", [[1, 1], [2, 1]]),
+    ("gl4", "3,2,1,0", "2,2,1,1", "q + 2*q^2 + q^3", [[1, 1], [2, 2], [3, 1]]),
+    ("gl2", "2,0", "2,0", "1", [[0, 1]]),
+    ("gl2", "1,1", "2,0", "0", []),
+]
+
+
 def test_kostka_prints_canonical_form(capsys):
-    code, out, _ = run(capsys, "kostka", "--group", "gl3", "--lambda", "2,1,0", "--mu", "1,1,1")
-    assert code == 0
-    assert out.strip() == "q + q^2"
+    # the text line alone, then the same line followed by the --json payload
+    for group, lam, mu, text, pairs in KOSTKA_CASES:
+        argv = ["kostka", "--group", group, "--lambda", lam, "--mu", mu]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == text + "\n"
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        line, _, rest = out.partition("\n")
+        assert line == text
+        payload = json.loads(rest)
+        assert payload["qpoly"] == pairs
+        assert payload["lambda"] == [int(x) for x in lam.split(",")]
+        assert payload["mu"] == [int(x) for x in mu.split(",")]
 
 
 def test_kostka_grade_mismatch_exit_2(capsys):

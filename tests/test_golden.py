@@ -1,0 +1,58 @@
+"""A few benchmark lines, run in-process, must print the recorded bytes.
+
+``perfbench/golden.json`` holds the SHA-256 of each benchmark op's
+normalized stdout, taken from a commit whose outputs are known to be
+right; ``perfbench/run.py`` defines the normalization.  This test only
+reads those two files, and covers one line of each output kind.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sphecke.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+LINES = [
+    "kostka --group gl4 --lambda 6,3,1,0 --mu 3,3,2,2",
+    "satake --group gl3 --mu 3,1,0",
+    "convolve --group c2 --mu 1,1,0 --nu 1,0,0",
+    "decomp --group gl3 --sym 4",
+    "basic --group c2 --rho 1,0,1 --N 10",
+    "kernel --group b2 --rho 1,0,1 --N 2",
+    "verify unitarity --group g2 --rho 0,-1,1 --N 5",
+]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``perfbench/run.py`` as a module, without leaving its directory on
+    sys.path, and the golden digests of every workload in one table."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path[:] = saved
+    golden = {}
+    for table in json.loads((PERFBENCH / "golden.json").read_text()).values():
+        golden.update(table)
+    return run, golden
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_output_matches_golden(bench, line):
+    run, golden = bench
+    argv = line.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    assert run.digest(argv, out.getvalue()) == golden[line]

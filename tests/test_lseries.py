@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
-from sphecke.kostka import QPoly
 from sphecke.laurent import Laurent
 from sphecke.lseries import (
     SchwartzElement,
@@ -85,10 +84,10 @@ def test_l_series_requires_valid_rho():
 
 
 def test_basic_coeff_examples():
-    assert basic_coeff(GL2, STD2, (1, 0)) == QPoly.one()
-    assert basic_coeff(GL2, STD2, (1, 1)) == QPoly({-1: 1})
-    assert basic_coeff(GL2, STD2, (0, -1)) == QPoly.zero()
-    assert basic_coeff(GL2, STD2, (-1, -1)) == QPoly.zero()
+    assert basic_coeff(GL2, STD2, (1, 0)) == Laurent.one()
+    assert basic_coeff(GL2, STD2, (1, 1)) == Laurent.term(1, v=-2)
+    assert basic_coeff(GL2, STD2, (0, -1)) == Laurent.zero()
+    assert basic_coeff(GL2, STD2, (-1, -1)) == Laurent.zero()
 
 
 def test_basic_function_defining_identity():

@@ -99,6 +99,18 @@ def test_satake_identity():
     assert st.grades == {0: {(0, 0, 0): Laurent.one()}}
 
 
+def test_transform_order_after_cancellation():
+    # (2, 0, 0) cancels after the second cell and returns with the last
+    # one, so it moves behind (1, 1, 0); h_value sums in this order
+    f = GradedElement(GL3, CELLS, {2: {
+        (3, 1, -2): L({(2, 0): 1}),
+        (3, 0, -1): L({(2, 0): 1}),
+        (2, 2, -2): L({(4, 0): -1}),
+        (2, 0, 0): L({(0, 0): -1}),
+    }})
+    assert list(satake(f).grades[2]) == [(3, 1, -2), (2, 2, -2), (1, 1, 0), (2, 0, 0)]
+
+
 def test_inverse_satake_example():
     img = GradedElement(GL2, CHARS, {1: {(1, 0): Laurent.one()}})
     back = inverse_satake(img)
@@ -106,12 +118,14 @@ def test_inverse_satake_example():
 
 
 def test_round_trip_random():
-    rng = random.Random(5)
-    for _ in range(10):
-        f = rand_element(GL3, rng)
-        assert inverse_satake(satake(f)) == f
-        phi = rand_element(GL3, rng, basis=CHARS)
-        assert satake(inverse_satake(phi)) == phi
+    for label in ("gl3", "b2", "c2", "g2"):
+        rd = build_preset(label)
+        rng = random.Random(5)
+        for _ in range(10):
+            f = rand_element(rd, rng)
+            assert inverse_satake(satake(f)) == f, label
+            phi = rand_element(rd, rng, basis=CHARS)
+            assert satake(inverse_satake(phi)) == phi, label
 
 
 # -- convolution
@@ -206,11 +220,13 @@ def test_convolve_matches_lattice_count_at_5():
 
 
 def test_homomorphism_random():
-    rng = random.Random(3)
-    for _ in range(6):
-        a = rand_element(GL2, rng, 2)
-        b = rand_element(GL2, rng, 2)
-        assert satake(convolve(a, b)) == satake_mul(satake(a), satake(b))
+    for label in ("gl2", "b2", "c2", "g2"):
+        rd = build_preset(label)
+        rng = random.Random(3)
+        for _ in range(6):
+            a = rand_element(rd, rng, 2)
+            b = rand_element(rd, rng, 2)
+            assert satake(convolve(a, b)) == satake_mul(satake(a), satake(b)), label
 
 
 def test_commutative_associative():
