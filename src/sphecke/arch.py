@@ -36,13 +36,12 @@ _LANCZOS = (
 _POLE_TOL = 1e-12
 
 
-def _lanczos_core(z: complex) -> complex:
-    # valid for Re z >= 0.5; argument already shifted by one
+def _lanczos_sum(z: complex) -> tuple[complex, complex]:
+    """Lanczos partial-fraction sum at z, and z + g - 1/2; for Re z >= 0.5."""
     x = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):
         x += c / (z + i - 1)
-    t = z + _LANCZOS_G - 0.5
-    return math.sqrt(2 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * x
+    return x, z + _LANCZOS_G - 0.5
 
 
 def cgamma(z: complex) -> complex:
@@ -55,7 +54,8 @@ def cgamma(z: complex) -> complex:
         if s == 0:
             raise PoleError(f"gamma pole at {z}")
         return cmath.pi / (s * cgamma(1 - z))
-    return _lanczos_core(z)
+    x, t = _lanczos_sum(z)
+    return math.sqrt(2 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * x
 
 
 def clgamma(z: complex) -> complex:
@@ -66,12 +66,8 @@ def clgamma(z: complex) -> complex:
         if s == 0:
             raise PoleError(f"gamma pole at {z}")
         return cmath.log(cmath.pi) - cmath.log(s) - clgamma(1 - z)
-    zz = z
-    x = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        x += c / (zz + i - 1)
-    t = zz + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2 * math.pi) + (zz - 0.5) * cmath.log(t) - t + cmath.log(x)
+    x, t = _lanczos_sum(z)
+    return 0.5 * math.log(2 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
 @dataclass

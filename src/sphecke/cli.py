@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_VALUE_FLAGS = {"--specialize", "--s", "--lam", "--c", "--mu", "--nu", "--lambda"}
+_VALUE_FLAGS = {"--rho", "--specialize", "--s", "--lam", "--c", "--mu", "--nu", "--lambda"}
 
 
 def _join_negative_values(argv):

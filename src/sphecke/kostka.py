@@ -7,7 +7,8 @@ Kostka–Foulkes polynomial K[lam, mu](q)), the change-of-basis polynomial
 between Weyl characters and double-coset indicators; ``kostka_row``
 gives a whole row of it.  All of them are ``Laurent`` polynomials in v
 with q = v^2: the first two return K(q), and ``kostka_row`` holds
-K(q^-1), the form both of its consumers use.
+K(q^-1), the form the transform's ``kl_row`` uses (``weight_multiplicities``
+reads only its value at q = 1).
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from .characters import (
     weight_multiplicities,
 )
 from .errors import InvalidInput, PoleError
-from .kostka import kostka_row
 from .laurent import Laurent
 from .rootdata import (
     RepSpec,
@@ -38,7 +37,6 @@ from .rootdata import (
     validate_rho,
 )
 from .satake import (
-    CELLS,
     CHARS,
     GradedElement,
     Window,
@@ -83,29 +81,23 @@ def l_series(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     return GradedElement(rd, CHARS, grades, Window(None, N))
 
 
-def _basic_grade(rd: RootDatum, rho: RepSpec, k: int) -> dict:
-    """Nonzero cell coefficients of grade k as polynomials in q^-1 = v^-2,
-    mu descending: c_mu = sum over lam of mult(lam, Sym^k rho) K[lam,mu](q^-1)."""
-    table = {}
-    for lam, mult in sym_power_decomp(rd, rho, k):
-        for mu, kq in kostka_row(rd, lam):
-            table[mu] = table.get(mu, Laurent.zero()) + kq * mult
-    return dict(sorted(table.items(), reverse=True))
-
-
 def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> Laurent:
-    """Cell coefficient as a polynomial in q^-1 = v^-2 (zero for negative grade)."""
+    """Cell coefficient as a polynomial in q^-1 = v^-2 (zero for negative
+    grade): the inverse transform of Sym^k rho alone, at k = sigma(mu),
+    with the cell normalization and X^k taken back off."""
     if not rd.is_dominant(mu):
         raise InvalidInput(f"{mu} is not dominant")
     k = sigma_grade(rd, mu)
     if k < 0:
         return Laurent.zero()
-    return _basic_grade(rd, rho, k).get(mu, Laurent.zero())
+    grade = inverse_satake(l_series(rd, rho, k).restrict(Window(k, k)))
+    return grade.coefficient(k, mu).shift(v=height2(rd, mu), x=-k)
 
 
 @dataclass
 class BasicFunction:
-    """Truncated basic element."""
+    """Truncated basic element: the inverse transform of the L-series
+    to grade N."""
 
     rd: RootDatum
     rho: RepSpec
@@ -118,21 +110,15 @@ class BasicFunction:
 
 
 def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> BasicFunction:
-    """The cell-side element whose transform is the graded L-series.
+    """The cell-side element whose transform is the graded L-series,
+    built as the inverse transform of ``l_series``.
 
     Coefficient of the mu-cell: c_mu(q) q^(-<rho_B,mu>) X^(sigma(mu)),
-    assembled from the alternating-sum polynomials directly; agreement
-    with ``l_series`` under the transform is the defining test.
+    with c_mu the multiplicity-weighted sum of K[lam,mu](q^-1) over the
+    constituents lam of Sym^k rho; ``kl_row`` supplies K(q^-1) and the
+    normalization.
     """
-    _require_valid(rd, rho)
-    _require_truncation(N)
-    grades = {}
-    for k in range(N + 1):
-        grades[k] = {
-            mu: cq.shift(v=-height2(rd, mu), x=k)
-            for mu, cq in _basic_grade(rd, rho, k).items()
-        }
-    element = GradedElement(rd, CELLS, grades, Window(None, N))
+    element = inverse_satake(l_series(rd, rho, N))
     return BasicFunction(rd, rho, N, element)
 
 
@@ -193,15 +179,19 @@ class KernelElement:
 
 
 def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> KernelElement:
-    """Shifted basic element convolved with the inverse-series polynomial."""
+    """The cell-side element whose transform is the shifted L-series
+    times the inverse series of the dual.
+
+    Grade k of the series picks up v^(-(2+l)k); the inverse series is
+    a polynomial of depth dim rho, so the series to grade N + dim rho
+    determines the product to grade N.
+    """
     _require_valid(rd, rho)
     _require_truncation(N)
     l = l_constant(rd, rho)
-    depth = rho_dim(rd, rho)
-    basic = basic_function(rd, rho, N + depth)
-    shifted = twist(basic.element, 0, -(2 + l))  # grade k picks up v^(-(2+l)k)
-    inv = inverse_l_element(rd, rho)
-    element = convolve(shifted, inv, Window(None, N))
+    series = twist(l_series(rd, rho, N + rho_dim(rd, rho)), 0, -(2 + l))
+    inv = inverse_l_image(rd, rho, True, (-1, l))
+    element = inverse_satake(satake_mul(series, inv, Window(None, N)))
     return KernelElement(rd, rho, N, element, l)
 
 

@@ -95,6 +95,38 @@ def test_invalid_rho_exit_2(capsys):
     assert "invalid" in err
 
 
+# a rank-2 datum whose grade-one module has highest weight (-1, 0): GL(2)
+# with the dominance order and the grading both reversed
+FLIPPED_GL2 = {
+    "cartan": "A1xT", "rank": 2, "sigma": [-1, -1], "simple_roots": [[-1, 1]],
+    "simple_coroot_forms": [[-1, 1]], "positive_roots": [[-1, 1]], "rho_b_times_2": [-1, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, rho",
+    [
+        (["basic", "--group", "g2", "--N", "1"], "-1,-2,1"),
+        (["verify", "all", "--group", "g2", "--N", "1"], "-1,-2,1"),
+        (["basic", "--N", "3"], "-1,0"),
+        (["kernel", "--N", "3"], "-1,0"),
+        (["verify", "all", "--N", "3"], "-1,0"),
+    ],
+    ids=["basic-g2", "verify-g2", "basic", "kernel", "verify"],
+)
+def test_negative_rho_either_spelling(tmp_path, capsys, argv, rho):
+    # '--rho -1,...' must parse as a value, like '--rho=-1,...'
+    if "--group" not in argv:
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(FLIPPED_GL2))
+        argv = argv + ["--datum", str(path)]
+    scrub = lambda s: "\n".join(line for line in s.splitlines() if "wall_time" not in line)
+    code1, out1, err1 = run(capsys, *argv, "--rho", rho)
+    code2, out2, _ = run(capsys, *argv, f"--rho={rho}")
+    assert code1 == code2 == 0, err1
+    assert out1 and scrub(out1) == scrub(out2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,7 +3,8 @@
 ``perfbench/golden.json`` holds the SHA-256 of each benchmark op's
 normalized stdout, taken from a commit whose outputs are known to be
 right; ``perfbench/run.py`` defines the normalization.  This test only
-reads those two files, and covers one line of each output kind.
+reads those two files, and covers one line of each output kind, plus
+the kernel on a simply-laced datum and on G2.
 """
 
 import contextlib
@@ -26,6 +27,8 @@ LINES = [
     "decomp --group gl3 --sym 4",
     "basic --group c2 --rho 1,0,1 --N 10",
     "kernel --group b2 --rho 1,0,1 --N 2",
+    "kernel --group gl4 --N 4",
+    "kernel --group g2 --rho 0,-1,1 --N 0",
     "verify unitarity --group g2 --rho 0,-1,1 --N 5",
 ]
 

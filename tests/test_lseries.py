@@ -25,8 +25,17 @@ from sphecke.lseries import (
     zeta_closed_form,
     zeta_over_l,
 )
-from sphecke.characters import weight_multiplicities
-from sphecke.rootdata import RepSpec, build_gl, build_preset, dominant_below, sigma_grade
+from sphecke.characters import sym_power_decomp, weight_multiplicities
+from sphecke.kostka import kostka_row
+from sphecke.rootdata import (
+    RepSpec,
+    build_gl,
+    build_preset,
+    dominant_below,
+    height2,
+    l_constant,
+    sigma_grade,
+)
 from sphecke.satake import (
     CELLS,
     GradedElement,
@@ -37,6 +46,7 @@ from sphecke.satake import (
     identity_element,
     satake,
     specialize,
+    twist,
 )
 
 GL1 = build_gl(1)
@@ -44,6 +54,16 @@ GL2 = build_gl(2)
 GL3 = build_gl(3)
 STD1, STD2, STD3 = RepSpec((1,)), RepSpec((1, 0)), RepSpec((1, 0, 0))
 CUBIC = RepSpec((2, -1))  # four-dimensional grade-one module for GL(2)
+
+# (datum, rho, kernel truncation) for the cell-side reference routes below
+REFERENCE_CASES = [
+    (GL3, STD3, 3),
+    (GL2, CUBIC, 3),
+    (GL2, RepSpec((4, -3)), 1),
+    (build_preset("b2"), RepSpec((1, 0, 1)), 2),
+    (build_preset("c2"), RepSpec((1, 0, 1)), 2),
+    (build_preset("g2"), RepSpec((0, -1, 1)), 0),
+]
 
 
 def exact_eval(coeff: Laurent, v: Fraction, x: Fraction) -> Fraction:
@@ -104,6 +124,27 @@ def test_basic_function_defining_identity():
     ]:
         basic = basic_function(rd, rho, n)
         assert satake(basic.element) == l_series(rd, rho, n)
+
+
+def test_basic_function_matches_kostka_sum():
+    # cell coefficients summed straight from the Kostka-Foulkes rows:
+    # mult * K[lam,mu](q^-1) * v^(-height2 mu) * X^k over Sym^k rho, to
+    # grade 3, where Sym^3 of GL(2) 4,-3 holds a constituent twice
+    n = 3
+    for rd, rho, _ in REFERENCE_CASES:
+        grades = {}
+        for k in range(n + 1):
+            acc = grades[k] = {}
+            for lam, mult in sym_power_decomp(rd, rho, k):
+                for mu, kq in kostka_row(rd, lam):
+                    acc[mu] = acc.get(mu, Laurent.zero()) + kq * mult
+        want = {
+            k: {mu: c.shift(v=-height2(rd, mu), x=k) for mu, c in terms.items()}
+            for k, terms in grades.items()
+        }
+        assert basic_function(rd, rho, n).element == GradedElement(rd, CELLS, want, Window(None, n))
+        for mu, c in grades[n].items():
+            assert basic_coeff(rd, rho, mu) == c, (rd.cartan, mu)
 
 
 def test_basic_function_gl2_indicator_specialization():
@@ -197,6 +238,17 @@ def test_kernel_window():
     kern = gamma_kernel(GL2, STD2, 3)
     assert kern.element.window == Window(None, 3)
     assert min(kern.element.grades) == -2
+
+
+def test_kernel_matches_cell_side_convolution():
+    # the shifted basic element to grade N + dim rho, convolved on the
+    # cell side with the inverse-series element and cut at grade N
+    for rd, rho, n in REFERENCE_CASES:
+        l = l_constant(rd, rho)
+        basic = basic_function(rd, rho, n + rho_dim(rd, rho))
+        shifted = twist(basic.element, 0, -(2 + l))
+        want = convolve(shifted, inverse_l_element(rd, rho), Window(None, n))
+        assert gamma_kernel(rd, rho, n).element == want, rd.cartan
 
 
 def test_kernel_series_division_oracle():
