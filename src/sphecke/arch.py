@@ -3,8 +3,15 @@ checks, decay thresholds, and the weight-norm constant.
 
 The complex gamma evaluator is self-contained (Lanczos rational
 approximation plus reflection); large-argument work happens in log
-space.  Thresholds and the weight-norm constant are exact rational
-computations over the Weyl orbit of the scaled half-sum vector.
+space.  A local or gamma factor that leaves the double range comes back
+as None, flagged ``overflow``, rather than raising.
+
+Thresholds and the weight-norm constant are exact.  The threshold walks
+the Weyl orbit of the integer vector 2 rho by simple reflections
+(``rootdata.weyl_orbit``), maximizes each weight's integer pairing over
+it, and scales once by eps / 2.  The weight-norm constant solves
+each vertex system by fraction-free elimination over the integers
+(``rootdata.bareiss_solve``).  Neither builds the Weyl group as matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 
 from .characters import rep_weight_list, rep_weight_multiset
 from .errors import InvalidInput, PoleError
-from .rootdata import RepSpec, RootDatum, Vec, l_constant, row_reduce, weyl_elements
+from .rootdata import RepSpec, RootDatum, Vec, bareiss_solve, dot, l_constant, weyl_orbit
 
 # Lanczos g=7, n=9 coefficient set (double precision)
 _LANCZOS_G = 7.0
@@ -118,29 +125,47 @@ def _weight_value(w: Vec, lam) -> complex:
     return sum(a * x for a, x in zip(w, lam))
 
 
-def lfactor_real(params: ArchParams) -> complex:
-    """Product of pi^(-(s+i w(lam))/2) Gamma((s+i w(lam))/2) over weights."""
-    total = 1.0 + 0j
-    for w in params.weights:
-        arg = (params.s + 1j * _weight_value(w, params.lam)) / 2
-        total *= math.pi ** (-arg.real) * cmath.exp(-1j * arg.imag * math.log(math.pi))
-        total *= cgamma(arg)
-    return total
+# what a float that leaves the double range raises: OverflowError from exp,
+# sin and real powers, ZeroDivisionError from a complex power of an underflow
+_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
 
 
-def lfactor_cplx(params: ArchParams) -> complex:
-    """Product of 2 (2 pi)^(-(2s+i w(lam))/2) Gamma((2s+i w(lam))/2)."""
+def _finite(z: complex) -> complex | None:
+    """z, or None once a product has overflowed to an infinity or NaN."""
+    return z if cmath.isfinite(z) else None
+
+
+def lfactor_real(params: ArchParams) -> complex | None:
+    """Product of pi^(-(s+i w(lam))/2) Gamma((s+i w(lam))/2) over weights;
+    None when the product leaves the double range."""
     total = 1.0 + 0j
-    for w in params.weights:
-        arg = (2 * params.s + 1j * _weight_value(w, params.lam)) / 2
-        total *= 2.0 * cmath.exp(-arg * math.log(2 * math.pi))
-        total *= cgamma(arg)
-    return total
+    try:
+        for w in params.weights:
+            arg = (params.s + 1j * _weight_value(w, params.lam)) / 2
+            total *= math.pi ** (-arg.real) * cmath.exp(-1j * arg.imag * math.log(math.pi))
+            total *= cgamma(arg)
+    except _RANGE_ERRORS:
+        return None
+    return _finite(total)
+
+
+def lfactor_cplx(params: ArchParams) -> complex | None:
+    """Product of 2 (2 pi)^(-(2s+i w(lam))/2) Gamma((2s+i w(lam))/2);
+    None when the product leaves the double range."""
+    total = 1.0 + 0j
+    try:
+        for w in params.weights:
+            arg = (2 * params.s + 1j * _weight_value(w, params.lam)) / 2
+            total *= 2.0 * cmath.exp(-arg * math.log(2 * math.pi))
+            total *= cgamma(arg)
+    except _RANGE_ERRORS:
+        return None
+    return _finite(total)
 
 
 @dataclass
 class GammaFactorResult:
-    value: complex
+    value: complex | None
     ratio_route: complex | None
     rel_discrepancy: float | None
     flags: list = field(default_factory=list)
@@ -154,6 +179,8 @@ def gamma_factor(params: ArchParams) -> GammaFactorResult:
     eliminates the denominator gamma through the reflection identity.
     The returned value is route 2; the relative gap between routes is
     reported, and a denominator pole turns route 1 into an exact zero.
+    A route that leaves the double range is dropped and flagged
+    ``overflow``; the value is None when route 2 is the one dropped.
     """
     s, l, lam = params.s, params.l, params.lam
     flags = []
@@ -164,33 +191,45 @@ def gamma_factor(params: ArchParams) -> GammaFactorResult:
         tuple(-x for x in lam), params.weights, -s - l / 2, l, params.p, params.field_tag
     )
     route1 = None
+    overflow = False
     try:
         num = lf(num_params)
         try:
             den = lf(den_params)
-            route1 = num / den
         except PoleError:
             flags.append("denominator-pole")
             route1 = 0j
+        else:
+            if num is None or not den:  # den None, or underflowed to 0
+                overflow = True
+            else:
+                route1 = _finite(num / den)
+                overflow = route1 is None
     except PoleError:
         flags.append("numerator-pole")
 
     route2 = 1.0 + 0j
-    for w in params.weights:
-        wv = _weight_value(w, lam)
-        if real_case:
-            u = s + l / 2 + 1j * wv
-            route2 *= cmath.exp(-(0.5 + u) * math.log(math.pi))
-            route2 *= cgamma((1 + u) / 2)
-            route2 *= cmath.sin(math.pi * (2 + u) / 2) / math.pi
-            route2 *= cgamma((2 + u) / 2)
-        else:
-            u = s + l / 2 + 1j * wv / 2
-            route2 *= cmath.exp(-(1 + 2 * u) * math.log(2 * math.pi))
-            g = cgamma(1 + u)
-            route2 *= g * g * cmath.sin(math.pi * (1 + u)) / math.pi
+    try:
+        for w in params.weights:
+            wv = _weight_value(w, lam)
+            if real_case:
+                u = s + l / 2 + 1j * wv
+                route2 *= cmath.exp(-(0.5 + u) * math.log(math.pi))
+                route2 *= cgamma((1 + u) / 2)
+                route2 *= cmath.sin(math.pi * (2 + u) / 2) / math.pi
+                route2 *= cgamma((2 + u) / 2)
+            else:
+                u = s + l / 2 + 1j * wv / 2
+                route2 *= cmath.exp(-(1 + 2 * u) * math.log(2 * math.pi))
+                g = cgamma(1 + u)
+                route2 *= g * g * cmath.sin(math.pi * (1 + u)) / math.pi
+        route2 = _finite(route2)
+    except _RANGE_ERRORS:
+        route2 = None
+    if overflow or route2 is None:
+        flags.append("overflow")
     rel = None
-    if route1 is not None:
+    if route1 is not None and route2 is not None:
         scale = max(abs(route1), abs(route2))
         rel = abs(route1 - route2) / scale if scale > 0 else 0.0
     return GammaFactorResult(route2, route1, rel, flags)
@@ -266,11 +305,9 @@ def derivative_ratio(n: int, z: complex) -> complex:
 
 
 def _orbit_vertices(rd: RootDatum, eps: Fraction):
-    half = [Fraction(x, 2) * eps for x in rd.rho_b_times2]
-    verts = set()
-    for w, _ in weyl_elements(rd):
-        verts.add(tuple(sum(row[j] * half[j] for j in range(rd.rank)) for row in w))
-    return verts
+    """The distinct vertices eps w(rho) of the scaled half-sum orbit."""
+    half = eps / 2
+    return {tuple(half * x for x in image) for image in weyl_orbit(rd, rd.rho_b_times2)}
 
 
 def threshold(
@@ -280,7 +317,9 @@ def threshold(
 
     Maximizes each weight form over the Weyl orbit of the scaled
     half-sum vector (the vertex set of its convex hull), then applies
-    the offset for the requested object and ground field.
+    the offset for the requested object and ground field.  The scale
+    eps / 2 is nonnegative, so the maximum is taken over the integer
+    pairings with w(2 rho) and scaled once.
     """
     p = Fraction(p)
     if not 0 < p <= 2:
@@ -289,12 +328,8 @@ def threshold(
         raise InvalidInput("which must be 'basic' or 'kernel'")
     eps = Fraction(2) / p - 1
     weights = rep_weight_multiset(rd, rho)
-    verts = _orbit_vertices(rd, eps)
-    best = max(
-        sum(Fraction(a) * v for a, v in zip(w, vert))
-        for w in weights
-        for vert in verts
-    )
+    orbit = weyl_orbit(rd, rd.rho_b_times2)
+    best = eps / 2 * max(dot(w, image) for w in weights for image in orbit)
     l = l_constant(rd, rho)
     if field_tag == "real":
         return best if which == "basic" else Fraction(-1) - Fraction(l, 2) + best
@@ -310,28 +345,26 @@ def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
     Exact: on each sign-orthant face of the unit cross-polytope the
     objective is piecewise linear, so the minimum sits at a vertex of
     the subdivision cut out by the weight hyperplanes; all candidate
-    vertices are enumerated and solved over the rationals.
+    vertices are enumerated and solved exactly over the integers, each
+    as numerators over one positive determinant.
     """
     m = rd.rank
     if m > 4:
         raise InvalidInput("weight-norm constant limited to rank <= 4")
     weights = rep_weight_list(rd, rho)
+    units = [tuple(int(t == j) for t in range(m)) for j in range(m)]
     best = None
     for signs in itertools.product((1, -1), repeat=m):
         # face coordinates u >= 0 with sum u = 1; x_t = signs_t u_t
-        forms = [tuple(Fraction(w[t] * signs[t]) for t in range(m)) for w in weights]
-        cuts = forms + [
-            tuple(Fraction(1 if t == j else 0) for t in range(m)) for j in range(m)
-        ]
-        for subset in itertools.combinations(range(len(cuts)), m - 1):
-            rows = [list(cuts[i]) + [Fraction(0)] for i in subset]
-            rows.append([Fraction(1)] * m + [Fraction(1)])
-            if len(row_reduce(rows, m)) < m:
+        forms = [tuple(w[t] * signs[t] for t in range(m)) for w in weights]
+        for subset in itertools.combinations(forms + units, m - 1):
+            solved = bareiss_solve([list(cut) + [0] for cut in subset] + [[1] * (m + 1)])
+            if solved is None:
                 continue  # singular: the cuts meet in no single vertex
-            sol = [row[-1] for row in rows]
-            if any(u < 0 for u in sol):
+            nums, d = solved
+            if any(u < 0 for u in nums):
                 continue
-            val = sum(abs(sum(f[t] * sol[t] for t in range(m))) for f in forms)
+            val = Fraction(sum(abs(dot(f, nums)) for f in forms), d)
             if best is None or val < best:
                 best = val
     if best is None or best <= 0:

@@ -194,9 +194,10 @@ def _cmd_verify(args) -> int:
         "gj-standard": lambda: verify_gj_standard(rd, rho, args.N),
     }
     if args.what == "all":
-        selected = ["fixed-point", "unitarity"] + (
-            ["gj-standard"] if rd.cartan.startswith("GL") else []
-        )
+        # the indicator identity is stated for the standard module of GL(n) only
+        std = (1,) + (0,) * (rd.rank - 1)
+        gl_standard = rd.cartan.startswith("GL") and rho.highest_weight == std
+        selected = ["fixed-point", "unitarity"] + (["gj-standard"] if gl_standard else [])
     else:
         selected = [args.what]
     reports = [names[name]() for name in selected]
@@ -241,6 +242,11 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
+def _complex_pair(z):
+    """[re, im], or None for a value that left the double range."""
+    return None if z is None else [z.real, z.imag]
+
+
 def _cmd_arch(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
@@ -252,11 +258,13 @@ def _cmd_arch(args) -> int:
         )
     if args.op == "lfactor":
         val = _arch.lfactor_real(params) if args.field == "real" else _arch.lfactor_cplx(params)
-        out = {"value": [val.real, val.imag]}
+        out = {"value": _complex_pair(val)}
+        if val is None:
+            out["flags"] = ["overflow"]
     elif args.op == "gamma":
         g = _arch.gamma_factor(params)
         out = {
-            "value": [g.value.real, g.value.imag],
+            "value": _complex_pair(g.value),
             "rel_discrepancy": g.rel_discrepancy,
             "flags": g.flags,
         }

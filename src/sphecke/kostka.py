@@ -22,12 +22,11 @@ from .rootdata import (
     RootDatum,
     Vec,
     dominant_below,
-    mat_apply,
     sigma_grade,
+    signed_orbit,
     vadd,
     vscale,
     vsub,
-    weyl_elements,
 )
 
 
@@ -50,11 +49,7 @@ def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
 
 def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[Vec, int]]:
     """Pairs (w(2 lam + 2 rho), sign of w) over the Weyl group."""
-    lam2 = vadd(vscale(2, lam), rd.rho_b_times2)
-    return [
-        (mat_apply(w, lam2), -1 if length % 2 else 1)
-        for w, length in weyl_elements(rd)
-    ]
+    return signed_orbit(rd, vadd(vscale(2, lam), rd.rho_b_times2))
 
 
 def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec) -> dict:
@@ -97,9 +92,10 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
 def kostka_row(rd: RootDatum, lam: Vec) -> tuple:
     """The nonzero (mu, K[lam, mu](q^-1)) over the dominant mu <= lam,
     mu descending, all from one shifted Weyl orbit of lam."""
+    below = dominant_below(rd, lam)
     orbit = _shifted_orbit(rd, lam)
     row = []
-    for mu in dominant_below(rd, lam):
+    for mu in below:
         counts = _alternating_sum(rd, orbit, lam, mu)
         if counts:
             row.append((mu, _in_q(counts, -1)))

@@ -154,7 +154,7 @@ def _assemble(cartan, rank, simples, forms, sigma) -> RootDatum:
     pos_forms = tuple(f for _, f in positive)
     rho2 = tuple(sum(r[i] for r in pos_roots) for i in range(rank))
     pair2 = tuple(sum(f[i] for f in pos_forms) for i in range(rank))
-    w0 = _longest_element(tuple(simples), tuple(forms), rank)
+    w0 = _longest_element(tuple(simples), tuple(forms), rho2)
     return RootDatum(
         cartan=cartan,
         rank=rank,
@@ -221,35 +221,59 @@ def build_preset(label: str) -> RootDatum:
 
 
 def _close_roots(simples, forms):
-    """All positive (root, coroot form) pairs, closed under reflections."""
+    """All positive (root, coroot form) pairs, closed under reflections.
+
+    Each root carries its integer coefficients in the simple roots along
+    the reflections that reach it, s_i(beta) = beta - f_i(beta) alpha_i;
+    the positive roots are those with no negative coefficient.
+    """
     simples = [tuple(s) for s in simples]
     forms = [tuple(f) for f in forms]
-    seen = dict(zip(simples, forms))
+    k = len(simples)
+    seen = {
+        s: (f, tuple(int(j == i) for j in range(k)))
+        for i, (s, f) in enumerate(zip(simples, forms))
+    }
     frontier = list(simples)
     while frontier:
         new = []
         for beta in frontier:
-            fbeta = seen[beta]
-            for alpha, falpha in zip(simples, forms):
+            fbeta, cbeta = seen[beta]
+            for i, (alpha, falpha) in enumerate(zip(simples, forms)):
                 c = dot(falpha, beta)
                 img = vsub(beta, vscale(c, alpha))
                 if img not in seen:
-                    k = dot(fbeta, alpha)
-                    seen[img] = vsub(fbeta, vscale(k, falpha))
+                    fimg = vsub(fbeta, vscale(dot(fbeta, alpha), falpha))
+                    seen[img] = (fimg, cbeta[:i] + (cbeta[i] - c,) + cbeta[i + 1:])
                     new.append(img)
         frontier = new
-    positive = []
-    for beta, fbeta in seen.items():
-        coeffs = solve_simple_coeffs(tuple(simples), beta)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            positive.append((beta, fbeta))
+    positive = [(beta, f) for beta, (f, coeffs) in seen.items() if min(coeffs) >= 0]
     positive.sort(reverse=True)
     return positive
 
 
-def _longest_element(simples, forms, rank: int) -> Mat:
-    elems = _weyl_bfs(simples, forms, rank, WEYL_CAP_DEFAULT)
-    return elems[-1][0]
+def _longest_element(simples, forms, rho2: Vec) -> Mat:
+    """w0 from a reduced word: reflect the regular vector rho2 across any
+    wall it lies on the positive side of until it reaches -rho2.
+
+    Each step s_i raises the length by one, so the word has l(w0) letters
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.8); the
+    matrix follows by the rank-one rule s_i w = w - alpha_i (f_i w).
+    """
+    w = identity_mat(len(rho2))
+    v = rho2
+    while True:
+        i = next((i for i, f in enumerate(forms) if dot(f, v) > 0), None)
+        if i is None:
+            break
+        alpha, f = simples[i], forms[i]
+        c = dot(f, v)
+        v = tuple(x - c * a for x, a in zip(v, alpha))
+        fw = tuple(dot(f, col) for col in zip(*w))
+        w = tuple(tuple(x - a * y for x, y in zip(row, fw)) for row, a in zip(w, alpha))
+    if v != vneg(rho2):
+        raise InvalidInput("the half-sum vector is not regular: no finite Weyl group")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +333,36 @@ def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return pivots
+
+
+def bareiss_solve(rows: list[list[int]]):
+    """Solve a square integer system without fractions, or None if singular.
+
+    ``rows`` is the n x (n + 1) augmented matrix [A | b], overwritten.
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
+    (1968)): every division is exact, and at the end each diagonal entry
+    is d = +-det A and the last column is d x.  Returns (numerators, d)
+    with d > 0 and x = numerators / d.
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k]
+        d = pk[k]
+        for i in range(n):
+            if i != k:
+                ri = rows[i]
+                c = ri[k]
+                rows[i] = [(d * x - c * y) // prev for x, y in zip(ri, pk)]
+        prev = d
+    nums = [row[n] for row in rows]
+    if prev < 0:
+        return [-x for x in nums], -prev
+    return nums, prev
 
 
 def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
@@ -398,23 +452,52 @@ def _weyl_bfs(simples, forms, rank: int, cap: int):
 
 @cache
 def weyl_elements(rd: RootDatum, cap: int = WEYL_CAP_DEFAULT):
-    """All Weyl elements as (matrix, length), breadth-first by length."""
+    """All Weyl elements as (matrix, length), breadth-first by length.
+
+    The matrix oracle: tests check ``signed_orbit`` and ``rd.w0`` against
+    it.  No production path builds the group as matrices.
+    """
     return tuple(_weyl_bfs(rd.simple_roots, rd.simple_coroot_forms, rd.rank, cap))
 
 
-def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
-    orbit = {mu}
-    frontier = [mu]
+def _orbit_walk(rd: RootDatum, v: Vec, cap: int) -> list[tuple[Vec, int]]:
+    """The Weyl orbit of v, walked breadth-first by simple reflections from
+    v: pairs (u, the depth at which the walk first reaches u)."""
+    seen = {v}
+    order = [(v, 0)]
+    frontier = [v]
+    depth = 0
     while frontier:
+        depth += 1
         new = []
-        for v in frontier:
-            for i in range(len(rd.simple_roots)):
-                img = rd.reflect_simple(i, v)
-                if img not in orbit:
-                    orbit.add(img)
+        for u in frontier:
+            for f, alpha in zip(rd.simple_coroot_forms, rd.simple_roots):
+                c = dot(f, u)
+                img = tuple(x - c * a for x, a in zip(u, alpha))
+                if img not in seen:
+                    seen.add(img)
                     new.append(img)
+                    if len(seen) > cap:
+                        raise WeylCapError(f"Weyl group exceeds cap {cap}")
+        order.extend((u, depth) for u in new)
         frontier = new
-    return orbit
+    return order
+
+
+def signed_orbit(rd: RootDatum, v: Vec, cap: int = WEYL_CAP_DEFAULT) -> list[tuple[Vec, int]]:
+    """Pairs (w(v), (-1)^l(w)) over the Weyl group, for a regular dominant v,
+    v first.
+
+    For regular v the map w -> w(v) is a bijection, and l(w) is the depth
+    at which the orbit walk first reaches w(v).
+    """
+    if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
+        raise NonDominantError(f"{v} is not regular dominant")
+    return [(u, -1 if depth % 2 else 1) for u, depth in _orbit_walk(rd, v, cap)]
+
+
+def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
+    return {u for u, _ in _orbit_walk(rd, mu, WEYL_CAP_DEFAULT)}
 
 
 def straighten(rd: RootDatum, v2: Vec):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,16 @@ from sphecke.arch import (
     stirling_ratio,
     threshold,
 )
-from sphecke.rootdata import RepSpec, build_gl
+from sphecke.characters import rep_weight_list, rep_weight_multiset
+from sphecke.rootdata import (
+    RepSpec,
+    build_gl,
+    build_preset,
+    l_constant,
+    row_reduce,
+    validate_rho,
+    weyl_elements,
+)
 
 mp.mp.dps = 30
 
@@ -150,6 +160,16 @@ def test_gamma_factor_real_on_real_axis():
     assert abs(res.value.imag) < 1e-12
 
 
+def test_gamma_factor_overflow_is_flagged():
+    # route 1's denominator and route 2's sine leave the double range
+    res = gamma_factor(arch_params(GL2, STD2, (800.0, -800.0), 1.0))
+    assert res.flags == ["overflow"]
+    assert res.value is None and res.ratio_route is None and res.rel_discrepancy is None
+    params = arch_params(GL2, STD2, (800.0, -800.0), -1.0)
+    assert lfactor_real(params) is None
+    assert lfactor_cplx(params) is None
+
+
 def test_gamma_factor_sin_zero():
     # the denominator hits a pole, so the factor vanishes
     res = gamma_factor(arch_params(GL1, STD1, (0.0,), 2.0))
@@ -222,6 +242,90 @@ def test_threshold_monotone_in_epsilon():
 def test_threshold_rejects_bad_p():
     with pytest.raises(InvalidInput):
         threshold(GL2, STD2, 3)
+
+
+# -- the integer routes against the Fraction routes they replaced
+
+
+PRESET_RHO = {
+    "gl1": (1,),
+    "gl2": (1, 0),
+    "gl3": (1, 0, 0),
+    "gl4": (1, 0, 0, 0),
+    "b2": (1, 0, 1),
+    "b3": (1, 0, 0, 1),
+    "b4": (1, 0, 0, 0, 1),
+    "c2": (1, 0, 1),
+    "c3": (1, 0, 0, 1),
+    "c4": (1, 0, 0, 0, 1),
+    "d3": (1, 0, 0, 1),
+    "d4": (1, 0, 0, 0, 1),
+    "g2": (0, -1, 1),
+}
+
+
+def _threshold_fraction_route(rd, rho, p):
+    """The threshold as first written, for every (which, field_tag): each
+    Weyl matrix applied to eps rho in Fractions, and each weight form
+    maximized over those vertices."""
+    eps = Fraction(2) / Fraction(p) - 1
+    half = [Fraction(x, 2) * eps for x in rd.rho_b_times2]
+    verts = {
+        tuple(sum(row[j] * half[j] for j in range(rd.rank)) for row in w)
+        for w, _ in weyl_elements(rd)
+    }
+    best = max(
+        sum(Fraction(a) * v for a, v in zip(w, vert))
+        for w in rep_weight_multiset(rd, rho)
+        for vert in verts
+    )
+    l = l_constant(rd, rho)
+    return {
+        ("basic", "real"): best,
+        ("kernel", "real"): Fraction(-1) - Fraction(l, 2) + best,
+        ("basic", "complex"): best / 2,
+        ("kernel", "complex"): Fraction(-1, 2) - Fraction(l, 4) + best / 2,
+    }
+
+
+def _c_rho_fraction_route(rd, rho):
+    """The weight-norm constant as first written: every vertex system
+    solved by Gauss-Jordan elimination over the rationals."""
+    m = rd.rank
+    weights = rep_weight_list(rd, rho)
+    best = None
+    for signs in itertools.product((1, -1), repeat=m):
+        forms = [tuple(Fraction(w[t] * signs[t]) for t in range(m)) for w in weights]
+        cuts = forms + [
+            tuple(Fraction(1 if t == j else 0) for t in range(m)) for j in range(m)
+        ]
+        for subset in itertools.combinations(range(len(cuts)), m - 1):
+            rows = [list(cuts[i]) + [Fraction(0)] for i in subset]
+            rows.append([Fraction(1)] * m + [Fraction(1)])
+            if len(row_reduce(rows, m)) < m:
+                continue
+            sol = [row[-1] for row in rows]
+            if any(u < 0 for u in sol):
+                continue
+            val = sum(abs(sum(f[t] * sol[t] for t in range(m))) for f in forms)
+            if best is None or val < best:
+                best = val
+    return best
+
+
+@pytest.mark.parametrize("label", sorted(PRESET_RHO))
+def test_threshold_matches_fraction_route(label):
+    rd, rho = build_preset(label), RepSpec(PRESET_RHO[label])
+    assert validate_rho(rd, rho).passed
+    for p in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(2, 5), Fraction(2)):
+        for (which, field_tag), want in _threshold_fraction_route(rd, rho, p).items():
+            assert threshold(rd, rho, p, which, field_tag) == want
+
+
+@pytest.mark.parametrize("label", sorted(k for k in PRESET_RHO if build_preset(k).rank <= 4))
+def test_c_rho_matches_fraction_route(label):
+    rd, rho = build_preset(label), RepSpec(PRESET_RHO[label])
+    assert c_rho_constant(rd, rho) == _c_rho_fraction_route(rd, rho)
 
 
 # -- weight-norm constant

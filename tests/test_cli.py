@@ -27,6 +27,15 @@ def test_verify_all_gl1(capsys):
     assert names == {"fixed-point", "unitarity", "gj-standard"}
 
 
+def test_verify_all_skips_gj_standard_off_the_standard_module(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--group", "gl2", "--rho", "2,-1", "--N", "4")
+    assert code == 0
+    assert out.strip().endswith("PASS")
+    payload = json.loads(out[: out.rfind("}") + 1])
+    assert payload["status"] == "PASS"
+    assert [r["name"] for r in payload["reports"]] == ["fixed-point", "unitarity"]
+
+
 def test_verify_all_repeatable(capsys):
     code1, out1, _ = run(capsys, "verify", "all", "--group", "gl2", "--N", "4")
     code2, out2, _ = run(capsys, "verify", "all", "--group", "gl2", "--N", "4")
@@ -161,13 +170,32 @@ def test_malformed_vector_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_internal_error_exit_3(capsys):
-    # gamma overflows at this spectral parameter; that is not a mismatch (1)
-    code, out, err = run(capsys, "arch", "gamma", "--group", "gl2", "--lam", "800,-800")
+def test_internal_error_exit_3(capsys, monkeypatch):
+    # a failed internal consistency check is not a mismatch (1)
+    def broken(rd, lam, mu):
+        raise RuntimeError("negative coefficient in K")
+
+    monkeypatch.setattr("sphecke.cli.lusztig_q_analogue", broken)
+    code, out, err = run(capsys, "kostka", "--group", "gl2", "--lambda", "1,0", "--mu", "1,0")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: OverflowError")
+    assert err.startswith("internal error: RuntimeError")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("op", ["gamma", "lfactor"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_arch_overflow_is_flagged(capsys, op, field):
+    # the gamma factors at this spectral parameter leave the double range
+    argv = ["arch", op, "--group", "gl2", "--lam", "800,-800", "--field", field]
+    if op == "lfactor":
+        argv += ["--s", "-1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["value"] is None
+    assert payload["flags"] == ["overflow"]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +295,28 @@ def test_arch_probe_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "shell,max_log_value"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "kostka --group b4 --lambda 3,2,1,0,0 --mu 0,0,0,0,0",
+        "arch threshold --group d4 --rho 1,0,0,0,1 --p 2/5",
+        "arch crho --group gl4",
+        "arch probe --group b2 --rho 1,0,1 --s 2.5 --p 1 --radii 5,10",
+    ],
+)
+def test_cold_queries_build_no_weyl_matrices(capsys, monkeypatch, line):
+    from sphecke import kostka, rootdata
+
+    def refuse(*args):
+        raise AssertionError("the Weyl group was built as matrices")
+
+    monkeypatch.setattr(rootdata, "_weyl_bfs", refuse)
+    for cached in (rootdata.weyl_elements, kostka.lusztig_q_analogue, kostka.kostka_row):
+        cached.cache_clear()
+    code, _, err = run(capsys, *line.split())
+    assert code == 0, err
 
 
 def test_datum_file_roundtrip(tmp_path, capsys):

@@ -4,7 +4,9 @@
 normalized stdout, taken from a commit whose outputs are known to be
 right; ``perfbench/run.py`` defines the normalization.  This test only
 reads those two files, and covers one line of each output kind, plus
-the kernel on a simply-laced datum and on G2.
+the kernel on a simply-laced datum and on G2, and the orbit-walk and
+integer routes: a B4 Kostka polynomial, a C4 threshold and the GL4
+weight-norm constant.
 """
 
 import contextlib
@@ -22,6 +24,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 LINES = [
     "kostka --group gl4 --lambda 6,3,1,0 --mu 3,3,2,2",
+    "kostka --group b4 --lambda 3,2,1,0,0 --mu 0,0,0,0,0",
+    "arch threshold --group c4 --rho 1,0,0,0,1 --p 2/3 --field complex",
+    "arch crho --group gl4",
     "satake --group gl3 --mu 3,1,0",
     "convolve --group c2 --mu 1,1,0 --nu 1,0,0",
     "decomp --group gl3 --sym 4",

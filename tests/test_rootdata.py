@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError
+from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError, WeylCapError
 from sphecke.rootdata import (
     RepSpec,
+    bareiss_solve,
     build_gl,
     build_preset,
     datum_from_json,
@@ -17,7 +20,9 @@ from sphecke.rootdata import (
     l_constant,
     mat_apply,
     pair_rho_b,
+    row_reduce,
     sigma_grade,
+    signed_orbit,
     straighten,
     validate_rho,
     vscale,
@@ -314,3 +319,71 @@ def test_weyl_cap_enforced():
     d4 = build_preset("d4")
     with _pytest.raises(WeylCapError):
         weyl_elements(d4, cap=10)
+
+
+PRESETS = ["gl1", "gl2", "gl3", "gl4", "b2", "b3", "b4", "c2", "c3", "c4", "d3", "d4", "g2"]
+
+
+def _nonzero_dominant(rd):
+    """The first fundamental direction, or its G2 analogue in root-basis coordinates."""
+    return (0, -1, 0) if rd.cartan == "G2" else (1,) + (0,) * (rd.rank - 1)
+
+
+@pytest.mark.parametrize("label", PRESETS)
+def test_signed_orbit_matches_weyl_matrices(label):
+    rd = build_preset(label)
+    for lam in ((0,) * rd.rank, _nonzero_dominant(rd)):
+        assert rd.is_dominant(lam)
+        v = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
+        oracle = sorted((mat_apply(w, v), (-1) ** length) for w, length in weyl_elements(rd))
+        orbit = signed_orbit(rd, v)
+        assert orbit[0] == (v, 1)
+        assert sorted(orbit) == oracle
+
+
+@pytest.mark.parametrize("label", PRESETS)
+def test_w0_is_the_longest_matrix(label):
+    rd = build_preset(label)
+    assert rd.w0 == weyl_elements(rd)[-1][0]
+
+
+def test_signed_orbit_cap_and_regularity():
+    d4 = build_preset("d4")
+    with pytest.raises(WeylCapError):
+        signed_orbit(d4, d4.rho_b_times2, cap=10)
+    with pytest.raises(NonDominantError):
+        signed_orbit(GL3, (1, 0, 0))  # on a wall
+
+
+def _det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@example([[0, 1, 2], [1, 0, 3]])  # needs a row swap
+@example([[1, 2, 3], [2, 4, 6]])  # singular
+@example([[2, 1, 0, 1], [1, 2, 1, 0], [3, 3, 1, 1]])  # singular, rank 2
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n
+    )
+))
+def test_bareiss_solve_matches_row_reduce(rows):
+    n = len(rows)
+    ref = [[Fraction(x) for x in row] for row in rows]
+    rank = len(row_reduce(ref, n))
+    got = bareiss_solve([list(row) for row in rows])
+    if rank < n:
+        assert got is None
+        return
+    nums, d = got
+    assert d == abs(_det([row[:n] for row in rows]))
+    assert [Fraction(x, d) for x in nums] == [row[n] for row in ref]
