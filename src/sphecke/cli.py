@@ -21,6 +21,7 @@ from .lseries import (
     SchwartzElement,
     basic_function,
     gamma_kernel,
+    gj_standard_obstruction,
     h_value,
     l_series,
     verify_fixed_point,
@@ -194,10 +195,8 @@ def _cmd_verify(args) -> int:
         "gj-standard": lambda: verify_gj_standard(rd, rho, args.N),
     }
     if args.what == "all":
-        # the indicator identity is stated for the standard module of GL(n) only
-        std = (1,) + (0,) * (rd.rank - 1)
-        gl_standard = rd.cartan.startswith("GL") and rho.highest_weight == std
-        selected = ["fixed-point", "unitarity"] + (["gj-standard"] if gl_standard else [])
+        applies = gj_standard_obstruction(rd, rho) is None
+        selected = ["fixed-point", "unitarity"] + (["gj-standard"] if applies else [])
     else:
         selected = [args.what]
     reports = [names[name]() for name in selected]

@@ -364,6 +364,16 @@ def verify_unitarity(
     return report
 
 
+def gj_standard_obstruction(rd: RootDatum, rho: RepSpec) -> str | None:
+    """Why the indicator identity does not apply to (rd, rho), or None when
+    it does: it is stated for the standard module of a GL preset only."""
+    if not rd.cartan.startswith("GL"):
+        return "the indicator identity is a GL preset statement"
+    if rho.highest_weight != (1,) + (0,) * (rd.rank - 1):
+        return "the indicator identity needs the standard rho"
+    return None
+
+
 def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
     """Indicator identity: the half-shift specialization of the basic
     element is the characteristic function of the nonnegative cells.
@@ -371,11 +381,10 @@ def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
     Returns the report's JSON object directly (name, status,
     first_mismatch)."""
     _require_truncation(N)
-    if not rd.cartan.startswith("GL"):
-        raise InvalidInput("the indicator identity is a GL preset statement")
+    reason = gj_standard_obstruction(rd, rho)
+    if reason is not None:
+        raise InvalidInput(reason)
     n = rd.rank
-    if rho.highest_weight != (1,) + (0,) * (n - 1):
-        raise InvalidInput("the indicator identity needs the standard rho")
     basic = basic_function(rd, rho, N)
     sp = specialize(basic.element, Fraction(-(n - 1), 2))
     mismatch = None

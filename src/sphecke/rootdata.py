@@ -484,7 +484,7 @@ def _orbit_walk(rd: RootDatum, v: Vec, cap: int) -> list[tuple[Vec, int]]:
     return order
 
 
-def signed_orbit(rd: RootDatum, v: Vec, cap: int = WEYL_CAP_DEFAULT) -> list[tuple[Vec, int]]:
+def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int]]:
     """Pairs (w(v), (-1)^l(w)) over the Weyl group, for a regular dominant v,
     v first.
 
@@ -493,7 +493,7 @@ def signed_orbit(rd: RootDatum, v: Vec, cap: int = WEYL_CAP_DEFAULT) -> list[tup
     """
     if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
         raise NonDominantError(f"{v} is not regular dominant")
-    return [(u, -1 if depth % 2 else 1) for u, depth in _orbit_walk(rd, v, cap)]
+    return [(u, -1 if depth % 2 else 1) for u, depth in _orbit_walk(rd, v, WEYL_CAP_DEFAULT)]
 
 
 def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:

@@ -319,6 +319,17 @@ def test_cold_queries_build_no_weyl_matrices(capsys, monkeypatch, line):
     assert code == 0, err
 
 
+def test_large_weyl_group_datum_exits_2_at_the_cap(tmp_path, capsys):
+    # a GL9 datum file loads (|W| = 9! is past the cap, but loading walks
+    # no orbit); the first orbit walk, here validating rho, exits 2
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_json(build_gl(9))))
+    code, out, err = run(capsys, "arch", "gamma", "--datum", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: Weyl group exceeds cap 50000\n"
+
+
 def test_datum_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_json(build_gl(2))))

@@ -13,6 +13,7 @@ from sphecke.lseries import (
     basic_function,
     fourier,
     gamma_kernel,
+    gj_standard_obstruction,
     h_value,
     inverse_l_element,
     inverse_l_image,
@@ -370,6 +371,16 @@ def test_gj_standard_detects_corruption(monkeypatch, corrupt, grade, mu, got):
     report = verify_gj_standard(GL2, STD2, 4)
     assert report["status"] == "FAIL"
     assert report["first_mismatch"] == {"grade": grade, "mu": mu, "expected": "1", "got": got}
+
+
+def test_gj_standard_domain():
+    assert gj_standard_obstruction(GL2, STD2) is None
+    assert "standard rho" in gj_standard_obstruction(GL2, CUBIC)
+    b2 = build_preset("b2")
+    assert "GL preset" in gj_standard_obstruction(b2, RepSpec((1, 0, 1)))
+    for rd, rho in ((GL2, CUBIC), (b2, RepSpec((1, 0, 1)))):
+        with pytest.raises(InvalidInput, match=gj_standard_obstruction(rd, rho)):
+            verify_gj_standard(rd, rho, 2)
 
 
 def test_unitarity_passes():

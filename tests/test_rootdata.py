@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError, WeylCapError
 from sphecke.rootdata import (
+    WEYL_CAP_DEFAULT,
     RepSpec,
+    _orbit_walk,
     bareiss_solve,
     build_gl,
     build_preset,
@@ -350,9 +352,19 @@ def test_w0_is_the_longest_matrix(label):
 def test_signed_orbit_cap_and_regularity():
     d4 = build_preset("d4")
     with pytest.raises(WeylCapError):
-        signed_orbit(d4, d4.rho_b_times2, cap=10)
+        _orbit_walk(d4, d4.rho_b_times2, 10)
     with pytest.raises(NonDominantError):
         signed_orbit(GL3, (1, 0, 0))  # on a wall
+
+
+def test_large_weyl_group_loads_and_caps_at_the_first_orbit_walk():
+    # |W(GL9)| = 9! > WEYL_CAP_DEFAULT: loading builds w0 from a reduced
+    # word, so only a full orbit walk meets the cap
+    gl9 = datum_from_json(datum_to_json(build_gl(9)))
+    assert len(gl9.positive_roots) == 36
+    assert gl9.w0 == tuple(tuple(int(i + j == 8) for j in range(9)) for i in range(9))
+    with pytest.raises(WeylCapError, match=f"cap {WEYL_CAP_DEFAULT}"):
+        signed_orbit(gl9, gl9.rho_b_times2)
 
 
 def _det(a):
