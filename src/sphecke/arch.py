@@ -126,8 +126,10 @@ def _weight_value(w: Vec, lam) -> complex:
 
 
 # what a float that leaves the double range raises: OverflowError from exp,
-# sin and real powers, ZeroDivisionError from a complex power of an underflow
-_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
+# sin and real powers, ZeroDivisionError from a complex power of an underflow,
+# ValueError from cmath on an infinite intermediate.  PoleError is a
+# ValueError too, so every handler re-raises it first.
+_RANGE_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
 
 def _finite(z: complex) -> complex | None:
@@ -144,6 +146,8 @@ def lfactor_real(params: ArchParams) -> complex | None:
             arg = (params.s + 1j * _weight_value(w, params.lam)) / 2
             total *= math.pi ** (-arg.real) * cmath.exp(-1j * arg.imag * math.log(math.pi))
             total *= cgamma(arg)
+    except PoleError:
+        raise
     except _RANGE_ERRORS:
         return None
     return _finite(total)
@@ -158,6 +162,8 @@ def lfactor_cplx(params: ArchParams) -> complex | None:
             arg = (2 * params.s + 1j * _weight_value(w, params.lam)) / 2
             total *= 2.0 * cmath.exp(-arg * math.log(2 * math.pi))
             total *= cgamma(arg)
+    except PoleError:
+        raise
     except _RANGE_ERRORS:
         return None
     return _finite(total)
@@ -224,6 +230,8 @@ def gamma_factor(params: ArchParams) -> GammaFactorResult:
                 g = cgamma(1 + u)
                 route2 *= g * g * cmath.sin(math.pi * (1 + u)) / math.pi
         route2 = _finite(route2)
+    except PoleError:
+        raise
     except _RANGE_ERRORS:
         route2 = None
     if overflow or route2 is None:

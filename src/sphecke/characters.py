@@ -86,11 +86,15 @@ def adams(k: int, ch: CharExpansion) -> CharExpansion:
 
 
 def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
-    """A Weyl-invariant weight multiset times the lam-character, as
-    irreducible highest weight -> coefficient (Brauer-Klimyk: each weight
-    nu contributes its multiplicity, with the sign of the dot action, to
-    the character at straighten(2(nu + lam + rho)); Humphreys,
-    *Introduction to Lie Algebras and Representation Theory*, 24 ex. 9)."""
+    """sum_nu m_nu sign chi_straighten(2(nu + lam + rho)), as irreducible
+    highest weight -> coefficient; the m_nu may be ints or ``Laurent``.
+
+    For a Weyl-invariant weight multiset this is the multiset times the
+    lam-character (Brauer-Klimyk; Humphreys, *Introduction to Lie Algebras
+    and Representation Theory*, 24 ex. 9).  The weights need not be
+    Weyl-invariant: the sum is always J(e^(lam + rho) sum_nu m_nu e^nu) /
+    J(e^rho), with J the Weyl alternation, which is how
+    ``satake.satake_basis_row`` sums Macdonald's formula."""
     lam2 = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
     out = {}
     for nu, m in weights.items():

@@ -8,9 +8,12 @@ their support.  A grade window records which grades are exactly known:
 bounds mean knowledge extends to infinity on that side.  Products
 refuse to fabricate grades that the inputs do not determine.
 
-The transform and its inverse run through the unitriangular
-change-of-basis on each dominance-order block, never through an
-integral.  The product of two elements is computed on the character
+The transform and its inverse are changes of basis on each
+dominance-order block, never an integral.  The transform sends the
+mu-cell to v^(2<rho_B,mu>) times Macdonald's spherical function P_mu at
+t = v^-2, summed over the Weyl group and straightened into characters
+(``satake_basis_row``); the inverse reads the Kostka-Foulkes rows
+(``kl_row``).  The product of two elements is computed on the character
 side, one tensor product of irreducibles per pair of constituents,
 which makes the transform multiplicative by construction.
 """
@@ -22,16 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .characters import char_eval, tensor, weight_multiplicities
-from .errors import InvalidInput, WindowError
+from .characters import char_eval, tensor, times_char, weight_multiplicities
+from .errors import InvalidInput, NonDominantError, WindowError
 from .kostka import kostka_row
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
     Vec,
+    dot,
     dual_weight_vec,
     height2,
     sigma_grade,
+    vsub,
 )
 
 CELLS = "cells"
@@ -203,24 +208,62 @@ def kl_row(rd: RootDatum, lam: Vec) -> tuple:
 
 
 @cache
-def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
-    """Expansion of the mu-cell indicator transform into characters.
+def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
+    """D = prod over the positive roots alpha of (1 - t e^-alpha), with
+    (1 - e^-alpha) on the wall roots, as {-beta: d_beta(t)} in v with
+    t = v^-2; and |W_mu|, the order of the stabilizer the walls span,
+    as the product of (ht + 1)/ht over the wall roots."""
+    d = {((0,) * rd.rank, 0): 1}
+    for alpha in rd.positive_roots:
+        step = 0 if alpha in walls else 1
+        nxt = dict(d)
+        for (w, e), c in d.items():
+            key = (vsub(w, alpha), e + step)
+            c = nxt.get(key, 0) - c
+            if c:
+                nxt[key] = c
+            else:
+                del nxt[key]
+        d = nxt
+    weights = {}
+    for (w, e), c in d.items():
+        weights.setdefault(w, {})[(-2 * e, 0)] = c
+    hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
+    order = math.prod(h + 1 for h in hts) // math.prod(hts)
+    return {w: Laurent(t) for w, t in weights.items()}, order
 
-    Solved by back substitution on the downward-closed block: the
-    change-of-basis matrix is unitriangular up to unit monomials.
+
+@cache
+def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
+    """Expansion of the mu-cell indicator transform into characters,
+    v^(2<rho_B,mu>) P_mu(t = v^-2), lam descending.
+
+    Macdonald's formula for the spherical function P_mu, summed over
+    the Weyl group and straightened into characters:
+    |W_mu| P_mu = sum_beta d_beta(t) sign chi_straighten(2(mu - beta) + 2 rho),
+    with D = sum_beta d_beta e^-beta from ``_macdonald_factor`` (Macdonald,
+    *Spherical functions on a group of p-adic type*, 1971; Nelsen-Ram,
+    *Kostka-Foulkes polynomials and Macdonald spherical functions*, 2003).
     """
-    inv = Laurent.term(1, v=height2(rd, mu))
-    out = {mu: inv}
-    for nu, m in kl_row(rd, mu):
-        if nu == mu:
-            continue
-        for lam, c in satake_basis_row(rd, nu):
-            acc = out.get(lam, Laurent.zero()) - inv * m * c
-            if acc:
-                out[lam] = acc
-            elif lam in out:
-                del out[lam]
-    return tuple(sorted(out.items(), reverse=True))
+    if not rd.is_dominant(mu):
+        raise NonDominantError(f"{mu} is not dominant")
+    walls = tuple(
+        alpha
+        for alpha, form in zip(rd.positive_roots, rd.positive_coroot_forms)
+        if dot(form, mu) == 0
+    )
+    weights, order = _macdonald_factor(rd, walls)
+    shift = height2(rd, mu)
+    out = []
+    for lam, c in times_char(rd, weights, mu).items():
+        terms = {}
+        for (a, b), x in c.terms.items():
+            q, r = divmod(x, order)
+            if r:
+                raise RuntimeError(f"inexact division by |W_mu| = {order} at {lam}")
+            terms[(a + shift, b)] = q
+        out.append((lam, Laurent(terms)))
+    return tuple(sorted(out, reverse=True))
 
 
 def satake_basis(rd: RootDatum, mu: Vec) -> "GradedElement":

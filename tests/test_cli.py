@@ -201,6 +201,31 @@ def test_arch_overflow_is_flagged(capsys, op, field):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["arch", "gamma", "--group", "gl1", "--lam", "1e308", "--field", "complex"],
+        ["arch", "gamma", "--group", "gl2", "--lam", "5,-5", "--s", "-1e308", "--field", "complex"],
+    ],
+    ids=["infinite-weight", "infinite-s"],
+)
+def test_arch_gamma_infinite_intermediate_is_flagged(capsys, argv):
+    # cmath meets an infinite intermediate here and raises ValueError
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == {"flags": ["overflow"], "rel_discrepancy": None, "value": None}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_arch_gamma_pole_still_exit_2(capsys, field):
+    # a pole is a ValueError too, and must not pass for an overflow
+    code, out, err = run(capsys, "arch", "gamma", "--group", "gl1", "--s", "-1", "--field", field)
+    assert code == 2
+    assert out == ""
+    assert err == "error: gamma pole at 0j\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "fixed-point", "--group", "gl2", "--N", "-3"],
         ["basic", "--group", "gl2", "--N", "-2"],
         ["kernel", "--group", "gl2", "--N", "-1"],

@@ -4,9 +4,10 @@
 normalized stdout, taken from a commit whose outputs are known to be
 right; ``perfbench/run.py`` defines the normalization.  This test only
 reads those two files, and covers one line of each output kind, plus
-the kernel on a simply-laced datum and on G2, and the orbit-walk and
-integer routes: a B4 Kostka polynomial, a C4 threshold and the GL4
-weight-norm constant.
+the kernel on a simply-laced datum and on G2, the orbit-walk and
+integer routes (a B4 Kostka polynomial, a C4 threshold and the GL4
+weight-norm constant), and the cell-to-character rows that the
+verifiers convolve through (a B2 cell, and the GL3 and C2 verifiers).
 """
 
 import contextlib
@@ -28,6 +29,7 @@ LINES = [
     "arch threshold --group c4 --rho 1,0,0,0,1 --p 2/3 --field complex",
     "arch crho --group gl4",
     "satake --group gl3 --mu 3,1,0",
+    "satake --group b2 --mu 2,1,0",
     "convolve --group c2 --mu 1,1,0 --nu 1,0,0",
     "decomp --group gl3 --sym 4",
     "basic --group c2 --rho 1,0,1 --N 10",
@@ -35,6 +37,8 @@ LINES = [
     "kernel --group gl4 --N 4",
     "kernel --group g2 --rho 0,-1,1 --N 0",
     "verify unitarity --group g2 --rho 0,-1,1 --N 5",
+    "verify fixed-point --group gl3 --N 12",
+    "verify unitarity --group c2 --rho 1,0,1 --N 8",
 ]
 
 

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import random
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 
 from sphecke.errors import WindowError
 from sphecke.laurent import Laurent
-from sphecke.rootdata import RepSpec, build_gl, build_preset, dominant_below, sigma_grade
+from sphecke.rootdata import (
+    RepSpec,
+    build_gl,
+    build_preset,
+    dominant_below,
+    height2,
+    sigma_grade,
+    signed_orbit,
+    weyl_orbit,
+)
 from sphecke.satake import (
     CELLS,
     CHARS,
@@ -74,24 +84,75 @@ def test_satake_basis_element_shape():
     assert set(e.grades) == {2}
 
 
+# small tops on every preset, regular and singular; GL(2) (2,-1) and
+# (4,-2) are the cubic module and its square's grade
+TOPS = [
+    ("gl1", (3,)),
+    ("gl2", (3, 0)), ("gl2", (2, 2)), ("gl2", (4, 1)), ("gl2", (2, -1)), ("gl2", (4, -2)),
+    ("gl3", (3, 1, 0)), ("gl3", (1, 1, 0)), ("gl4", (2, 1, 1, 0)), ("gl4", (2, 2, 0, 0)),
+    ("b2", (1, 0, 1)), ("b2", (2, 1, 0)), ("b3", (1, 1, 0, 0)), ("b4", (1, 1, 0, 0, 0)),
+    ("c2", (1, 0, 1)), ("c2", (1, 1, 0)), ("c3", (1, 1, 0, 0)), ("c4", (1, 1, 0, 0, 0)),
+    ("d3", (1, 1, 0, 0)), ("d4", (1, 1, 0, 0, 0)),
+    ("g2", (0, -1, 1)), ("g2", (0, -2, 2)),
+]
+
+
 def test_unitriangular_inversion():
-    # forward matrix times the solved rows gives the identity on the block
-    for rd, lam in [
-        (GL2, (3, 0)),
-        (GL2, (2, 2)),
-        (GL2, (4, 1)),
-        (build_preset("b2"), (1, 0, 1)),
-        (build_preset("c2"), (1, 0, 1)),
-        (build_preset("g2"), (0, -1, 1)),
-    ]:
+    # the Kostka-Foulkes rows (kl_row) times the Macdonald rows
+    # (satake_basis_row) give the identity on each block; the two share
+    # no code
+    for label, lam in TOPS:
+        rd = build_preset(label)
         for a in dominant_below(rd, lam):
             acc = {}
             for nu, coeff in kl_row(rd, a):
                 for b, w in satake_basis_row(rd, nu):
                     acc[b] = acc.get(b, Laurent.zero()) + coeff * w
-            for b, v in acc.items():
-                want = Laurent.one() if b == a else Laurent.zero()
-                assert v == want
+            assert {b: v for b, v in acc.items() if v} == {a: Laurent.one()}, (label, a)
+
+
+def _add_alternant(acc, rd, v2, c):
+    """acc += c * sum_w sign(w) e^(w v2), for a regular dominant v2."""
+    for u, sign in signed_orbit(rd, v2):
+        acc[u] = acc.get(u, 0) + sign * c
+
+
+@pytest.mark.parametrize("label, lam", TOPS, ids=[f"{g}-{','.join(map(str, v))}" for g, v in TOPS])
+def test_satake_basis_row_oracles(label, lam):
+    # at v = 1 the row is the orbit sum m_mu, checked through Weyl's
+    # numerators in doubled coordinates: sum_lam c_lam(1) A(2 lam + 2 rho)
+    # = m_mu A(2 rho); its v^height2(mu) coefficient is delta (P_mu at
+    # t = 0 is chi_mu), and no power of v is higher
+    rd = build_preset(label)
+    rho2 = rd.rho_b_times2
+    for mu in dominant_below(rd, lam):
+        row = satake_basis_row(rd, mu)
+        lhs, rhs = {}, {}
+        for b, c in row:
+            _add_alternant(lhs, rd, tuple(2 * x + r for x, r in zip(b, rho2)), sum(c.terms.values()))
+        for nu in weyl_orbit(rd, mu):
+            for u, sign in signed_orbit(rd, rho2):
+                key = tuple(2 * x + y for x, y in zip(nu, u))
+                rhs[key] = rhs.get(key, 0) + sign
+        assert {u: c for u, c in lhs.items() if c} == {u: c for u, c in rhs.items() if c}, (label, mu)
+        top = height2(rd, mu)
+        for b, c in row:
+            assert max(a for a, _ in c.terms) <= top
+            assert c.terms.get((top, 0), 0) == (1 if b == mu else 0), (label, mu, b)
+
+
+def test_satake_basis_row_reads_no_kostka_row(monkeypatch):
+    # the inversion test above is independent only while this holds
+    def refuse(*args):
+        raise AssertionError("satake_basis_row read a Kostka-Foulkes row")
+
+    module = importlib.import_module("sphecke.satake")  # the package exports a function by that name
+    monkeypatch.setattr(module, "kl_row", refuse)
+    monkeypatch.setattr(module, "kostka_row", refuse)
+    satake_basis_row.cache_clear()
+    rd = build_preset("b2")
+    for mu in dominant_below(rd, (2, 1, 0)):
+        assert satake_basis_row(rd, mu)
 
 
 def test_satake_identity():
