@@ -42,7 +42,6 @@ from .satake import (
     eval_numeric,
     identity_element,
     inverse_satake,
-    satake,
     satake_basis,
     specialize,
     twist,

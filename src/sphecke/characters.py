@@ -12,15 +12,16 @@ uniformly for any datum.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import cache
 
 from .errors import InvalidInput, NonDominantError
-from .kostka import kostka_row
+from .kostka import kl_row
 from .rootdata import (
     RepSpec,
     RootDatum,
     Vec,
+    dot,
     dual_weight_vec,
     height2,
     sigma_grade,
@@ -35,17 +36,15 @@ def weyl_dim(rd: RootDatum, lam: Vec) -> int:
     """Dimension of the highest-weight module, by the product formula."""
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
-    num = Fraction(1)
     rho2 = rd.rho_b_times2
     lam2 = tuple(2 * x + r for x, r in zip(lam, rho2))
-    for form in rd.positive_coroot_forms:
-        num *= Fraction(
-            sum(a * b for a, b in zip(lam2, form)),
-            sum(a * b for a, b in zip(rho2, form)),
-        )
-    if num.denominator != 1:
+    forms = rd.positive_coroot_forms
+    dim, r = divmod(
+        math.prod(dot(lam2, f) for f in forms), math.prod(dot(rho2, f) for f in forms)
+    )
+    if r:
         raise RuntimeError(f"non-integral dimension for {lam}")
-    return int(num)
+    return dim
 
 
 @cache
@@ -54,7 +53,7 @@ def weight_multiplicities(rd: RootDatum, lam: Vec) -> CharExpansion:
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
     out = {}
-    for mu, kq in kostka_row(rd, lam):
+    for mu, kq in kl_row(rd, lam):
         m = sum(kq.terms.values())
         for nu in weyl_orbit(rd, mu):
             out[nu] = m

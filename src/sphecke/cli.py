@@ -189,17 +189,17 @@ def _cmd_decomp(args) -> int:
 def _cmd_verify(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
-    names = {
-        "fixed-point": lambda: verify_fixed_point(rd, rho, args.N).to_json(),
-        "unitarity": lambda: verify_unitarity(rd, rho, args.N).to_json(),
-        "gj-standard": lambda: verify_gj_standard(rd, rho, args.N),
+    verifiers = {
+        "fixed-point": verify_fixed_point,
+        "unitarity": verify_unitarity,
+        "gj-standard": verify_gj_standard,
     }
     if args.what == "all":
         applies = gj_standard_obstruction(rd, rho) is None
         selected = ["fixed-point", "unitarity"] + (["gj-standard"] if applies else [])
     else:
         selected = [args.what]
-    reports = [names[name]() for name in selected]
+    reports = [verifiers[name](rd, rho, args.N).to_json() for name in selected]
     ok = all(r["status"] == "PASS" for r in reports)
     _emit(args, {"reports": reports, "status": "PASS" if ok else "FAIL"})
     print("PASS" if ok else "FAIL")

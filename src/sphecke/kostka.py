@@ -4,11 +4,12 @@
 graded by length; ``lusztig_q_analogue`` is the Weyl alternating sum of
 those counts (Lusztig's q-analogue of weight multiplicity, the
 Kostka–Foulkes polynomial K[lam, mu](q)), the change-of-basis polynomial
-between Weyl characters and double-coset indicators; ``kostka_row``
-gives a whole row of it.  All of them are ``Laurent`` polynomials in v
-with q = v^2: the first two return K(q), and ``kostka_row`` holds
-K(q^-1), the form the transform's ``kl_row`` uses (``weight_multiplicities``
-reads only its value at q = 1).
+between Weyl characters and double-coset indicators; ``kl_row`` gives a
+whole row of it, in the form the inverse transform reads.  All of them
+are ``Laurent`` polynomials in v with q = v^2: the first two return
+K(q), and ``kl_row`` holds v^(-2<rho_B,mu>) K(q^-1)
+(``weight_multiplicities`` reads only its coefficient sum, which the
+shift leaves alone).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .rootdata import (
     RootDatum,
     Vec,
     dominant_below,
+    height2,
     sigma_grade,
     signed_orbit,
     vadd,
@@ -89,14 +91,16 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
 
 
 @cache
-def kostka_row(rd: RootDatum, lam: Vec) -> tuple:
-    """The nonzero (mu, K[lam, mu](q^-1)) over the dominant mu <= lam,
-    mu descending, all from one shifted Weyl orbit of lam."""
+def kl_row(rd: RootDatum, lam: Vec) -> tuple:
+    """Expansion of the lam-character into cell indicators, the inverse
+    transform's row: the nonzero (mu, v^(-2<rho_B,mu>) K[lam, mu](q^-1))
+    over the dominant mu <= lam, mu descending, all from one shifted Weyl
+    orbit of lam."""
     below = dominant_below(rd, lam)
     orbit = _shifted_orbit(rd, lam)
     row = []
     for mu in below:
         counts = _alternating_sum(rd, orbit, lam, mu)
         if counts:
-            row.append((mu, _in_q(counts, -1)))
+            row.append((mu, _in_q(counts, -1).shift(v=-height2(rd, mu))))
     return tuple(row)

@@ -11,7 +11,6 @@ infinite tail is needed).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -249,11 +248,22 @@ def _fourier_schwartz(f: SchwartzElement, rho: RepSpec, N: int) -> GradedElement
 
 @dataclass
 class VerifyReport:
+    """A verifier's result: the checks it ran, in order, as {part, grades,
+    ok}, and the first mismatch (grade, vector, expected, got) met."""
+
     name: str
-    status: str
+    status: str = "PASS"
     checks: list = field(default_factory=list)
     first_mismatch: tuple | None = None
-    wall_time: float = 0.0
+
+    def check(self, part: str, lo: int, hi: int, mismatch) -> bool:
+        """Record one check over grades [lo, hi]; the first mismatch seen
+        turns the report into a FAIL.  True when this check passed."""
+        self.checks.append({"part": part, "grades": [lo, hi], "ok": mismatch is None})
+        if mismatch is not None and self.first_mismatch is None:
+            self.first_mismatch = mismatch
+            self.status = "FAIL"
+        return mismatch is None
 
     def to_json(self):
         fm = None
@@ -265,29 +275,22 @@ class VerifyReport:
             "status": self.status,
             "checks": self.checks,
             "first_mismatch": fm,
-            "wall_time": round(self.wall_time, 6),
         }
 
 
-def _identity_check(e: GradedElement, lo: int, hi: int, name: str, report: VerifyReport):
-    """Transform-side comparison against the identity, with a cell-side
-    re-derivation on the lowest two grades."""
-    rd = e.rd
-    ident = identity_element(rd)
-    mismatch = satake(e).first_mismatch(satake(ident), lo, hi)
-    report.checks.append({"part": name, "grades": [lo, hi], "ok": mismatch is None})
-    if mismatch is not None and report.first_mismatch is None:
-        report.first_mismatch = mismatch
-        report.status = "FAIL"
-        return
-    low_hi = min(lo + 1, hi)
-    cross = e.first_mismatch(ident, lo, low_hi)
-    report.checks.append(
-        {"part": f"{name} (cell-side cross-check)", "grades": [lo, low_hi], "ok": cross is None}
-    )
-    if cross is not None and report.first_mismatch is None:
-        report.first_mismatch = cross
-        report.status = "FAIL"
+def _telescope(
+    report: VerifyReport, a: GradedElement, b: GradedElement, lo: int, hi: int, name: str
+) -> GradedElement:
+    """Check that a*b is the identity on grades [lo, hi]: on the transform
+    side, then, if that passed, re-derived on the cell side on the lowest
+    two grades.  Returns the product."""
+    e = convolve(a, b)
+    ident = identity_element(e.rd)
+    if report.check(name, lo, hi, satake(e).first_mismatch(satake(ident), lo, hi)):
+        low_hi = min(lo + 1, hi)
+        report.check(f"{name} (cell-side cross-check)", lo, low_hi,
+                     e.first_mismatch(ident, lo, low_hi))
+    return e
 
 
 def verify_fixed_point(
@@ -301,32 +304,22 @@ def verify_fixed_point(
     whole analytic content and every grade of it is exact.
     """
     _require_truncation(N)
-    start = time.monotonic()
-    report = VerifyReport("fixed-point", "PASS")
+    report = VerifyReport("fixed-point")
     if basic is None:
         basic = basic_function(rd, rho, N)
     l = l_constant(rd, rho)
     flipped = dual(basic_at(basic, Fraction(-l, 2)))
     inv0 = specialize(inverse_l_element(rd, rho), Fraction(0))
-    telescope = convolve(inv0, flipped)
-    _identity_check(telescope, -N, 0, "inverse-series telescope", report)
+    _telescope(report, inv0, flipped, -N, 0, "inverse-series telescope")
     if report.status == "PASS":
         # promote the verified telescope to the exact identity and finish
         shifted = basic_at(basic, Fraction(2 + l, 2))
         lhs = convolve(shifted, identity_element(rd), Window(None, N))
         rhs = shifted.restrict(Window(None, N))
-        mismatch = satake(lhs).first_mismatch(satake(rhs), 0, N)
-        report.checks.append({"part": "transform-side comparison", "grades": [0, N], "ok": mismatch is None})
-        if mismatch is not None:
-            report.status = "FAIL"
-            report.first_mismatch = mismatch
-        else:
-            low = lhs.first_mismatch(rhs, 0, min(1, N))
-            report.checks.append({"part": "cell-side cross-check", "grades": [0, min(1, N)], "ok": low is None})
-            if low is not None:
-                report.status = "FAIL"
-                report.first_mismatch = low
-    report.wall_time = time.monotonic() - start
+        if report.check("transform-side comparison", 0, N,
+                        satake(lhs).first_mismatch(satake(rhs), 0, N)):
+            report.check("cell-side cross-check", 0, min(1, N),
+                         lhs.first_mismatch(rhs, 0, min(1, N)))
     return report
 
 
@@ -340,27 +333,22 @@ def verify_unitarity(
     flipped inverse series on [0, N].
     """
     _require_truncation(N)
-    start = time.monotonic()
-    report = VerifyReport("unitarity", "PASS")
+    report = VerifyReport("unitarity")
     if basic is None:
         basic = basic_function(rd, rho, N)
     l = l_constant(rd, rho)
     inv0 = specialize(inverse_l_element(rd, rho), Fraction(0))
     b_shift = basic_at(basic, Fraction(2 + l, 2))
-    factor_a = convolve(inv0, twist(dual(b_shift), 0, -2 * (l + 1)))
-    _identity_check(factor_a, -N, 0, "flipped-basic telescope", report)
-    factor_b = convolve(b_shift, twist(dual(inv0), 0, -2 * (l + 1)))
-    _identity_check(factor_b, 0, N, "flipped-inverse telescope", report)
+    factor_a = _telescope(report, inv0, twist(dual(b_shift), 0, -2 * (l + 1)),
+                          -N, 0, "flipped-basic telescope")
+    factor_b = _telescope(report, b_shift, twist(dual(inv0), 0, -2 * (l + 1)),
+                          0, N, "flipped-inverse telescope")
     if report.status == "PASS":
         # constant terms of the two factors multiply to one
         zero_vec = (0,) * rd.rank
         c0 = factor_a.coefficient(0, zero_vec) * factor_b.coefficient(0, zero_vec)
-        ok = c0 == Laurent.one()
-        report.checks.append({"part": "grade-0 scalar product", "grades": [0, 0], "ok": ok})
-        if not ok:
-            report.status = "FAIL"
-            report.first_mismatch = (0, zero_vec, Laurent.one(), c0)
-    report.wall_time = time.monotonic() - start
+        report.check("grade-0 scalar product", 0, 0,
+                     None if c0 == Laurent.one() else (0, zero_vec, Laurent.one(), c0))
     return report
 
 
@@ -374,48 +362,35 @@ def gj_standard_obstruction(rd: RootDatum, rho: RepSpec) -> str | None:
     return None
 
 
-def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
+def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> VerifyReport:
     """Indicator identity: the half-shift specialization of the basic
-    element is the characteristic function of the nonnegative cells.
-
-    Returns the report's JSON object directly (name, status,
-    first_mismatch)."""
+    element is the characteristic function of the nonnegative cells."""
     _require_truncation(N)
     reason = gj_standard_obstruction(rd, rho)
     if reason is not None:
         raise InvalidInput(reason)
-    n = rd.rank
+    report = VerifyReport("gj-standard")
     basic = basic_function(rd, rho, N)
-    sp = specialize(basic.element, Fraction(-(n - 1), 2))
-    mismatch = None
+    sp = specialize(basic.element, Fraction(-(rd.rank - 1), 2))
+    report.check("half-shift indicator", 0, N, _indicator_mismatch(rd, rho, sp, N))
+    return report
+
+
+def _indicator_mismatch(rd: RootDatum, rho: RepSpec, sp: GradedElement, N: int):
+    """First (grade, mu, expected, got) where sp is not the indicator of
+    the nonnegative cells on [0, N]; got is "absent" for a missing cell."""
     for k in range(N + 1):
-        seen = dict(sp.grades.get(k, {}))
+        seen = sp.grades.get(k, {})
         for mu, coeff in sorted(seen.items(), reverse=True):
             want = Laurent.one() if min(mu) >= 0 else Laurent.zero()
             if coeff != want:
-                mismatch = {"grade": k, "mu": list(mu), "expected": str(want), "got": str(coeff)}
-                break
-        if mismatch is None:
-            # every nonnegative dominant cell of this grade must be present
-            for lam, _ in sym_power_decomp(rd, rho, k):
-                for mu in dominant_below(rd, lam):
-                    if min(mu) >= 0 and mu not in seen:
-                        mismatch = {
-                            "grade": k,
-                            "mu": list(mu),
-                            "expected": "1",
-                            "got": "absent",
-                        }
-                        break
-                if mismatch:
-                    break
-        if mismatch:
-            break
-    return {
-        "name": "gj-standard",
-        "status": "PASS" if mismatch is None else "FAIL",
-        "first_mismatch": mismatch,
-    }
+                return (k, mu, want, coeff)
+        # every nonnegative dominant cell of this grade must be present
+        for lam, _ in sym_power_decomp(rd, rho, k):
+            for mu in dominant_below(rd, lam):
+                if min(mu) >= 0 and mu not in seen:
+                    return (k, mu, Laurent.one(), "absent")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +398,16 @@ def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> dict:
 
 
 def h_value(rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: complex) -> complex:
-    """Transform of h at the numeric point, grade g shifted by q^(-(s+l/2) g)."""
+    """Transform of h at the numeric point, grade g shifted by q^(-(s+l/2) g).
+
+    Grades are summed in ascending order and each grade in sorted lam
+    order, so the float result depends only on the element."""
     rd.check_length(tuple(c))
     l = l_constant(rd, rho)
     total = 0j
-    for g, terms in satake(h).grades.items():
+    for g, terms in sorted(satake(h).grades.items()):
         shift = q ** (-(s + l / 2) * g)
-        for lam, coeff in terms.items():
+        for lam, coeff in sorted(terms.items()):
             total += (
                 shift
                 * coeff.eval_complex(q, s)

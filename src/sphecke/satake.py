@@ -27,7 +27,7 @@ from functools import cache
 
 from .characters import char_eval, tensor, times_char, weight_multiplicities
 from .errors import InvalidInput, NonDominantError, WindowError
-from .kostka import kostka_row
+from .kostka import kl_row
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
@@ -199,15 +199,6 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 
 
 @cache
-def kl_row(rd: RootDatum, lam: Vec) -> tuple:
-    """Expansion of the lam-character into cell indicators (forward map).
-
-    The mu entry is v^(-2<rho_B,mu>) K[lam,mu](q^-1), mu descending.
-    """
-    return tuple((mu, k.shift(v=-height2(rd, mu))) for mu, k in kostka_row(rd, lam))
-
-
-@cache
 def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
     """D = prod over the positive roots alpha of (1 - t e^-alpha), with
     (1 - e^-alpha) on the wall roots, as {-beta: d_beta(t)} in v with
@@ -273,22 +264,13 @@ def satake_basis(rd: RootDatum, mu: Vec) -> "GradedElement":
 
 
 def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:
-    """Expand every vector of f by ``row(rd, vector)``, grade by grade.
-
-    An entry that cancels to zero is removed at once, so one that comes
-    back later moves to the end: ``h_value`` sums in this order, in
-    floating point.
-    """
+    """Expand every vector of f by ``row(rd, vector)``, grade by grade."""
     out = {}
     for k, terms in f.grades.items():
         acc = out[k] = {}
         for vec, c in terms.items():
             for target, w in row(f.rd, vec):
-                cur = acc.get(target, Laurent.zero()) + c * w
-                if cur:
-                    acc[target] = cur
-                else:
-                    del acc[target]  # c * w != 0, so target was there
+                acc[target] = acc.get(target, Laurent.zero()) + c * w
     return GradedElement(f.rd, basis, out, f.window)
 
 
@@ -326,11 +308,7 @@ def satake_mul(a: GradedElement, b: GradedElement, window: Window | None = None)
                 for mu, c2 in tb.items():
                     c = c1 * c2
                     for nu, m in tensor(a.rd, lam, mu):
-                        cur = acc.get(nu, Laurent.zero()) + c * m
-                        if cur:
-                            acc[nu] = cur
-                        elif nu in acc:
-                            del acc[nu]
+                        acc[nu] = acc.get(nu, Laurent.zero()) + c * m
     return GradedElement(a.rd, CHARS, out, wout)
 
 
@@ -403,7 +381,8 @@ class EvalResult:
 def eval_numeric(
     phi: GradedElement, c, q: float, s: complex, N: int
 ) -> EvalResult:
-    """Partial sum of the grade values at a numeric parameter.
+    """Partial sum of the grade values at a numeric parameter, grades
+    ascending and each grade in sorted lam order.
 
     The tail report estimates the remainder geometrically from the last
     two grades; ``converged`` is False when the empirical ratio >= 1.
@@ -422,7 +401,7 @@ def eval_numeric(
     for k in range(int(lo), N + 1):
         terms = phi.grades.get(k, {})
         val = 0j
-        for lam, coeff in terms.items():
+        for lam, coeff in sorted(terms.items()):
             val += coeff.eval_complex(q, s) * char_eval(weight_multiplicities(phi.rd, lam), c)
         grade_values[k] = val
         total += val

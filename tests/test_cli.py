@@ -40,11 +40,7 @@ def test_verify_all_repeatable(capsys):
     code1, out1, _ = run(capsys, "verify", "all", "--group", "gl2", "--N", "4")
     code2, out2, _ = run(capsys, "verify", "all", "--group", "gl2", "--N", "4")
     assert code1 == code2 == 0
-    # wall times differ; everything else must be byte-identical
-    scrub = lambda s: "\n".join(
-        line for line in s.splitlines() if "wall_time" not in line
-    )
-    assert scrub(out1) == scrub(out2)
+    assert out1 == out2
 
 
 def test_basic_indicator_via_cli(capsys):
@@ -129,11 +125,10 @@ def test_negative_rho_either_spelling(tmp_path, capsys, argv, rho):
         path = tmp_path / "datum.json"
         path.write_text(json.dumps(FLIPPED_GL2))
         argv = argv + ["--datum", str(path)]
-    scrub = lambda s: "\n".join(line for line in s.splitlines() if "wall_time" not in line)
     code1, out1, err1 = run(capsys, *argv, "--rho", rho)
     code2, out2, _ = run(capsys, *argv, f"--rho={rho}")
     assert code1 == code2 == 0, err1
-    assert out1 and scrub(out1) == scrub(out2)
+    assert out1 and out1 == out2
 
 
 @pytest.mark.parametrize(
@@ -338,7 +333,7 @@ def test_cold_queries_build_no_weyl_matrices(capsys, monkeypatch, line):
         raise AssertionError("the Weyl group was built as matrices")
 
     monkeypatch.setattr(rootdata, "_weyl_bfs", refuse)
-    for cached in (rootdata.weyl_elements, kostka.lusztig_q_analogue, kostka.kostka_row):
+    for cached in (rootdata.weyl_elements, kostka.lusztig_q_analogue, kostka.kl_row):
         cached.cache_clear()
     code, _, err = run(capsys, *line.split())
     assert code == 0, err
@@ -372,10 +367,13 @@ def test_group_and_datum_exclusive(tmp_path, capsys):
 
 
 def test_byte_determinism(capsys):
-    args = ("basic", "--group", "gl3", "--rho", "std", "--N", "3")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
+    for args in (
+        ("basic", "--group", "gl3", "--rho", "std", "--N", "3"),
+        ("verify", "all", "--group", "gl2", "--N", "4"),
+    ):
+        _, out1, _ = run(capsys, *args)
+        _, out2, _ = run(capsys, *args)
+        assert out1 and out1 == out2, args
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -6,8 +6,9 @@ right; ``perfbench/run.py`` defines the normalization.  This test only
 reads those two files, and covers one line of each output kind, plus
 the kernel on a simply-laced datum and on G2, the orbit-walk and
 integer routes (a B4 Kostka polynomial, a C4 threshold and the GL4
-weight-norm constant), and the cell-to-character rows that the
-verifiers convolve through (a B2 cell, and the GL3 and C2 verifiers).
+weight-norm constant), the cell-to-character rows (a B2 cell), and
+every line of the ``verify`` workload, so each verifier's report is
+byte-checked on every datum the benchmark runs it on.
 """
 
 import contextlib
@@ -36,9 +37,16 @@ LINES = [
     "kernel --group b2 --rho 1,0,1 --N 2",
     "kernel --group gl4 --N 4",
     "kernel --group g2 --rho 0,-1,1 --N 0",
-    "verify unitarity --group g2 --rho 0,-1,1 --N 5",
     "verify fixed-point --group gl3 --N 12",
+    "verify unitarity --group gl3 --N 12",
+    "verify fixed-point --group gl2 --rho 2,-1 --N 11",
+    "verify unitarity --group gl2 --rho 2,-1 --N 11",
+    "verify fixed-point --group b2 --rho 1,0,1 --N 6",
+    "verify unitarity --group b2 --rho 1,0,1 --N 6",
+    "verify fixed-point --group c2 --rho 1,0,1 --N 8",
     "verify unitarity --group c2 --rho 1,0,1 --N 8",
+    "verify fixed-point --group g2 --rho 0,-1,1 --N 5",
+    "verify unitarity --group g2 --rho 0,-1,1 --N 5",
 ]
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
+    kl_row,
     kostant_q,
-    kostka_row,
     lusztig_q_analogue,
 )
 from sphecke.laurent import Laurent
@@ -13,13 +13,13 @@ from sphecke.rootdata import (
     build_gl,
     build_preset,
     dominant_below,
+    height2,
     mat_apply,
     vadd,
     vscale,
     vsub,
     weyl_elements,
 )
-from sphecke.satake import kl_row
 
 GL1 = build_gl(1)
 GL2 = build_gl(2)
@@ -159,7 +159,7 @@ def test_lusztig_positivity():
 
 def test_kostka_row_matches_cells():
     # the row from one shifted orbit equals the nonzero per-cell sums, in
-    # order, with q -> q^-1 (v -> v^-1)
+    # order, with q -> q^-1 (v -> v^-1) once the cell shift is taken off
     cases = {
         "gl3": [(2, 1, 0), (3, 1, -1), (4, 0, 0)],
         "b2": [(1, 0, 1), (2, 1, 0), (3, 1, -2)],
@@ -175,7 +175,8 @@ def test_kostka_row_matches_cells():
                 for mu in dominant_below(rd, lam)
                 if (K := lusztig_q_analogue(rd, lam, mu))
             )
-            assert kostka_row(rd, lam) == want, (label, lam)
+            row = tuple((mu, c.shift(v=height2(rd, mu))) for mu, c in kl_row(rd, lam))
+            assert row == want, (label, lam)
 
 
 def test_kl_row_gl2_grade1():

@@ -27,7 +27,7 @@ from sphecke.lseries import (
     zeta_over_l,
 )
 from sphecke.characters import sym_power_decomp, weight_multiplicities
-from sphecke.kostka import kostka_row
+from sphecke.kostka import kl_row
 from sphecke.rootdata import (
     RepSpec,
     build_gl,
@@ -137,7 +137,8 @@ def test_basic_function_matches_kostka_sum():
         for k in range(n + 1):
             acc = grades[k] = {}
             for lam, mult in sym_power_decomp(rd, rho, k):
-                for mu, kq in kostka_row(rd, lam):
+                for mu, row in kl_row(rd, lam):
+                    kq = row.shift(v=height2(rd, mu))
                     acc[mu] = acc.get(mu, Laurent.zero()) + kq * mult
         want = {
             k: {mu: c.shift(v=-height2(rd, mu), x=k) for mu, c in terms.items()}
@@ -357,7 +358,7 @@ def test_fixed_point_detects_corruption():
 def test_gj_standard_detects_corruption(monkeypatch, corrupt, grade, mu, got):
     import sphecke.lseries as ls_mod
 
-    assert verify_gj_standard(GL2, STD2, 4)["status"] == "PASS"
+    assert verify_gj_standard(GL2, STD2, 4).status == "PASS"
     real = ls_mod.basic_function
 
     def corrupted(rd, rho, N):
@@ -369,8 +370,11 @@ def test_gj_standard_detects_corruption(monkeypatch, corrupt, grade, mu, got):
 
     monkeypatch.setattr(ls_mod, "basic_function", corrupted)
     report = verify_gj_standard(GL2, STD2, 4)
-    assert report["status"] == "FAIL"
-    assert report["first_mismatch"] == {"grade": grade, "mu": mu, "expected": "1", "got": got}
+    assert report.status == "FAIL"
+    assert report.checks == [{"part": "half-shift indicator", "grades": [0, 4], "ok": False}]
+    assert report.to_json()["first_mismatch"] == {
+        "grade": grade, "mu": mu, "expected": "1", "got": got
+    }
 
 
 def test_gj_standard_domain():
@@ -398,9 +402,9 @@ def test_unitarity_grade_zero_check_present():
 def test_report_json_shape():
     rep = verify_fixed_point(GL1, STD1, 4)
     obj = rep.to_json()
+    assert set(obj) == {"name", "status", "checks", "first_mismatch"}
     assert obj["status"] == "PASS"
     assert obj["first_mismatch"] is None
-    assert obj["wall_time"] >= 0
 
 
 # -- zeta
@@ -439,6 +443,27 @@ def test_zeta_rejects_wrong_length():
             h_value(GL2, STD2, f.h, c, 3.0, 1.0)
         with pytest.raises(LengthMismatchError):
             eval_numeric(ls, c, 3.0, 1.0, 2)
+
+
+def test_h_value_independent_of_insertion_order():
+    # the same element stored in two orders; a float sum taken in stored
+    # order differs in the last digit here (seed 1)
+    rng = random.Random(1)
+    grades = {}
+    for k in range(4):
+        pool = [v for v in itertools.product(range(-1, 4), repeat=3)
+                if GL3.is_dominant(v) and sigma_grade(GL3, v) == k]
+        grades[k] = {
+            mu: Laurent({(rng.randint(-3, 3), 0): rng.choice([-2, -1, 1, 2])})
+            for mu in rng.sample(pool, min(4, len(pool)))
+        }
+    fwd = GradedElement(GL3, CELLS, grades)
+    rev = GradedElement(GL3, CELLS, {
+        k: dict(reversed(list(t.items()))) for k, t in reversed(list(grades.items()))
+    })
+    assert fwd == rev
+    c = (0.3, 0.2, 0.7)
+    assert h_value(GL3, STD3, fwd, c, 3.0, 1.0) == h_value(GL3, STD3, rev, c, 3.0, 1.0)
 
 
 def test_zeta_closed_vs_truncation():

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import json
 import random
@@ -8,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphecke.characters
+import sphecke.satake
 from sphecke.errors import WindowError
+from sphecke.lseries import h_value
 from sphecke.laurent import Laurent
 from sphecke.rootdata import (
     RepSpec,
@@ -146,13 +148,20 @@ def test_satake_basis_row_reads_no_kostka_row(monkeypatch):
     def refuse(*args):
         raise AssertionError("satake_basis_row read a Kostka-Foulkes row")
 
-    module = importlib.import_module("sphecke.satake")  # the package exports a function by that name
-    monkeypatch.setattr(module, "kl_row", refuse)
-    monkeypatch.setattr(module, "kostka_row", refuse)
+    monkeypatch.setattr(sphecke.satake, "kl_row", refuse)
+    monkeypatch.setattr(sphecke.characters, "kl_row", refuse)
     satake_basis_row.cache_clear()
     rd = build_preset("b2")
     for mu in dominant_below(rd, (2, 1, 0)):
         assert satake_basis_row(rd, mu)
+
+
+def test_package_does_not_shadow_the_satake_module():
+    import sphecke
+    import sphecke.satake as m
+
+    assert m.kl_row is sphecke.kostka.kl_row
+    assert m.satake is satake
 
 
 def test_satake_identity():
@@ -162,14 +171,21 @@ def test_satake_identity():
 
 def test_transform_order_after_cancellation():
     # (2, 0, 0) cancels after the second cell and returns with the last
-    # one, so it moves behind (1, 1, 0); h_value sums in this order
-    f = GradedElement(GL3, CELLS, {2: {
+    # one; built in the reverse order, the transform stores its terms in
+    # another order, but h_value sums in sorted order, bit for bit alike
+    terms = {
         (3, 1, -2): L({(2, 0): 1}),
         (3, 0, -1): L({(2, 0): 1}),
         (2, 2, -2): L({(4, 0): -1}),
         (2, 0, 0): L({(0, 0): -1}),
-    }})
-    assert list(satake(f).grades[2]) == [(3, 1, -2), (2, 2, -2), (1, 1, 0), (2, 0, 0)]
+    }
+    f = GradedElement(GL3, CELLS, {2: terms})
+    g = GradedElement(GL3, CELLS, {2: dict(reversed(list(terms.items())))})
+    assert list(satake(f).grades[2]) != list(satake(g).grades[2])
+    assert satake(f) == satake(g)
+    std = RepSpec((1, 0, 0))
+    c = (0.31, 0.17, 0.9)
+    assert h_value(GL3, std, f, c, 3.0, 1.0) == h_value(GL3, std, g, c, 3.0, 1.0)
 
 
 def test_inverse_satake_example():
