@@ -300,9 +300,23 @@ def _cmd_arch(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("basic", "kostka", "satake", "convolve", "kernel", "decomp", "verify", "zeta", "arch")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand, or only ``command``'s.
+
+    A cold call pays only for the subcommand it runs.  Both builds print
+    the same bytes: a subcommand's own help and errors never name the
+    others, and the one-subcommand build spells the top-level usage's
+    choice list out in full.
+    """
     top = argparse.ArgumentParser(prog="sphecke", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+    spelled = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
+    sub = top.add_subparsers(dest="command", required=True, **spelled)
+
+    def add(name, text):
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
     def common(p, rho=True, n=False):
         p.add_argument("--group", help="preset name (gl1..gl4, b2..b4, c2..c4, d3, d4, g2)")
@@ -313,69 +327,69 @@ def _build_parser() -> argparse.ArgumentParser:
         if n:
             p.add_argument("--N", type=int, default=4, help="grade truncation")
 
-    p = sub.add_parser("basic", help="graded basic element")
-    common(p, n=True)
-    p.add_argument("--specialize", help="fold X at this rational shift, e.g. -1/2")
-    p.set_defaults(fn=_cmd_basic)
+    if p := add("basic", "graded basic element"):
+        common(p, n=True)
+        p.add_argument("--specialize", help="fold X at this rational shift, e.g. -1/2")
+        p.set_defaults(fn=_cmd_basic)
 
-    p = sub.add_parser("kostka", help="q-analogue polynomial")
-    common(p, rho=False)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_kostka)
+    if p := add("kostka", "q-analogue polynomial"):
+        common(p, rho=False)
+        p.add_argument("--lambda", dest="lam", required=True)
+        p.add_argument("--mu", required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=_cmd_kostka)
 
-    p = sub.add_parser("satake", help="transform of one cell indicator")
-    common(p, rho=False)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(fn=_cmd_satake)
+    if p := add("satake", "transform of one cell indicator"):
+        common(p, rho=False)
+        p.add_argument("--mu", required=True)
+        p.set_defaults(fn=_cmd_satake)
 
-    p = sub.add_parser("convolve", help="product of two cell indicators")
-    common(p, rho=False)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(fn=_cmd_convolve)
+    if p := add("convolve", "product of two cell indicators"):
+        common(p, rho=False)
+        p.add_argument("--mu", required=True)
+        p.add_argument("--nu", required=True)
+        p.set_defaults(fn=_cmd_convolve)
 
-    p = sub.add_parser("kernel", help="Fourier kernel truncation")
-    common(p, n=True)
-    p.add_argument("--specialize", help="fold X at this rational shift, e.g. 0")
-    p.set_defaults(fn=_cmd_kernel)
+    if p := add("kernel", "Fourier kernel truncation"):
+        common(p, n=True)
+        p.add_argument("--specialize", help="fold X at this rational shift, e.g. 0")
+        p.set_defaults(fn=_cmd_kernel)
 
-    p = sub.add_parser("decomp", help="symmetric/exterior power decomposition")
-    common(p)
-    p.add_argument("--sym", type=int)
-    p.add_argument("--ext", type=int)
-    p.set_defaults(fn=_cmd_decomp)
+    if p := add("decomp", "symmetric/exterior power decomposition"):
+        common(p)
+        p.add_argument("--sym", type=int)
+        p.add_argument("--ext", type=int)
+        p.set_defaults(fn=_cmd_decomp)
 
-    p = sub.add_parser("verify", help="coefficientwise identity checks")
-    p.add_argument("what", choices=["fixed-point", "unitarity", "gj-standard", "all"])
-    common(p, n=True)
-    p.set_defaults(fn=_cmd_verify)
+    if p := add("verify", "coefficientwise identity checks"):
+        p.add_argument("what", choices=["fixed-point", "unitarity", "gj-standard", "all"])
+        common(p, n=True)
+        p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("zeta", help="zeta values and the X-polynomial")
-    common(p, n=False)
-    p.add_argument("--h-json", help="element JSON for the compact factor")
-    p.add_argument("--over-l", action="store_true", help="emit the X-polynomial instead")
-    p.add_argument("--c", help="comma floats: the evaluation parameter")
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--s", default="1.0")
-    p.add_argument("--N", type=int, default=0, help="also cross-check by truncation")
-    p.set_defaults(fn=_cmd_zeta)
+    if p := add("zeta", "zeta values and the X-polynomial"):
+        common(p, n=False)
+        p.add_argument("--h-json", help="element JSON for the compact factor")
+        p.add_argument("--over-l", action="store_true", help="emit the X-polynomial instead")
+        p.add_argument("--c", help="comma floats: the evaluation parameter")
+        p.add_argument("--q", type=float, default=2.0)
+        p.add_argument("--s", default="1.0")
+        p.add_argument("--N", type=int, default=0, help="also cross-check by truncation")
+        p.set_defaults(fn=_cmd_zeta)
 
-    p = sub.add_parser("arch", help="archimedean numerics")
-    p.add_argument("op", choices=["lfactor", "gamma", "stirling", "threshold", "crho", "probe"])
-    common(p)
-    p.add_argument("--lam", help="comma floats: spectral parameter (default: zero)")
-    p.add_argument("--s", default="1.0")
-    p.add_argument("--p", default="2")
-    p.add_argument("--field", choices=["real", "complex"], default="real")
-    p.add_argument("--which", choices=["basic", "kernel"], default="basic")
-    p.add_argument("--x", type=float, default=2.0)
-    p.add_argument("--y", type=float, default=100.0)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--radii", default="5,15,30,60")
-    p.add_argument("--csv", help="write probe shells as CSV here")
-    p.set_defaults(fn=_cmd_arch)
+    if p := add("arch", "archimedean numerics"):
+        p.add_argument("op", choices=["lfactor", "gamma", "stirling", "threshold", "crho", "probe"])
+        common(p)
+        p.add_argument("--lam", help="comma floats: spectral parameter (default: zero)")
+        p.add_argument("--s", default="1.0")
+        p.add_argument("--p", default="2")
+        p.add_argument("--field", choices=["real", "complex"], default="real")
+        p.add_argument("--which", choices=["basic", "kernel"], default="basic")
+        p.add_argument("--x", type=float, default=2.0)
+        p.add_argument("--y", type=float, default=100.0)
+        p.add_argument("--t", type=int, default=0)
+        p.add_argument("--radii", default="5,15,30,60")
+        p.add_argument("--csv", help="write probe shells as CSV here")
+        p.set_defaults(fn=_cmd_arch)
 
     return top
 
@@ -401,10 +415,10 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_negative_values(list(argv))
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already

@@ -10,6 +10,14 @@ are ``Laurent`` polynomials in v with q = v^2: the first two return
 K(q), and ``kl_row`` holds v^(-2<rho_B,mu>) K(q^-1)
 (``weight_multiplicities`` reads only its coefficient sum, which the
 shift leaves alone).
+
+Everything is counted in simple-root coefficients (Kostant's partition
+function, Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, 24.2, computed by recursion over the roots as in
+Schmidt–Bincer, J. Math. Phys. 25 (1984)).  The shifted orbit carries
+the coefficients of w(lam + rho) - (lam + rho) along its walk, lam - mu
+is converted once per mu, and an image with a negative coefficient is
+dropped before any count.  A vector off the root lattice counts zero.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .rootdata import (
     Vec,
     dominant_below,
     height2,
+    root_coeffs,
     sigma_grade,
     signed_orbit,
     vadd,
@@ -34,8 +43,7 @@ from .rootdata import (
 
 @cache
 def _context(rd: RootDatum) -> PartitionContext:
-    roots = tuple(sorted(rd.positive_roots, reverse=True))
-    return PartitionContext(roots, rd.pair2_form)
+    return PartitionContext(root_coeffs(rd, r) for r in rd.positive_roots)
 
 
 def _in_q(counts: dict, sign: int) -> Laurent:
@@ -44,28 +52,45 @@ def _in_q(counts: dict, sign: int) -> Laurent:
 
 
 def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
-    """Number of ways to write beta as a sum of positive roots, by length."""
+    """Number of ways to write beta as a sum of positive roots, by length;
+    zero off the root lattice."""
     rd.check_length(beta)
-    return _in_q(_context(rd).counts(beta), 1)
+    coeffs = root_coeffs(rd, beta)
+    return Laurent.zero() if coeffs is None else _in_q(_context(rd).counts(coeffs), 1)
 
 
-def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[Vec, int]]:
-    """Pairs (w(2 lam + 2 rho), sign of w) over the Weyl group."""
-    return signed_orbit(rd, vadd(vscale(2, lam), rd.rho_b_times2))
+def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
+    """Triples (drop, coefficients, sign of w) over the Weyl group, drop
+    ascending: the coefficients are those of w(lam + rho) - (lam + rho) in
+    the simple roots, all <= 0, and the drop is minus their sum."""
+    orbit = []
+    for _, sign, coeffs in signed_orbit(rd, vadd(vscale(2, lam), rd.rho_b_times2)):
+        if any(x % 2 for x in coeffs):
+            raise RuntimeError("odd coordinate in shifted Weyl sum")
+        half = tuple(x // 2 for x in coeffs)
+        orbit.append((-sum(half), half, sign))
+    orbit.sort()
+    return orbit
 
 
 def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec) -> dict:
     """K[lam, mu] as nonzero {e: c} from the shifted orbit of lam: the
-    signed sum of the graded partition counts of
-    (w(2 lam + 2 rho) - (2 mu + 2 rho)) / 2."""
-    mu2 = vadd(vscale(2, mu), rd.rho_b_times2)
+    signed sum of the graded partition counts of w(lam + rho) - (mu + rho),
+    in simple-root coefficients.  An image with a negative coefficient
+    counts nothing and is dropped before any lookup."""
+    delta = root_coeffs(rd, vsub(lam, mu))
+    if delta is None:
+        return {}
+    height = sum(delta)
     ctx = _context(rd)
     total = {}
-    for image, sign in orbit:
-        beta2 = vsub(image, mu2)
-        if any(x % 2 for x in beta2):
-            raise RuntimeError("odd coordinate in shifted Weyl sum")
-        for e, c in ctx.counts(tuple(x // 2 for x in beta2)).items():
+    for drop, coeffs, sign in orbit:
+        if drop > height:
+            break  # this image and every later one has a negative coefficient
+        beta = tuple(a + b for a, b in zip(delta, coeffs))
+        if min(beta, default=0) < 0:
+            continue
+        for e, c in ctx.counts(beta).items():
             total[e] = total.get(e, 0) + sign * c
     out = {e: c for e, c in total.items() if c}
     if any(c < 0 for c in out.values()):

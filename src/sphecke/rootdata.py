@@ -366,7 +366,10 @@ def bareiss_solve(rows: list[list[int]]):
 
 
 def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
-    """Exact rational coefficients of target in the simple roots, or None."""
+    """Exact rational coefficients of target in the simple roots, or None.
+
+    Row reduction over the rationals: the tests' reference for
+    ``root_coeffs``."""
     k = len(simple)
     rows = [[Fraction(s[i]) for s in simple] + [Fraction(x)] for i, x in enumerate(target)]
     pivots = row_reduce(rows, k)
@@ -378,15 +381,48 @@ def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
     return tuple(coeffs)
 
 
+@cache
+def _coeff_map(rd: RootDatum) -> tuple[Mat, int]:
+    """(M, d) with d > 0: a vector v of the root span has simple-root
+    coefficients M v / d.
+
+    Pairing v = sum_j c_j alpha_j with the simple coroot forms gives
+    A c = F v, with A the Cartan matrix and F the forms as rows; each
+    column of M = d A^-1 F comes from one fraction-free solve.
+    """
+    forms = rd.simple_coroot_forms
+    cartan = [[dot(f, a) for a in rd.simple_roots] for f in forms]
+    cols, d = [], 1
+    for j in range(rd.rank):
+        col, d = bareiss_solve([row + [f[j]] for row, f in zip(cartan, forms)])
+        cols.append(col)
+    return tuple(zip(*cols)), d
+
+
+def root_coeffs(rd: RootDatum, v: Vec) -> Vec | None:
+    """The integer coefficients of v in the simple roots, or None when v is
+    off the root lattice (off its span, or at a fractional coefficient)."""
+    m, d = _coeff_map(rd)
+    coeffs = []
+    for row in m:
+        c, r = divmod(dot(row, v), d)
+        if r:
+            return None
+        coeffs.append(c)
+    spelled = [0] * rd.rank
+    for c, alpha in zip(coeffs, rd.simple_roots):
+        for i, a in enumerate(alpha):
+            spelled[i] += c * a
+    return tuple(coeffs) if tuple(spelled) == tuple(v) else None
+
+
 def dominance_leq(rd: RootDatum, mu: Vec, lam: Vec) -> bool:
     """True iff lam - mu is a nonnegative integer combination of simple roots."""
     for v in (mu, lam):
         if not rd.is_dominant(v):
             raise NonDominantError(f"{v} is not dominant")
-    coeffs = solve_simple_coeffs(rd.simple_roots, vsub(lam, mu))
-    if coeffs is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coeffs)
+    coeffs = root_coeffs(rd, vsub(lam, mu))
+    return coeffs is not None and min(coeffs, default=0) >= 0
 
 
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
@@ -460,40 +496,54 @@ def weyl_elements(rd: RootDatum, cap: int = WEYL_CAP_DEFAULT):
     return tuple(_weyl_bfs(rd.simple_roots, rd.simple_coroot_forms, rd.rank, cap))
 
 
-def _orbit_walk(rd: RootDatum, v: Vec, cap: int) -> list[tuple[Vec, int]]:
+def _orbit_walk(rd: RootDatum, v: Vec, cap: int, coeffs: bool = False) -> list[tuple]:
     """The Weyl orbit of v, walked breadth-first by simple reflections from
-    v: pairs (u, the depth at which the walk first reaches u)."""
+    v: pairs (u, the depth at which the walk first reaches u), or with
+    ``coeffs`` triples that add the coefficients of u - v in the simple
+    roots.
+
+    The coefficients ride along the walk: s_i(u) = u - f_i(u) alpha_i
+    changes only the i-th one, so no image is solved for.  Plain orbits
+    (``weyl_orbit``) do not carry them.
+    """
+    k = len(rd.simple_roots)
     seen = {v}
-    order = [(v, 0)]
-    frontier = [v]
+    order = [(v, 0, (0,) * k) if coeffs else (v, 0)]
+    frontier = order[:]
     depth = 0
     while frontier:
         depth += 1
         new = []
-        for u in frontier:
-            for f, alpha in zip(rd.simple_coroot_forms, rd.simple_roots):
+        for entry in frontier:
+            u = entry[0]
+            for i, (f, alpha) in enumerate(zip(rd.simple_coroot_forms, rd.simple_roots)):
                 c = dot(f, u)
                 img = tuple(x - c * a for x, a in zip(u, alpha))
                 if img not in seen:
                     seen.add(img)
-                    new.append(img)
+                    if coeffs:
+                        cu = entry[2]
+                        new.append((img, depth, cu[:i] + (cu[i] - c,) + cu[i + 1:]))
+                    else:
+                        new.append((img, depth))
                     if len(seen) > cap:
                         raise WeylCapError(f"Weyl group exceeds cap {cap}")
-        order.extend((u, depth) for u in new)
+        order.extend(new)
         frontier = new
     return order
 
 
-def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int]]:
-    """Pairs (w(v), (-1)^l(w)) over the Weyl group, for a regular dominant v,
-    v first.
+def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int, Vec]]:
+    """Triples (w(v), (-1)^l(w), the simple-root coefficients of w(v) - v)
+    over the Weyl group, for a regular dominant v, v first.
 
     For regular v the map w -> w(v) is a bijection, and l(w) is the depth
     at which the orbit walk first reaches w(v).
     """
     if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
         raise NonDominantError(f"{v} is not regular dominant")
-    return [(u, -1 if depth % 2 else 1) for u, depth in _orbit_walk(rd, v, WEYL_CAP_DEFAULT)]
+    walk = _orbit_walk(rd, v, WEYL_CAP_DEFAULT, coeffs=True)
+    return [(u, -1 if depth % 2 else 1, c) for u, depth, c in walk]
 
 
 def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphecke.cli import main
+from sphecke.cli import COMMANDS, _build_parser, _join_negative_values, main
 from sphecke.rootdata import build_gl, datum_to_json
 
 
@@ -57,6 +61,7 @@ KOSTKA_CASES = [
     ("gl4", "3,2,1,0", "2,2,1,1", "q + 2*q^2 + q^3", [[1, 1], [2, 2], [3, 1]]),
     ("gl2", "2,0", "2,0", "1", [[0, 1]]),
     ("gl2", "1,1", "2,0", "0", []),
+    ("c2", "1,0,2", "0,0,2", "0", []),  # lam - mu off the root lattice
 ]
 
 
@@ -350,6 +355,17 @@ def test_large_weyl_group_datum_exits_2_at_the_cap(tmp_path, capsys):
     assert err == "error: Weyl group exceeds cap 50000\n"
 
 
+def test_large_weyl_group_datum_exits_2_at_the_cap_on_the_kostka_path(tmp_path, capsys):
+    # the shifted orbit of lam walks W(GL9) before any partition count
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_json(build_gl(9))))
+    lam = ",".join(["1"] + ["0"] * 8)
+    code, out, err = run(capsys, "kostka", "--datum", str(path), "--lambda", lam, "--mu", lam)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Weyl group exceeds cap 50000\n"
+
+
 def test_datum_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_json(build_gl(2))))
@@ -402,3 +418,68 @@ def test_verify_mismatch_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "fixed-point", "--group", "gl1", "--N", "2")
     assert code == 1
     assert out.strip().endswith("FAIL")
+
+
+# -- the parser: main registers only the subcommand it runs, with the same
+# text and exit codes as the parser that registers all nine
+
+
+def _parse(parser, argv):
+    """(Namespace fields or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    fields, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return fields, code, out.getvalue(), err.getvalue()
+
+
+def test_commands_are_the_full_parsers_choices():
+    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    assert tuple(sub.choices) == COMMANDS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["frobnicate"]]
+    + [[name, "--help"] for name in COMMANDS]
+    + [
+        ["verify", "everything", "--group", "gl2"],  # bad choices value
+        ["arch", "gamma", "--group", "gl2", "--field", "quaternion"],
+        ["kostka", "--group", "gl2", "--mu", "1,0"],  # missing required flag
+        ["convolve", "--group", "gl2", "--mu", "1,0"],
+        ["basic", "--group", "gl2", "--N", "two"],
+        ["satake", "--group", "gl2", "--mu", "1,0", "surplus"],  # top-level usage
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, argv):
+    _, want_code, want_out, want_err = _parse(_build_parser(), argv)
+    assert want_code in (0, 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (want_code, want_out, want_err)
+
+
+_FLAGS = ["--group", "--datum", "--out", "--rho", "--N", "--mu", "--nu", "--lambda", "--json",
+          "--specialize", "--sym", "--ext", "--c", "--q", "--s", "--over-l", "--h-json", "--lam",
+          "--p", "--field", "--which", "--x", "--y", "--t", "--radii", "--csv", "-h", "--bogus"]
+_VALUES = ["gl2", "b4", "std", "1", "0", "-1", "2,0", "1,-1", "-1/2", "x", "", "real", "kernel",
+           "all", "gamma", "fixed-point"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from(COMMANDS), st.sampled_from(_VALUES + _FLAGS)),
+    st.lists(st.sampled_from(_FLAGS + _VALUES + list(COMMANDS)), max_size=7),
+)
+def test_parse_layer_fuzz(head, tail):
+    # parse only, no handler runs: the one-subcommand parse and the full
+    # parse agree on the Namespace, or both exit with the same text
+    argv = _join_negative_values([head] + tail)
+    want = _parse(_build_parser(), argv)
+    got = _parse(_build_parser(argv[0] if argv[0] in COMMANDS else None), argv)
+    assert got == want
+    assert want[1] in (None, 0, 2)
+    assert "Traceback" not in want[3]

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from sphecke import kostka
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
     kl_row,
@@ -103,6 +105,46 @@ def test_kostant_q_against_enumeration():
     betas = [v for v in itertools.product(range(-3, 4), repeat=3) if sum(v) == 0]
     for beta in betas:
         assert kostant_q(GL3, beta).terms == in_q(oracle_partitions(beta, GL3))
+
+
+@pytest.mark.parametrize("label", ["b2", "c2", "g2", "b4", "c4", "d4"])
+def test_kostant_q_against_enumeration_in_and_out_of_the_cone(label):
+    rd = build_preset(label)
+    roots = rd.positive_roots
+    rng = random.Random(label)
+    inside = [(0,) * rd.rank, roots[0]] + list(rd.simple_roots)
+    inside += [vadd(a, b) for a, b in (rng.sample(roots, 2) for _ in range(4))]
+    zero = [vscale(-1, a) for a in roots[:3]]  # a negative simple-root coefficient
+    zero.append((0,) * (rd.rank - 1) + (1,))  # off the root span: a central coordinate
+    if rd.cartan[0] in "CD":
+        zero.append((1,) + (0,) * (rd.rank - 1))  # in the span, off the root lattice
+    differences = [vsub(a, b) for a, b in (rng.sample(roots, 2) for _ in range(4))]
+    for beta in inside + zero + differences:
+        assert kostant_q(rd, beta).terms == in_q(oracle_partitions(beta, rd)), (label, beta)
+    assert all(kostant_q(rd, beta) != Laurent.zero() for beta in inside)
+    assert all(kostant_q(rd, beta) == Laurent.zero() for beta in zero)
+
+
+@pytest.mark.parametrize("c", [-1, 0, 2])
+def test_lusztig_zero_off_the_root_lattice(c):
+    # lam - mu = e1 is in the span of the C2 roots but not in their lattice
+    assert lusztig_q_analogue(C2, (1, 0, c), (0, 0, c)) == Laurent.zero()
+    assert kl_row(C2, (1, 0, c)) == (((1, 0, c), Laurent.term(1, v=-height2(C2, (1, 0, c)))),)
+
+
+@pytest.mark.parametrize(
+    "label, lam, bound",
+    [("b4", (3, 2, 1, 0, 0), 5000), ("c4", (2, 2, 1, 1, 0), 2000), ("d4", (3, 1, 0, 0, 0), 1000)],
+)
+def test_partition_memo_stays_inside_the_cone(label, lam, bound):
+    # the pruned recursion visits 1967, 833 and 387 states on these rows;
+    # counting in ambient coordinates, pruned by height only, visits
+    # 36603, 10128 and 3285
+    rd = build_preset(label)
+    kostka._context.cache_clear()
+    lusztig_q_analogue.cache_clear()
+    lusztig_q_analogue(rd, lam, (0,) * rd.rank)
+    assert len(kostka._context(rd).memo) < bound
 
 
 def test_kostant_degree_and_order():

@@ -22,9 +22,11 @@ from sphecke.rootdata import (
     l_constant,
     mat_apply,
     pair_rho_b,
+    root_coeffs,
     row_reduce,
     sigma_grade,
     signed_orbit,
+    solve_simple_coeffs,
     straighten,
     validate_rho,
     vscale,
@@ -339,8 +341,24 @@ def test_signed_orbit_matches_weyl_matrices(label):
         v = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
         oracle = sorted((mat_apply(w, v), (-1) ** length) for w, length in weyl_elements(rd))
         orbit = signed_orbit(rd, v)
-        assert orbit[0] == (v, 1)
-        assert sorted(orbit) == oracle
+        assert orbit[0] == (v, 1, (0,) * len(rd.simple_roots))
+        assert sorted((u, sign) for u, sign, _ in orbit) == oracle
+        for u, _, coeffs in orbit:
+            # the carried coefficients spell out u - v in the simple roots
+            spelled = tuple(sum(c * a[i] for c, a in zip(coeffs, rd.simple_roots)) for i in range(rd.rank))
+            assert spelled == vsub(u, v)
+
+
+@pytest.mark.parametrize("label", PRESETS)
+def test_root_coeffs_match_the_rational_solve(label):
+    rd = build_preset(label)
+    box = range(-1, 2) if rd.rank > 3 else range(-2, 3)
+    for v in itertools.product(box, repeat=rd.rank):
+        exact = solve_simple_coeffs(rd.simple_roots, v)
+        if exact is None or any(c.denominator != 1 for c in exact):
+            assert root_coeffs(rd, v) is None, v
+        else:
+            assert root_coeffs(rd, v) == tuple(int(c) for c in exact), v
 
 
 @pytest.mark.parametrize("label", PRESETS)

@@ -115,7 +115,7 @@ def test_unitriangular_inversion():
 
 def _add_alternant(acc, rd, v2, c):
     """acc += c * sum_w sign(w) e^(w v2), for a regular dominant v2."""
-    for u, sign in signed_orbit(rd, v2):
+    for u, sign, _ in signed_orbit(rd, v2):
         acc[u] = acc.get(u, 0) + sign * c
 
 
@@ -133,7 +133,7 @@ def test_satake_basis_row_oracles(label, lam):
         for b, c in row:
             _add_alternant(lhs, rd, tuple(2 * x + r for x, r in zip(b, rho2)), sum(c.terms.values()))
         for nu in weyl_orbit(rd, mu):
-            for u, sign in signed_orbit(rd, rho2):
+            for u, sign, _ in signed_orbit(rd, rho2):
                 key = tuple(2 * x + y for x, y in zip(nu, u))
                 rhs[key] = rhs.get(key, 0) + sign
         assert {u: c for u, c in lhs.items() if c} == {u: c for u, c in rhs.items() if c}, (label, mu)
