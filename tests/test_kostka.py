@@ -129,7 +129,6 @@ def test_kostant_q_against_enumeration_in_and_out_of_the_cone(label):
 def test_lusztig_zero_off_the_root_lattice(c):
     # lam - mu = e1 is in the span of the C2 roots but not in their lattice
     assert lusztig_q_analogue(C2, (1, 0, c), (0, 0, c)) == Laurent.zero()
-    assert kl_row(C2, (1, 0, c)) == (((1, 0, c), Laurent.term(1, v=-height2(C2, (1, 0, c)))),)
 
 
 @pytest.mark.parametrize(
