@@ -47,8 +47,6 @@ from .satake import (
     twist,
 )
 from .lseries import (
-    BasicFunction,
-    KernelElement,
     SchwartzElement,
     VerifyReport,
     basic_coeff,

@@ -77,6 +77,14 @@ def clgamma(z: complex) -> complex:
     return 0.5 * math.log(2 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
+def _exponent(p) -> Fraction:
+    """p as a Fraction; InvalidInput unless 0 < p <= 2."""
+    p = Fraction(p)
+    if not 0 < p <= 2:
+        raise InvalidInput("p must lie in (0, 2]")
+    return p
+
+
 @dataclass
 class ArchParams:
     """Spectral parameter, weight forms, and normalization data."""
@@ -89,9 +97,7 @@ class ArchParams:
     field_tag: str = "real"
 
     def __post_init__(self):
-        self.p = Fraction(self.p)
-        if not 0 < self.p <= 2:
-            raise InvalidInput("p must lie in (0, 2]")
+        self.p = _exponent(self.p)
         if self.field_tag not in ("real", "complex"):
             raise InvalidInput("field_tag must be 'real' or 'complex'")
 
@@ -329,9 +335,7 @@ def threshold(
     eps / 2 is nonnegative, so the maximum is taken over the integer
     pairings with w(2 rho) and scaled once.
     """
-    p = Fraction(p)
-    if not 0 < p <= 2:
-        raise InvalidInput("p must lie in (0, 2]")
+    p = _exponent(p)
     if which not in ("basic", "kernel"):
         raise InvalidInput("which must be 'basic' or 'kernel'")
     eps = Fraction(2) / p - 1
@@ -429,12 +433,15 @@ def seminorm_probe(
     imaginary part swept over the scaled orbit vertices.
 
     Reports log-magnitudes, whether the outermost shell decayed below
-    the innermost, and whether any sample sat near a gamma pole.
+    the innermost, and whether any sample sat near a gamma pole.  A shell
+    maximum is nan once a sample left the double range, -inf for poles only.
     """
-    p = Fraction(p)
-    eps = Fraction(2) / p - 1
+    eps = Fraction(2) / _exponent(p) - 1
     weights = rep_weight_list(rd, rho)
-    verts = [tuple(float(v) for v in vert) for vert in _orbit_vertices(rd, eps)]
+    try:
+        verts = [tuple(float(v) for v in vert) for vert in _orbit_vertices(rd, eps)]
+    except OverflowError:
+        raise InvalidInput(f"p = {p} scales the orbit vertices past the double range") from None
     dirs = _directions(rd.rank, directions)
     pole_flag = False
     shell_max = []
@@ -446,23 +453,26 @@ def seminorm_probe(
             for y in verts:
                 samples += 1
                 log_val = 0.0
-                hit_pole = False
-                for w in weights:
-                    wx = sum(a * b for a, b in zip(w, x))
-                    wy = sum(a * b for a, b in zip(w, y))
-                    arg = (s + 1j * wx - wy) / 2
-                    if arg.real < 0.25:
-                        near = round(arg.real)
-                        if near <= 0 and abs(arg - near) < pole_tol:
-                            pole_flag = True
-                            hit_pole = True
-                            break
-                    log_val += clgamma(arg).real - arg.real * math.log(math.pi)
-                if hit_pole:
-                    continue
-                norm = math.sqrt(sum(xi * xi for xi in x))
-                log_val += t * math.log(norm + 1.0)
-                best = max(best, log_val)
+                try:
+                    for w in weights:
+                        wx = sum(a * b for a, b in zip(w, x))
+                        wy = sum(a * b for a, b in zip(w, y))
+                        arg = (s + 1j * wx - wy) / 2
+                        if arg.real < 0.25:
+                            near = round(arg.real)
+                            if near <= 0 and abs(arg - near) < pole_tol:
+                                pole_flag = True
+                                break
+                        log_val += clgamma(arg).real - arg.real * math.log(math.pi)
+                    else:  # this sample is clear of the poles
+                        norm = math.sqrt(sum(xi * xi for xi in x))
+                        log_val += t * math.log(norm + 1.0)
+                        best = log_val if math.isnan(log_val) else max(best, log_val)
+                except PoleError:
+                    raise
+                except _RANGE_ERRORS:
+                    best = math.nan
         shell_max.append(best)
     decayed = shell_max[-1] < shell_max[0]
-    return ProbeReport(max(shell_max), shell_max, decayed, pole_flag, samples)
+    top = math.nan if any(map(math.isnan, shell_max)) else max(shell_max)
+    return ProbeReport(top, shell_max, decayed, pole_flag, samples)

@@ -192,7 +192,7 @@ def sym_power_decomp(rd: RootDatum, rho: RepSpec, k: int):
 
 def ext_power_decomp(rd: RootDatum, rho: RepSpec, i: int):
     """Irreducible pieces of the i-th exterior power of rho."""
-    n = sum(rep_weight_multiset(rd, rho).values())
+    n = weyl_dim(rd, rho.highest_weight)
     if not 0 <= i <= n:
         raise InvalidInput(f"exterior power {i} outside 0..{n}")
     return _graded_decomp(rd, rho, i, signed=True)

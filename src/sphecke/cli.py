@@ -10,6 +10,7 @@ term order), so identical inputs produce identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -52,11 +53,22 @@ from .serialize import element_from_obj, element_to_obj
 
 def _parse_num(text: str, conv):
     """``conv(text)`` for conv in int, float, complex or Fraction; a malformed
-    number or a zero denominator raises InvalidInput."""
+    number, a zero denominator or an infinite or nan value raises InvalidInput."""
     try:
-        return conv(text)
+        value = conv(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidInput(f"malformed number {text!r} (want {conv.__name__})") from None
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise InvalidInput(f"non-finite number {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of --q, --x and --y: ``_parse_num(text, float)``."""
+    try:
+        return _parse_num(text, float)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_vec(text: str, conv=int):
@@ -89,7 +101,7 @@ def _load_rho(rd: RootDatum, args) -> RepSpec:
 
 
 def _emit(args, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -124,8 +136,7 @@ def _q_text(pairs) -> str:
 def _cmd_basic(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
-    basic = basic_function(rd, rho, args.N)
-    element = basic.element
+    element = basic_function(rd, rho, args.N)
     if args.specialize is not None:
         element = specialize(element, _parse_num(args.specialize, Fraction))
     payload = _element_payload(element)
@@ -165,8 +176,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_kernel(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
-    kern = gamma_kernel(rd, rho, args.N)
-    element = kern.element
+    element = gamma_kernel(rd, rho, args.N)
     if args.specialize is not None:
         element = specialize(element, _parse_num(args.specialize, Fraction))
     _emit(args, _element_payload(element))
@@ -221,24 +231,49 @@ def _cmd_zeta(args) -> int:
     if args.c is None:
         raise InvalidInput("need --c (or --over-l)")
     c = _parse_vec(args.c, float)
+    q = args.q
     s = _parse_num(args.s, complex)
-    basic = basic_function(rd, rho, 0)
-    closed = zeta_closed_form(rd, rho, SchwartzElement(basic, h), c, args.q, s)
-    truncated = None
-    rel = None
+    f = SchwartzElement(basic_function(rd, rho, 0), h)
+    flags = []
+    closed = _evaluate_or_flag(lambda: zeta_closed_form(rd, rho, f, c, q, s), flags)
+    truncated = rel = None
     if args.N:
-        ev = eval_numeric(l_series(rd, rho, args.N), c, args.q, s, args.N)
-        truncated = ev.value * h_value(rd, rho, h, c, args.q, s)
-        rel = abs(truncated - closed) / max(abs(closed), 1e-300)
-    _emit(
-        args,
-        {
-            "closed_form": [closed.real, closed.imag],
-            "truncated": None if truncated is None else [truncated.real, truncated.imag],
-            "rel_diff": rel,
-        },
-    )
+        series = l_series(rd, rho, args.N)
+        truncated = _evaluate_or_flag(
+            lambda: eval_numeric(series, c, q, s, args.N).value * h_value(rd, rho, h, c, q, s),
+            flags,
+        )
+        if closed is not None and truncated is not None:
+            rel = _finite_or_flag(abs(truncated - closed) / max(abs(closed), 1e-300), flags)
+    out = {"closed_form": _complex_pair(closed), "truncated": _complex_pair(truncated),
+           "rel_diff": rel}
+    if flags:
+        out["flags"] = flags
+    _emit(args, out)
     return 0
+
+
+def _finite_or_flag(x, flags: list):
+    """x, or None once x is None, infinite or nan, flagged once: ``underflow``
+    for the -inf log of a zero, ``overflow`` otherwise."""
+    if x is not None and cmath.isfinite(x):
+        return x
+    flag = "underflow" if x == -cmath.inf else "overflow"
+    if flag not in flags:
+        flags.append(flag)
+    return None
+
+
+def _evaluate_or_flag(compute, flags: list):
+    """``_finite_or_flag(compute())``, where a float that leaves the double
+    range on the way (``arch._RANGE_ERRORS``) counts as None."""
+    try:
+        value = compute()
+    except InvalidInput:  # a pole or a bad argument is a ValueError too
+        raise
+    except _arch._RANGE_ERRORS:
+        value = None
+    return _finite_or_flag(value, flags)
 
 
 def _complex_pair(z):
@@ -250,6 +285,7 @@ def _cmd_arch(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
     out: dict
+    flags = []
     if args.op in ("lfactor", "gamma"):
         lam = (0.0,) * rd.rank if args.lam is None else _parse_vec(args.lam, float)
         params = _arch.arch_params(
@@ -257,9 +293,7 @@ def _cmd_arch(args) -> int:
         )
     if args.op == "lfactor":
         val = _arch.lfactor_real(params) if args.field == "real" else _arch.lfactor_cplx(params)
-        out = {"value": _complex_pair(val)}
-        if val is None:
-            out["flags"] = ["overflow"]
+        out = {"value": _complex_pair(_finite_or_flag(val, flags))}
     elif args.op == "gamma":
         g = _arch.gamma_factor(params)
         out = {
@@ -268,7 +302,7 @@ def _cmd_arch(args) -> int:
             "flags": g.flags,
         }
     elif args.op == "stirling":
-        out = {"ratio": _arch.stirling_ratio(args.x, args.y)}
+        out = {"ratio": _evaluate_or_flag(lambda: _arch.stirling_ratio(args.x, args.y), flags)}
     elif args.op == "threshold":
         val = _arch.threshold(rd, rho, _parse_num(args.p, Fraction), args.which, args.field)
         out = {"threshold": str(val)}
@@ -280,8 +314,8 @@ def _cmd_arch(args) -> int:
             radii=_parse_vec(args.radii, float),
         )
         out = {
-            "max_log_value": rep.max_log_value,
-            "shell_max": rep.shell_max,
+            "max_log_value": _finite_or_flag(rep.max_log_value, flags),
+            "shell_max": [_finite_or_flag(v, flags) for v in rep.shell_max],
             "decayed": rep.decayed,
             "pole_flag": rep.pole_flag,
             "samples": rep.samples,
@@ -293,6 +327,8 @@ def _cmd_arch(args) -> int:
                     fh.write(f"{i},{v}\n")
     else:
         raise InvalidInput(f"unknown arch op {args.op}")
+    if flags:
+        out["flags"] = flags
     _emit(args, out)
     return 0
 
@@ -371,7 +407,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--h-json", help="element JSON for the compact factor")
         p.add_argument("--over-l", action="store_true", help="emit the X-polynomial instead")
         p.add_argument("--c", help="comma floats: the evaluation parameter")
-        p.add_argument("--q", type=float, default=2.0)
+        p.add_argument("--q", type=_finite_float, default=2.0)
         p.add_argument("--s", default="1.0")
         p.add_argument("--N", type=int, default=0, help="also cross-check by truncation")
         p.set_defaults(fn=_cmd_zeta)
@@ -384,8 +420,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--p", default="2")
         p.add_argument("--field", choices=["real", "complex"], default="real")
         p.add_argument("--which", choices=["basic", "kernel"], default="basic")
-        p.add_argument("--x", type=float, default=2.0)
-        p.add_argument("--y", type=float, default=100.0)
+        p.add_argument("--x", type=_finite_float, default=2.0)
+        p.add_argument("--y", type=_finite_float, default=100.0)
         p.add_argument("--t", type=int, default=0)
         p.add_argument("--radii", default="5,15,30,60")
         p.add_argument("--csv", help="write probe shells as CSV here")
@@ -421,6 +457,8 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse reads "--flag=--" as an empty list
+            parser.error("'--' is not an option value")
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

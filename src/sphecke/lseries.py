@@ -19,9 +19,9 @@ from .characters import (
     dual_weight,
     ext_power_decomp,
     rep_weight_list,
-    rep_weight_multiset,
     sym_power_decomp,
     weight_multiplicities,
+    weyl_dim,
 )
 from .errors import InvalidInput, PoleError
 from .laurent import Laurent
@@ -61,10 +61,6 @@ def _require_truncation(N: int):
         raise InvalidInput(f"truncation N must be nonnegative, got {N}")
 
 
-def rho_dim(rd: RootDatum, rho: RepSpec) -> int:
-    return sum(rep_weight_multiset(rd, rho).values())
-
-
 # ---------------------------------------------------------------------------
 # the L-series and the basic function
 
@@ -93,37 +89,17 @@ def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> Laurent:
     return grade.coefficient(k, mu).shift(v=height2(rd, mu), x=-k)
 
 
-@dataclass
-class BasicFunction:
-    """Truncated basic element: the inverse transform of the L-series
-    to grade N."""
-
-    rd: RootDatum
-    rho: RepSpec
-    N: int
-    element: GradedElement
-
-    @property
-    def l(self) -> int:
-        return l_constant(self.rd, self.rho)
-
-
-def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> BasicFunction:
-    """The cell-side element whose transform is the graded L-series,
-    built as the inverse transform of ``l_series``.
+def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
+    """The cell-side element whose transform is the graded L-series to
+    grade N (its window is ``Window(None, N)``), built as the inverse
+    transform of ``l_series``.
 
     Coefficient of the mu-cell: c_mu(q) q^(-<rho_B,mu>) X^(sigma(mu)),
     with c_mu the multiplicity-weighted sum of K[lam,mu](q^-1) over the
     constituents lam of Sym^k rho; ``kl_row`` supplies K(q^-1) and the
     normalization.
     """
-    element = inverse_satake(l_series(rd, rho, N))
-    return BasicFunction(rd, rho, N, element)
-
-
-def basic_at(basic: BasicFunction, s: Fraction) -> GradedElement:
-    """Specialized basic element at a half-integral shift s."""
-    return specialize(basic.element, Fraction(s))
+    return inverse_satake(l_series(rd, rho, N))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +116,7 @@ def inverse_l_image(
     a, b = shift
     hw = dual_weight(rd, rho.highest_weight) if dualize else rho.highest_weight
     rho_used = RepSpec(hw)
-    n = rho_dim(rd, rho_used)
+    n = weyl_dim(rd, hw)
     grades = {}
     for i in range(n + 1):
         u_i = Laurent.term(1 if i % 2 == 0 else -1, v=b * i, x=a * i)
@@ -150,36 +126,17 @@ def inverse_l_image(
     return GradedElement(rd, CHARS, grades, Window())
 
 
-def inverse_l_element(
-    rd: RootDatum, rho: RepSpec, dualize: bool = True, shift: tuple[int, int] | None = None
-) -> GradedElement:
-    """Finite cell-side element inverting the L-series factor.
-
-    Default configuration (dualize, u = X^-1 v^l) is the kernel's
-    denominator at symbolic s.
-    """
-    if shift is None:
-        shift = (-1, l_constant(rd, rho))
-    return inverse_satake(inverse_l_image(rd, rho, dualize, shift))
+def inverse_l_element(rd: RootDatum, rho: RepSpec) -> GradedElement:
+    """Finite cell-side element inverting the L-series factor: the
+    inverse series of the dual at u = X^-1 v^l, the kernel's denominator
+    at symbolic s."""
+    return inverse_satake(inverse_l_image(rd, rho, True, (-1, l_constant(rd, rho))))
 
 
-@dataclass
-class KernelElement:
-    """Fourier kernel truncation; s stays symbolic in X."""
-
-    rd: RootDatum
-    rho: RepSpec
-    N: int
-    element: GradedElement
-    l: int
-
-    def at_zero(self) -> GradedElement:
-        return specialize(self.element, Fraction(0))
-
-
-def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> KernelElement:
+def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     """The cell-side element whose transform is the shifted L-series
-    times the inverse series of the dual.
+    times the inverse series of the dual, to grade N; s stays symbolic
+    in X.
 
     Grade k of the series picks up v^(-(2+l)k); the inverse series is
     a polynomial of depth dim rho, so the series to grade N + dim rho
@@ -188,10 +145,9 @@ def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> KernelElement:
     _require_valid(rd, rho)
     _require_truncation(N)
     l = l_constant(rd, rho)
-    series = twist(l_series(rd, rho, N + rho_dim(rd, rho)), 0, -(2 + l))
+    series = twist(l_series(rd, rho, N + weyl_dim(rd, rho.highest_weight)), 0, -(2 + l))
     inv = inverse_l_image(rd, rho, True, (-1, l))
-    element = inverse_satake(satake_mul(series, inv, Window(None, N)))
-    return KernelElement(rd, rho, N, element, l)
+    return inverse_satake(satake_mul(series, inv, Window(None, N)))
 
 
 @dataclass
@@ -199,7 +155,7 @@ class SchwartzElement:
     """Pair (basic truncation, compactly supported h) standing for their
     convolution."""
 
-    basic: BasicFunction
+    basic: GradedElement
     h: GradedElement
 
     def __post_init__(self):
@@ -221,7 +177,7 @@ def fourier(f, rho: RepSpec, N: int) -> GradedElement:
         raise InvalidInput("direct transform needs a compactly supported element")
     l = l_constant(rd, rho)
     top = int(f.support_max()) if f.grades else 0
-    kern = gamma_kernel(rd, rho, N + max(top, 0)).at_zero()
+    kern = specialize(gamma_kernel(rd, rho, N + max(top, 0)), Fraction(0))
     out = convolve(kern, dual(f), Window(None, N))
     return twist(out, 0, 2 * (l + 1))
 
@@ -231,13 +187,13 @@ def _fourier_schwartz(f: SchwartzElement, rho: RepSpec, N: int) -> GradedElement
     basic = f.basic
     rd = basic.rd
     l = l_constant(rd, rho)
-    report = verify_fixed_point(rd, rho, min(basic.N, N), basic=basic)
+    report = verify_fixed_point(rd, rho, min(basic.window.hi, N), basic=basic)
     if report.status != "PASS":
         raise RuntimeError(f"telescope identity failed: {report.first_mismatch}")
     top = max(int(f.h.support_max()), 0) if f.h.grades else 0
-    if basic.N < N + top:
+    if basic.window.hi < N + top:
         basic = basic_function(rd, rho, N + top)
-    shifted = specialize(basic.element, Fraction(2 + l, 2))
+    shifted = specialize(basic, Fraction(2 + l, 2))
     out = convolve(shifted, dual(f.h), Window(None, N))
     return twist(out, 0, 2 * (l + 1))
 
@@ -294,7 +250,7 @@ def _telescope(
 
 
 def verify_fixed_point(
-    rd: RootDatum, rho: RepSpec, N: int, basic: BasicFunction | None = None
+    rd: RootDatum, rho: RepSpec, N: int, basic: GradedElement | None = None
 ) -> VerifyReport:
     """Grades 0..N of: kernel convolved with the flipped basic element at
     shift -l/2 equals the basic element at shift 1+l/2.
@@ -305,15 +261,14 @@ def verify_fixed_point(
     """
     _require_truncation(N)
     report = VerifyReport("fixed-point")
-    if basic is None:
-        basic = basic_function(rd, rho, N)
+    basic = basic_function(rd, rho, N) if basic is None else basic
     l = l_constant(rd, rho)
-    flipped = dual(basic_at(basic, Fraction(-l, 2)))
+    flipped = dual(specialize(basic, Fraction(-l, 2)))
     inv0 = specialize(inverse_l_element(rd, rho), Fraction(0))
     _telescope(report, inv0, flipped, -N, 0, "inverse-series telescope")
     if report.status == "PASS":
         # promote the verified telescope to the exact identity and finish
-        shifted = basic_at(basic, Fraction(2 + l, 2))
+        shifted = specialize(basic, Fraction(2 + l, 2))
         lhs = convolve(shifted, identity_element(rd), Window(None, N))
         rhs = shifted.restrict(Window(None, N))
         if report.check("transform-side comparison", 0, N,
@@ -324,7 +279,7 @@ def verify_fixed_point(
 
 
 def verify_unitarity(
-    rd: RootDatum, rho: RepSpec, N: int, basic: BasicFunction | None = None
+    rd: RootDatum, rho: RepSpec, N: int, basic: GradedElement | None = None
 ) -> VerifyReport:
     """Kernel times its flipped (l+1)-twisted mirror equals one.
 
@@ -334,11 +289,10 @@ def verify_unitarity(
     """
     _require_truncation(N)
     report = VerifyReport("unitarity")
-    if basic is None:
-        basic = basic_function(rd, rho, N)
+    basic = basic_function(rd, rho, N) if basic is None else basic
     l = l_constant(rd, rho)
     inv0 = specialize(inverse_l_element(rd, rho), Fraction(0))
-    b_shift = basic_at(basic, Fraction(2 + l, 2))
+    b_shift = specialize(basic, Fraction(2 + l, 2))
     factor_a = _telescope(report, inv0, twist(dual(b_shift), 0, -2 * (l + 1)),
                           -N, 0, "flipped-basic telescope")
     factor_b = _telescope(report, b_shift, twist(dual(inv0), 0, -2 * (l + 1)),
@@ -370,8 +324,7 @@ def verify_gj_standard(rd: RootDatum, rho: RepSpec, N: int) -> VerifyReport:
     if reason is not None:
         raise InvalidInput(reason)
     report = VerifyReport("gj-standard")
-    basic = basic_function(rd, rho, N)
-    sp = specialize(basic.element, Fraction(-(rd.rank - 1), 2))
+    sp = specialize(basic_function(rd, rho, N), Fraction(-(rd.rank - 1), 2))
     report.check("half-shift indicator", 0, N, _indicator_mismatch(rd, rho, sp, N))
     return report
 
@@ -419,8 +372,11 @@ def h_value(rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: compl
 def zeta_closed_form(
     rd: RootDatum, rho: RepSpec, f: SchwartzElement, c, q: float, s: complex
 ) -> complex:
-    """Product formula for the zeta value of basic*h at a numeric point."""
+    """Product formula for the zeta value of basic*h at a numeric point;
+    q is the residue-field size, so anything but q > 1 is refused."""
     rd.check_length(tuple(c))
+    if not q > 1:
+        raise InvalidInput(f"residue-field size q must exceed 1, got {q}")
     value = 1.0 + 0j
     for w in rep_weight_list(rd, rho):
         factor = 1.0 + 0j
@@ -507,7 +463,7 @@ def membership_witness(rd: RootDatum, rho: RepSpec, h_prime: GradedElement) -> G
         top = int(h_prime.support_max())
         depth = max(top - int(h.support_min()), 0) if h.grades else top
         basic = basic_function(rd, rho, max(depth, 0))
-        left = convolve(basic_at(basic, Fraction(-l, 2)), h, Window(None, top))
+        left = convolve(specialize(basic, Fraction(-l, 2)), h, Window(None, top))
         mismatch = left.first_mismatch(h_prime.restrict(Window(None, top)),
                                        int(min(h_prime.support_min(), left.support_min())),
                                        top)

@@ -64,7 +64,7 @@ def test_criterion_1_indicator_identity():
     for n in (1, 2, 3):
         rd, std = GL[n], STD[n]
         basic = basic_function(rd, std, 6)
-        sp = specialize(basic.element, Fraction(-(n - 1), 2))
+        sp = specialize(basic, Fraction(-(n - 1), 2))
         for k in range(7):
             terms = sp.grades.get(k, {})
             expected = {

@@ -10,6 +10,10 @@ from sphecke.cli import COMMANDS, _build_parser, _join_negative_values, main
 from sphecke.rootdata import build_gl, datum_to_json
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -212,6 +216,62 @@ def test_arch_gamma_infinite_intermediate_is_flagged(capsys, argv):
     assert code == 0
     assert err == ""
     assert json.loads(out) == {"flags": ["overflow"], "rel_discrepancy": None, "value": None}
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["arch", "stirling", "--group", "gl1", "--x", "400", "--y", "10"],
+         {"flags": ["overflow"], "ratio": None}),
+        (["arch", "probe", "--group", "gl1", "--s", "0", "--radii", "0"],
+         {"decayed": False, "flags": ["underflow"], "max_log_value": None,
+          "pole_flag": True, "samples": 8, "shell_max": [None]}),
+        (["arch", "probe", "--group", "gl1", "--s", "1e308", "--radii", "5"],
+         {"decayed": False, "flags": ["overflow"], "max_log_value": None,
+          "pole_flag": False, "samples": 8, "shell_max": [None]}),
+        (["zeta", "--group", "gl1", "--c", "0.5", "--q", "1e300", "--s", "-5", "--N", "2"],
+         {"closed_form": None, "flags": ["overflow"], "rel_diff": None, "truncated": None}),
+        (["zeta", "--group", "gl1", "--c", "0.5", "--q", "2", "--s", "1e308j", "--N", "2"],
+         {"closed_form": pytest.approx([0.67014, 0.06798], rel=1e-4), "flags": ["overflow"],
+          "rel_diff": None, "truncated": None}),
+    ],
+    ids=["stirling-overflow", "probe-all-poles", "probe-overflow", "zeta-overflow",
+         "zeta-truncated-overflow"],
+)
+def test_non_finite_result_is_null_and_flagged(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out, parse_constant=_reject_constant) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arch", "stirling", "--group", "gl1", "--x", "nan", "--y", "10"],
+        ["arch", "stirling", "--group", "gl1", "--x", "2", "--y", "-inf"],
+        ["zeta", "--group", "gl1", "--c", "0.5", "--q", "inf", "--s", "1"],
+        ["zeta", "--group", "gl1", "--c", "0.5", "--q", "2", "--s", "nan"],
+        ["zeta", "--group", "gl1", "--c", "nan", "--q", "2", "--s", "1"],
+        ["arch", "probe", "--group", "gl1", "--s", "1+infj", "--radii", "5"],
+        ["arch", "probe", "--group", "gl1", "--radii", "5,inf"],
+        ["zeta", "--group", "gl1", "--c", "1", "--q", "0", "--s", "1"],
+        ["zeta", "--group", "gl1", "--c", "1", "--q", "-2", "--s", "1"],
+        ["zeta", "--group", "gl1", "--c", "1", "--q", "1", "--s", "1"],
+        ["arch", "probe", "--group", "gl1", "--p", "0"],
+        ["arch", "probe", "--group", "gl2", "--p", "2.3e-311"],
+        ["arch", "gamma", "--group", "gl1", "--lam", "--"],
+        ["zeta", "--group", "gl1", "--c", "0.5", "--q=--"],
+    ],
+    ids=["x-nan", "y-inf", "q-inf", "s-nan", "c-nan", "s-complex-inf", "radii-inf",
+         "q-zero", "q-negative", "q-one", "probe-p-zero", "probe-p-tiny", "lam-dashes",
+         "q-dashes"],
+)
+def test_non_finite_or_out_of_domain_flag_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -483,3 +543,49 @@ def test_parse_layer_fuzz(head, tail):
     assert got == want
     assert want[1] in (None, 0, 2)
     assert "Traceback" not in want[3]
+
+
+# the numeric flags of each command the fuzz below drives, and whether the
+# flag takes one entry per coordinate
+_NUMERIC_FLAGS = {
+    ("arch", "gamma"): {"--s": False, "--p": False, "--lam": True},
+    ("arch", "lfactor"): {"--s": False, "--p": False, "--lam": True},
+    ("arch", "stirling"): {"--x": False, "--y": False},
+    ("arch", "probe"): {"--s": False, "--p": False, "--radii": True},
+    ("zeta",): {"--c": True, "--q": False, "--s": False},
+}
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "inf", "-inf", "nan", "-nan", "1e308j", "1+nanj"]),
+    st.text(alphabet="0123456789.e+-jinfa/", max_size=6),
+)
+
+
+@st.composite
+def _numeric_argv(draw):
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    rank = draw(st.sampled_from([1, 2]))
+    argv = [*command, f"--group=gl{rank}"]
+    if command[0] == "zeta":
+        argv.append("--c=" + ",".join(["0.5"] * rank))
+        argv.append(f"--N={draw(st.integers(0, 3))}")  # N > 0 adds the truncated sum
+    for flag, per_coordinate in _NUMERIC_FLAGS[command].items():
+        if draw(st.booleans()):
+            n = rank if per_coordinate else 1
+            texts = draw(st.lists(_NUMBER_TEXT, min_size=n, max_size=n))
+            argv.append(f"{flag}={','.join(texts)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numeric_argv())
+def test_numeric_flag_fuzz(argv):
+    # finite, huge, infinite, nan and malformed numbers: a clean exit with
+    # strict JSON on stdout, or exit 2 with no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -8,7 +8,6 @@ from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.laurent import Laurent
 from sphecke.lseries import (
     SchwartzElement,
-    basic_at,
     basic_coeff,
     basic_function,
     fourier,
@@ -19,14 +18,13 @@ from sphecke.lseries import (
     inverse_l_image,
     l_series,
     membership_witness,
-    rho_dim,
     verify_fixed_point,
     verify_gj_standard,
     verify_unitarity,
     zeta_closed_form,
     zeta_over_l,
 )
-from sphecke.characters import sym_power_decomp, weight_multiplicities
+from sphecke.characters import sym_power_decomp, weight_multiplicities, weyl_dim
 from sphecke.kostka import kl_row
 from sphecke.rootdata import (
     RepSpec,
@@ -45,6 +43,7 @@ from sphecke.satake import (
     convolve,
     eval_numeric,
     identity_element,
+    inverse_satake,
     satake,
     specialize,
     twist,
@@ -124,7 +123,7 @@ def test_basic_function_defining_identity():
         (build_preset("g2"), RepSpec((0, -1, 1)), 3),
     ]:
         basic = basic_function(rd, rho, n)
-        assert satake(basic.element) == l_series(rd, rho, n)
+        assert satake(basic) == l_series(rd, rho, n)
 
 
 def test_basic_function_matches_kostka_sum():
@@ -144,26 +143,26 @@ def test_basic_function_matches_kostka_sum():
             k: {mu: c.shift(v=-height2(rd, mu), x=k) for mu, c in terms.items()}
             for k, terms in grades.items()
         }
-        assert basic_function(rd, rho, n).element == GradedElement(rd, CELLS, want, Window(None, n))
+        assert basic_function(rd, rho, n) == GradedElement(rd, CELLS, want, Window(None, n))
         for mu, c in grades[n].items():
             assert basic_coeff(rd, rho, mu) == c, (rd.cartan, mu)
 
 
 def test_basic_function_gl2_indicator_specialization():
     basic = basic_function(GL2, STD2, 2)
-    sp = specialize(basic.element, Fraction(-1, 2))
+    sp = specialize(basic, Fraction(-1, 2))
     assert sp.grades[2] == {(2, 0): Laurent.one(), (1, 1): Laurent.one()}
 
 
 def test_basic_function_gl1_tate():
     basic = basic_function(GL1, STD1, 5)
     for k in range(6):
-        assert basic.element.grades[k] == {(k,): Laurent.term(1, x=k)}
+        assert basic.grades[k] == {(k,): Laurent.term(1, x=k)}
 
 
 def test_basic_function_zero_truncation():
     basic = basic_function(GL3, STD3, 0)
-    assert basic.element.grades == identity_element(GL3).grades
+    assert basic.grades == identity_element(GL3).grades
 
 
 def test_basic_function_indicator_sweep():
@@ -172,7 +171,7 @@ def test_basic_function_indicator_sweep():
         rd = build_gl(n)
         std = RepSpec((1,) + (0,) * (n - 1))
         basic = basic_function(rd, std, 4)
-        sp = specialize(basic.element, Fraction(-(n - 1), 2))
+        sp = specialize(basic, Fraction(-(n - 1), 2))
         for k in range(5):
             terms = sp.grades.get(k, {})
             expected = {
@@ -220,8 +219,7 @@ def test_inverse_l_window_finite():
 
 
 def test_kernel_gl1_tate_grades():
-    kern = gamma_kernel(GL1, STD1, 3)
-    e = kern.element
+    e = gamma_kernel(GL1, STD1, 3)
     assert e.grades[-1] == {(-1,): Laurent.term(-1, x=-1)}
     assert e.grades[0] == {(0,): Laurent({(0, 0): 1, (-2, 0): -1})}
     for g in (1, 2, 3):
@@ -233,13 +231,13 @@ def test_kernel_gl1_tate_grades():
 def test_kernel_lowest_grade_is_top_exterior():
     kern = gamma_kernel(GL2, STD2, 2)
     inv = inverse_l_element(GL2, STD2)
-    assert kern.element.grades[-2] == inv.grades[-2]
+    assert kern.grades[-2] == inv.grades[-2]
 
 
 def test_kernel_window():
     kern = gamma_kernel(GL2, STD2, 3)
-    assert kern.element.window == Window(None, 3)
-    assert min(kern.element.grades) == -2
+    assert kern.window == Window(None, 3)
+    assert min(kern.grades) == -2
 
 
 def test_kernel_matches_cell_side_convolution():
@@ -247,10 +245,10 @@ def test_kernel_matches_cell_side_convolution():
     # cell side with the inverse-series element and cut at grade N
     for rd, rho, n in REFERENCE_CASES:
         l = l_constant(rd, rho)
-        basic = basic_function(rd, rho, n + rho_dim(rd, rho))
-        shifted = twist(basic.element, 0, -(2 + l))
+        basic = basic_function(rd, rho, n + weyl_dim(rd, rho.highest_weight))
+        shifted = twist(basic, 0, -(2 + l))
         want = convolve(shifted, inverse_l_element(rd, rho), Window(None, n))
-        assert gamma_kernel(rd, rho, n).element == want, rd.cartan
+        assert gamma_kernel(rd, rho, n) == want, rd.cartan
 
 
 def test_kernel_series_division_oracle():
@@ -259,7 +257,7 @@ def test_kernel_series_division_oracle():
     # function recursions, not through the library
     N = 5
     kern = gamma_kernel(GL2, STD2, N)
-    img = satake(kern.element)
+    img = satake(kern)
     c = (Fraction(2, 3), Fraction(5, 7))
     v = Fraction(2)  # q = 4
     x = Fraction(1, 9)
@@ -295,7 +293,7 @@ def test_kernel_series_division_oracle():
 def test_fourier_tate_fixed_point():
     basic = basic_function(GL1, STD1, 6)
     out = fourier(SchwartzElement(basic, identity_element(GL1)), STD1, 6)
-    want = basic_at(basic, Fraction(0)).restrict(Window(None, 6))
+    want = specialize(basic, Fraction(0)).restrict(Window(None, 6))
     assert out == want
 
 
@@ -304,7 +302,7 @@ def test_fourier_of_identity_is_twisted_kernel():
 
     n = 3
     out = fourier(identity_element(GL2), STD2, n)
-    kern = gamma_kernel(GL2, STD2, n).at_zero()
+    kern = specialize(gamma_kernel(GL2, STD2, n), Fraction(0))
     want = twist(kern, 0, 2 * 2).restrict(Window(None, n))  # l = 1
     assert out == want
 
@@ -332,14 +330,11 @@ def test_fixed_point_custom_module():
 
 def test_fixed_point_detects_corruption():
     basic = basic_function(GL2, STD2, 4)
-    grades = {k: dict(t) for k, t in basic.element.grades.items()}
+    grades = {k: dict(t) for k, t in basic.grades.items()}
     mu = (3, 0)
     grades[3] = dict(grades[3])
     grades[3][mu] = grades[3][mu] + Laurent.term(1, x=3)
-    corrupted = basic.__class__(
-        basic.rd, basic.rho, basic.N,
-        GradedElement(GL2, CELLS, grades, basic.element.window),
-    )
+    corrupted = GradedElement(GL2, CELLS, grades, basic.window)
     report = verify_fixed_point(GL2, STD2, 4, basic=corrupted)
     assert report.status == "FAIL"
     assert report.first_mismatch is not None
@@ -363,10 +358,9 @@ def test_gj_standard_detects_corruption(monkeypatch, corrupt, grade, mu, got):
 
     def corrupted(rd, rho, N):
         basic = real(rd, rho, N)
-        grades = {k: dict(t) for k, t in basic.element.grades.items()}
+        grades = {k: dict(t) for k, t in basic.grades.items()}
         corrupt(grades[2])
-        element = GradedElement(rd, CELLS, grades, basic.element.window)
-        return basic.__class__(rd, rho, N, element)
+        return GradedElement(rd, CELLS, grades, basic.window)
 
     monkeypatch.setattr(ls_mod, "basic_function", corrupted)
     report = verify_gj_standard(GL2, STD2, 4)
@@ -533,34 +527,33 @@ def test_membership_witness_random():
 def test_membership_witness_identity():
     w = membership_witness(GL3, STD3, identity_element(GL3))
     # identity = basic(-l/2) * w must hold; w is the inverse-series element
-    inv = inverse_l_element(GL3, STD3, dualize=False, shift=(0, 2))
+    inv = inverse_satake(inverse_l_image(GL3, STD3, dualize=False, shift=(0, 2)))
     assert w == inv
 
 
 def test_schwartz_element_requires_full_knowledge():
     basic = basic_function(GL2, STD2, 3)
     with pytest.raises(InvalidInput):
-        SchwartzElement(basic, basic.element)
+        SchwartzElement(basic, basic)
 
 
 def test_rho_dim():
-    assert rho_dim(GL2, STD2) == 2
-    assert rho_dim(GL2, CUBIC) == 4
-    assert rho_dim(GL3, STD3) == 3
+    assert weyl_dim(GL2, STD2.highest_weight) == 2
+    assert weyl_dim(GL2, CUBIC.highest_weight) == 4
+    assert weyl_dim(GL3, STD3.highest_weight) == 3
 
 
 def test_fourier_requires_compact_support_for_direct_path():
     basic = basic_function(GL2, STD2, 3)
     with pytest.raises(InvalidInput):
-        fourier(basic.element, STD2, 3)
+        fourier(basic, STD2, 3)
 
 
 def test_fourier_output_stays_in_space():
     # the transform of a compact-factor element is again one: dividing its
     # image by the series leaves a compactly supported element, and the
     # factorization reconstructs the transform on the whole window
-    from sphecke.satake import inverse_satake, satake_mul
-    from sphecke.lseries import inverse_l_image
+    from sphecke.satake import satake_mul
 
     N = 6
     h = cell(GL2, (1, 0)) + cell(GL2, (1, 1), Laurent.term(2))
@@ -573,7 +566,7 @@ def test_fourier_output_stays_in_space():
     top = int(candidate.support_max())
     assert top <= 2
     finite = GradedElement(GL2, CELLS, candidate.grades, Window())
-    rebuilt = convolve(basic_at(basic, Fraction(-l, 2)), finite, Window(None, N))
+    rebuilt = convolve(specialize(basic, Fraction(-l, 2)), finite, Window(None, N))
     assert rebuilt == out.restrict(Window(None, N))
 
 

@@ -1,0 +1,26 @@
+"""The README's Library example runs against the current API and prints
+the line its trailing comment shows."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example():
+    code = _library_block()
+    # the comment after the print call: "# <printed line>   -- <remark>"
+    (comment,) = [line for line in code.splitlines() if line.startswith("# ")]
+    want = comment[2:].split("  --")[0].rstrip()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue() == want + "\n"
