@@ -19,7 +19,6 @@ from . import arch as _arch
 from .errors import InvalidInput
 from .kostka import lusztig_q_analogue
 from .lseries import (
-    SchwartzElement,
     basic_function,
     gamma_kernel,
     gj_standard_obstruction,
@@ -233,9 +232,8 @@ def _cmd_zeta(args) -> int:
     c = _parse_vec(args.c, float)
     q = args.q
     s = _parse_num(args.s, complex)
-    f = SchwartzElement(basic_function(rd, rho, 0), h)
     flags = []
-    closed = _evaluate_or_flag(lambda: zeta_closed_form(rd, rho, f, c, q, s), flags)
+    closed = _evaluate_or_flag(lambda: zeta_closed_form(rd, rho, h, c, q, s), flags)
     truncated = rel = None
     if args.N:
         series = l_series(rd, rho, args.N)

@@ -1,16 +1,19 @@
 """Graded L-series, the basic function, the Fourier kernel, and the
 coefficientwise identity verifiers.
 
-Everything here is exact in the v,X ring.  The two verifiers check the
+Everything here is exact in the v,X ring and defined by its transform,
+so products are ``satake_mul`` on the character side: an element
+crosses the basis once, and ``inverse_satake`` runs only where a
+cell-side result is returned or read.  The two verifiers check the
 fixed-point identity and the kernel-times-shifted-dual identity grade
-by grade up to a truncation bound; both are arranged so that every
-checked grade is a finite exact computation (the inverse-series factor
-is a polynomial, so the telescoping products collapse before any
-infinite tail is needed).
+by grade up to a truncation bound; every checked grade is a finite exact
+computation (the inverse-series factor is a polynomial, so the
+telescoping products collapse before any infinite tail is needed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +42,6 @@ from .satake import (
     CHARS,
     GradedElement,
     Window,
-    convolve,
     dual,
     identity_element,
     inverse_satake,
@@ -59,6 +61,11 @@ def _require_valid(rd: RootDatum, rho: RepSpec):
 def _require_truncation(N: int):
     if N < 0:
         raise InvalidInput(f"truncation N must be nonnegative, got {N}")
+
+
+def _cells(e: GradedElement, lo: int, hi: int) -> GradedElement:
+    """Grades [lo, hi] of a character-side element, inverse-transformed."""
+    return inverse_satake(e.restrict(Window(lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +92,7 @@ def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> Laurent:
     k = sigma_grade(rd, mu)
     if k < 0:
         return Laurent.zero()
-    grade = inverse_satake(l_series(rd, rho, k).restrict(Window(k, k)))
-    return grade.coefficient(k, mu).shift(v=height2(rd, mu), x=-k)
+    return _cells(l_series(rd, rho, k), k, k).coefficient(k, mu).shift(v=height2(rd, mu), x=-k)
 
 
 def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
@@ -142,12 +148,16 @@ def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     a polynomial of depth dim rho, so the series to grade N + dim rho
     determines the product to grade N.
     """
+    return inverse_satake(_kernel_image(rd, rho, N))
+
+
+def _kernel_image(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
+    """The transform of ``gamma_kernel(rd, rho, N)``."""
     _require_valid(rd, rho)
     _require_truncation(N)
     l = l_constant(rd, rho)
     series = twist(l_series(rd, rho, N + weyl_dim(rd, rho.highest_weight)), 0, -(2 + l))
-    inv = inverse_l_image(rd, rho, True, (-1, l))
-    return inverse_satake(satake_mul(series, inv, Window(None, N)))
+    return satake_mul(series, inverse_l_image(rd, rho, True, (-1, l)), Window(None, N))
 
 
 @dataclass
@@ -169,32 +179,23 @@ class SchwartzElement:
 
 def fourier(f, rho: RepSpec, N: int) -> GradedElement:
     """Kernel convolution against the flipped argument, normalized by the
-    inverse (l+1)-power of the grading character."""
+    inverse (l+1)-power of the grading character.  For basic*h the kernel
+    collapses through the verified telescope to the shifted basic element."""
+    h = f.h if isinstance(f, SchwartzElement) else f
+    rd = h.rd
+    l = l_constant(rd, rho)
+    top = max(int(h.support_max()), 0) if h.grades else 0
     if isinstance(f, SchwartzElement):
-        return _fourier_schwartz(f, rho, N)
-    rd = f.rd
-    if f.window != Window():
+        report = verify_fixed_point(rd, rho, min(f.basic.window.hi, N), basic=f.basic)
+        if report.status != "PASS":
+            raise RuntimeError(f"telescope identity failed: {report.first_mismatch}")
+        image = satake(f.basic) if f.basic.window.hi >= N + top else l_series(rd, rho, N + top)
+        factor = specialize(image, Fraction(2 + l, 2))
+    elif f.window != Window():
         raise InvalidInput("direct transform needs a compactly supported element")
-    l = l_constant(rd, rho)
-    top = int(f.support_max()) if f.grades else 0
-    kern = specialize(gamma_kernel(rd, rho, N + max(top, 0)), Fraction(0))
-    out = convolve(kern, dual(f), Window(None, N))
-    return twist(out, 0, 2 * (l + 1))
-
-
-def _fourier_schwartz(f: SchwartzElement, rho: RepSpec, N: int) -> GradedElement:
-    """Transform of basic*h, collapsed through the verified telescope."""
-    basic = f.basic
-    rd = basic.rd
-    l = l_constant(rd, rho)
-    report = verify_fixed_point(rd, rho, min(basic.window.hi, N), basic=basic)
-    if report.status != "PASS":
-        raise RuntimeError(f"telescope identity failed: {report.first_mismatch}")
-    top = max(int(f.h.support_max()), 0) if f.h.grades else 0
-    if basic.window.hi < N + top:
-        basic = basic_function(rd, rho, N + top)
-    shifted = specialize(basic, Fraction(2 + l, 2))
-    out = convolve(shifted, dual(f.h), Window(None, N))
+    else:
+        factor = specialize(_kernel_image(rd, rho, N + top), Fraction(0))
+    out = inverse_satake(satake_mul(factor, dual(satake(h)), Window(None, N)))
     return twist(out, 0, 2 * (l + 1))
 
 
@@ -237,15 +238,15 @@ class VerifyReport:
 def _telescope(
     report: VerifyReport, a: GradedElement, b: GradedElement, lo: int, hi: int, name: str
 ) -> GradedElement:
-    """Check that a*b is the identity on grades [lo, hi]: on the transform
-    side, then, if that passed, re-derived on the cell side on the lowest
-    two grades.  Returns the product."""
-    e = convolve(a, b)
+    """Check that a*b is the identity on grades [lo, hi], for character-side
+    a and b; if that passed, inverse-transform the lowest two grades and
+    check them on the cell side.  Returns the character-side product."""
+    e = satake_mul(a, b)
     ident = identity_element(e.rd)
-    if report.check(name, lo, hi, satake(e).first_mismatch(satake(ident), lo, hi)):
+    if report.check(name, lo, hi, e.first_mismatch(satake(ident), lo, hi)):
         low_hi = min(lo + 1, hi)
         report.check(f"{name} (cell-side cross-check)", lo, low_hi,
-                     e.first_mismatch(ident, lo, low_hi))
+                     _cells(e, lo, low_hi).first_mismatch(ident, lo, low_hi))
     return e
 
 
@@ -257,24 +258,26 @@ def verify_fixed_point(
 
     The product collapses through E = (inverse series) * (flipped basic),
     which must be the identity on [-N, 0]; that telescope carries the
-    whole analytic content and every grade of it is exact.
+    whole analytic content and every grade of it is exact.  Both stages
+    multiply transforms, of ``satake(basic)`` taken once.
     """
     _require_truncation(N)
     report = VerifyReport("fixed-point")
     basic = basic_function(rd, rho, N) if basic is None else basic
+    image = satake(basic)
     l = l_constant(rd, rho)
-    flipped = dual(specialize(basic, Fraction(-l, 2)))
-    inv0 = specialize(inverse_l_element(rd, rho), Fraction(0))
+    flipped = dual(specialize(image, Fraction(-l, 2)))
+    inv0 = specialize(inverse_l_image(rd, rho, True, (-1, l)), Fraction(0))
     _telescope(report, inv0, flipped, -N, 0, "inverse-series telescope")
     if report.status == "PASS":
         # promote the verified telescope to the exact identity and finish
-        shifted = specialize(basic, Fraction(2 + l, 2))
-        lhs = convolve(shifted, identity_element(rd), Window(None, N))
-        rhs = shifted.restrict(Window(None, N))
+        shifted = specialize(image, Fraction(2 + l, 2))
+        lhs = satake_mul(shifted, satake(identity_element(rd)), Window(None, N))
         if report.check("transform-side comparison", 0, N,
-                        satake(lhs).first_mismatch(satake(rhs), 0, N)):
-            report.check("cell-side cross-check", 0, min(1, N),
-                         lhs.first_mismatch(rhs, 0, min(1, N)))
+                        lhs.first_mismatch(shifted.restrict(Window(None, N)), 0, N)):
+            top = min(1, N)
+            report.check("cell-side cross-check", 0, top, _cells(lhs, 0, top).first_mismatch(
+                specialize(basic, Fraction(2 + l, 2)), 0, top))
     return report
 
 
@@ -285,14 +288,14 @@ def verify_unitarity(
 
     Split into the two finite telescopes: (inverse series) against the
     flipped shifted basic on [-N, 0], and the shifted basic against the
-    flipped inverse series on [0, N].
+    flipped inverse series on [0, N], both products of transforms.
     """
     _require_truncation(N)
     report = VerifyReport("unitarity")
     basic = basic_function(rd, rho, N) if basic is None else basic
     l = l_constant(rd, rho)
-    inv0 = specialize(inverse_l_element(rd, rho), Fraction(0))
-    b_shift = specialize(basic, Fraction(2 + l, 2))
+    inv0 = specialize(inverse_l_image(rd, rho, True, (-1, l)), Fraction(0))
+    b_shift = specialize(satake(basic), Fraction(2 + l, 2))
     factor_a = _telescope(report, inv0, twist(dual(b_shift), 0, -2 * (l + 1)),
                           -N, 0, "flipped-basic telescope")
     factor_b = _telescope(report, b_shift, twist(dual(inv0), 0, -2 * (l + 1)),
@@ -300,7 +303,8 @@ def verify_unitarity(
     if report.status == "PASS":
         # constant terms of the two factors multiply to one
         zero_vec = (0,) * rd.rank
-        c0 = factor_a.coefficient(0, zero_vec) * factor_b.coefficient(0, zero_vec)
+        c0 = _cells(factor_a, 0, 0).coefficient(0, zero_vec)
+        c0 *= _cells(factor_b, 0, 0).coefficient(0, zero_vec)
         report.check("grade-0 scalar product", 0, 0,
                      None if c0 == Laurent.one() else (0, zero_vec, Laurent.one(), c0))
     return report
@@ -370,24 +374,22 @@ def h_value(rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: compl
 
 
 def zeta_closed_form(
-    rd: RootDatum, rho: RepSpec, f: SchwartzElement, c, q: float, s: complex
+    rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: complex
 ) -> complex:
     """Product formula for the zeta value of basic*h at a numeric point;
-    q is the residue-field size, so anything but q > 1 is refused."""
+    q is the residue-field size, so anything but q > 1 is refused, and a
+    pole |c^w q^-s| >= 1 is found on logarithms before any power is taken."""
     rd.check_length(tuple(c))
     if not q > 1:
         raise InvalidInput(f"residue-field size q must exceed 1, got {q}")
     value = 1.0 + 0j
     for w in rep_weight_list(rd, rho):
-        factor = 1.0 + 0j
-        for ci, e in zip(c, w):
-            if e:
-                factor *= ci**e
-        factor *= q ** (-s)
-        if abs(factor) >= 1:
+        log_abs = sum(e * (math.log(abs(ci)) if ci else -math.inf) for ci, e in zip(c, w) if e)
+        if log_abs - s.real * math.log(q) >= 0:
             raise PoleError(f"outside convergence region at weight {w}")
+        factor = math.prod((ci**e for ci, e in zip(c, w) if e), start=1.0 + 0j) * q ** (-s)
         value *= 1 / (1 - factor)
-    return value * h_value(rd, rho, f.h, c, q, s)
+    return value * h_value(rd, rho, h, c, q, s)
 
 
 @dataclass
@@ -451,20 +453,20 @@ def membership_witness(rd: RootDatum, rho: RepSpec, h_prime: GradedElement) -> G
     """Solve basic(-l/2) * h = h' exactly for compactly supported h'.
 
     Multiplying the transform of h' by the finite inverse-series
-    polynomial gives the witness; the defining equation is re-verified
-    on a window covering the support of h'.
+    polynomial gives the witness; the defining equation is re-checked
+    on transforms, over a window covering the support of h'.
     """
     if h_prime.window != Window():
         raise InvalidInput("h' must be compactly supported")
     l = l_constant(rd, rho)
-    inv = inverse_l_image(rd, rho, dualize=False, shift=(0, l))
-    h = inverse_satake(satake_mul(satake(h_prime), inv))
+    image = satake(h_prime)
+    h = inverse_satake(satake_mul(image, inverse_l_image(rd, rho, dualize=False, shift=(0, l))))
     if h_prime.grades:
         top = int(h_prime.support_max())
         depth = max(top - int(h.support_min()), 0) if h.grades else top
-        basic = basic_function(rd, rho, max(depth, 0))
-        left = convolve(specialize(basic, Fraction(-l, 2)), h, Window(None, top))
-        mismatch = left.first_mismatch(h_prime.restrict(Window(None, top)),
+        series = specialize(l_series(rd, rho, max(depth, 0)), Fraction(-l, 2))
+        left = satake_mul(series, satake(h), Window(None, top))
+        mismatch = left.first_mismatch(image.restrict(Window(None, top)),
                                        int(min(h_prime.support_min(), left.support_min())),
                                        top)
         if mismatch is not None:

@@ -229,20 +229,28 @@ def test_arch_gamma_infinite_intermediate_is_flagged(capsys, argv):
         (["arch", "probe", "--group", "gl1", "--s", "1e308", "--radii", "5"],
          {"decayed": False, "flags": ["overflow"], "max_log_value": None,
           "pole_flag": False, "samples": 8, "shell_max": [None]}),
-        (["zeta", "--group", "gl1", "--c", "0.5", "--q", "1e300", "--s", "-5", "--N", "2"],
-         {"closed_form": None, "flags": ["overflow"], "rel_diff": None, "truncated": None}),
         (["zeta", "--group", "gl1", "--c", "0.5", "--q", "2", "--s", "1e308j", "--N", "2"],
          {"closed_form": pytest.approx([0.67014, 0.06798], rel=1e-4), "flags": ["overflow"],
           "rel_diff": None, "truncated": None}),
     ],
-    ids=["stirling-overflow", "probe-all-poles", "probe-overflow", "zeta-overflow",
-         "zeta-truncated-overflow"],
+    ids=["stirling-overflow", "probe-all-poles", "probe-overflow", "zeta-truncated-overflow"],
 )
 def test_non_finite_result_is_null_and_flagged(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert err == ""
     assert json.loads(out, parse_constant=_reject_constant) == want
+
+
+@pytest.mark.parametrize(
+    "q, s", [("1e300", "-5"), ("3", "-1")], ids=["huge-q", "small-q"]
+)
+def test_zeta_outside_convergence_exit_2(capsys, q, s):
+    # |0.5 q^-s| >= 1 at both points: a pole, whether or not q^-s overflows
+    code, out, err = run(capsys, "zeta", "--group", "gl1", "--c", "0.5", "--q", q, "--s", s)
+    assert code == 2
+    assert out == ""
+    assert "outside convergence region" in err
 
 
 @pytest.mark.parametrize(

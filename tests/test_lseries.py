@@ -41,6 +41,7 @@ from sphecke.satake import (
     Window,
     cell,
     convolve,
+    dual,
     eval_numeric,
     identity_element,
     inverse_satake,
@@ -328,18 +329,36 @@ def test_fixed_point_custom_module():
     assert verify_fixed_point(GL2, CUBIC, 4).status == "PASS"
 
 
-def test_fixed_point_detects_corruption():
+def _corrupted_basic():
+    # the GL(2) basic element to grade 4 with X^3 added at the (3, 0) cell
     basic = basic_function(GL2, STD2, 4)
     grades = {k: dict(t) for k, t in basic.grades.items()}
-    mu = (3, 0)
-    grades[3] = dict(grades[3])
-    grades[3][mu] = grades[3][mu] + Laurent.term(1, x=3)
-    corrupted = GradedElement(GL2, CELLS, grades, basic.window)
-    report = verify_fixed_point(GL2, STD2, 4, basic=corrupted)
-    assert report.status == "FAIL"
-    assert report.first_mismatch is not None
-    grade = report.first_mismatch[0]
-    assert -4 <= grade <= -2  # corruption at grade 3 surfaces in the telescope
+    grades[3][(3, 0)] = grades[3][(3, 0)] + Laurent.term(1, x=3)
+    return GradedElement(GL2, CELLS, grades, basic.window)
+
+
+def test_fixed_point_detects_corruption():
+    # the corruption at grade 3 surfaces at grade -4 of the telescope
+    report = verify_fixed_point(GL2, STD2, 4, basic=_corrupted_basic())
+    assert report.to_json() == {
+        "name": "fixed-point",
+        "status": "FAIL",
+        "checks": [{"part": "inverse-series telescope", "grades": [-4, 0], "ok": False}],
+        "first_mismatch": {"grade": -4, "mu": [0, -4], "expected": "-v^7", "got": "0"},
+    }
+
+
+def test_unitarity_detects_corruption():
+    report = verify_unitarity(GL2, STD2, 4, basic=_corrupted_basic())
+    assert report.to_json() == {
+        "name": "unitarity",
+        "status": "FAIL",
+        "checks": [
+            {"part": "flipped-basic telescope", "grades": [-4, 0], "ok": False},
+            {"part": "flipped-inverse telescope", "grades": [0, 4], "ok": False},
+        ],
+        "first_mismatch": {"grade": -4, "mu": [0, -4], "expected": "-v^7", "got": "0"},
+    }
 
 
 @pytest.mark.parametrize(
@@ -393,6 +412,34 @@ def test_unitarity_grade_zero_check_present():
     assert all(c["ok"] for c in report.checks)
 
 
+def test_verifiers_stay_on_the_character_side(monkeypatch):
+    # each verifier transforms the basic element once, and inverse-transforms
+    # only the grades its cross-checks read: -N, -N+1, 0 and 1.  A whole
+    # product sent through inverse_satake (and back) adds the grades in
+    # between: multiplying by convolve there sent 18 grades in fixed-point
+    import sphecke.satake as satake_mod
+
+    n = 12
+    basic = basic_function(GL3, STD3, n)
+    real = satake_mod._change_basis
+    forward, inverse = [], []
+
+    def counting(f, row, basis):
+        (inverse if basis == CELLS else forward).append(f)
+        return real(f, row, basis)
+
+    monkeypatch.setattr(satake_mod, "_change_basis", counting)
+    for verify, most in ((verify_fixed_point, 4), (verify_unitarity, 6)):
+        forward.clear()
+        inverse.clear()
+        assert verify(GL3, STD3, n, basic=basic).status == "PASS"
+        assert [f is basic for f in forward].count(True) == 1
+        assert all(f is basic or f == identity_element(GL3) for f in forward)
+        grades = [k for f in inverse for k in f.grades]
+        assert set(grades) <= {-n, -n + 1, 0, 1}, verify.__name__
+        assert len(grades) <= most, verify.__name__
+
+
 def test_report_json_shape():
     rep = verify_fixed_point(GL1, STD1, 4)
     obj = rep.to_json()
@@ -407,8 +454,7 @@ def test_report_json_shape():
 def test_zeta_identity_gives_l_factor():
     c = (0.31, 0.17)
     q, s = 3.0, 1.0
-    basic = basic_function(GL2, STD2, 0)
-    val = zeta_closed_form(GL2, STD2, SchwartzElement(basic, identity_element(GL2)), c, q, s)
+    val = zeta_closed_form(GL2, STD2, identity_element(GL2), c, q, s)
     want = 1.0
     for ci in c:
         want *= 1 / (1 - ci * q**-s)
@@ -416,25 +462,23 @@ def test_zeta_identity_gives_l_factor():
 
 
 def test_zeta_gl1_value_two():
-    basic = basic_function(GL1, STD1, 0)
-    val = zeta_closed_form(GL1, STD1, SchwartzElement(basic, identity_element(GL1)), (1.0,), 2.0, 1.0)
+    val = zeta_closed_form(GL1, STD1, identity_element(GL1), (1.0,), 2.0, 1.0)
     assert abs(val - 2.0) < 1e-14
 
 
 def test_zeta_divergence_flag():
-    basic = basic_function(GL1, STD1, 0)
     with pytest.raises(PoleError):
-        zeta_closed_form(GL1, STD1, SchwartzElement(basic, identity_element(GL1)), (1.0,), 2.0, 0.0)
+        zeta_closed_form(GL1, STD1, identity_element(GL1), (1.0,), 2.0, 0.0)
 
 
 def test_zeta_rejects_wrong_length():
-    f = SchwartzElement(basic_function(GL2, STD2, 0), identity_element(GL2))
+    h = identity_element(GL2)
     ls = l_series(GL2, STD2, 2)
     for c in ((0.3,), (0.3, 0.1, 0.5)):
         with pytest.raises(LengthMismatchError):
-            zeta_closed_form(GL2, STD2, f, c, 3.0, 1.0)
+            zeta_closed_form(GL2, STD2, h, c, 3.0, 1.0)
         with pytest.raises(LengthMismatchError):
-            h_value(GL2, STD2, f.h, c, 3.0, 1.0)
+            h_value(GL2, STD2, h, c, 3.0, 1.0)
         with pytest.raises(LengthMismatchError):
             eval_numeric(ls, c, 3.0, 1.0, 2)
 
@@ -467,8 +511,7 @@ def test_zeta_closed_vs_truncation():
         c = (rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45))
         s = rng.uniform(0.8, 2.0)
         res = eval_numeric(ls, c, 3.0, s, 25)
-        basic = basic_function(GL2, STD2, 0)
-        closed = zeta_closed_form(GL2, STD2, SchwartzElement(basic, identity_element(GL2)), c, 3.0, s)
+        closed = zeta_closed_form(GL2, STD2, identity_element(GL2), c, 3.0, s)
         assert abs(res.value - closed) / abs(closed) < 1e-9
 
 
@@ -522,6 +565,38 @@ def test_membership_witness_random():
             acc = term if acc is None else acc + term
         witness = membership_witness(GL2, STD2, acc)
         assert witness.window == Window()  # compactly supported, fully known
+
+
+# (datum, rho, compactly supported test elements) for the convolve references
+PRODUCT_CASES = [
+    (GL2, STD2, [cell(GL2, (1, 0)) + cell(GL2, (1, 1), Laurent.term(2)),
+                 cell(GL2, (0, -1), Laurent.term(3, v=1)) + identity_element(GL2)]),
+    (GL3, STD3, [cell(GL3, (1, 1, 0)) + cell(GL3, (2, 0, 0), Laurent.term(-1, v=2))]),
+    (build_preset("b2"), RepSpec((1, 0, 1)),
+     [cell(build_preset("b2"), (1, 1, 0)) + identity_element(build_preset("b2"))]),
+]
+
+
+@pytest.mark.parametrize("rd, rho, elements", PRODUCT_CASES, ids=["gl2", "gl3", "b2"])
+def test_products_match_cell_side_reference(rd, rho, elements):
+    # fourier (both paths) and the witness's defining equation, against
+    # products taken on the cell side by convolve
+    n = 2
+    l = l_constant(rd, rho)
+    for h in elements:
+        top = max(int(h.support_max()), 0)
+        kern = specialize(gamma_kernel(rd, rho, n + top), Fraction(0))
+        want = twist(convolve(kern, dual(h), Window(None, n)), 0, 2 * (l + 1))
+        assert fourier(h, rho, n) == want
+        shifted = specialize(basic_function(rd, rho, n + top), Fraction(2 + l, 2))
+        want = twist(convolve(shifted, dual(h), Window(None, n)), 0, 2 * (l + 1))
+        for depth in (n, n + top + 1):  # rebuilt, and long enough as passed
+            assert fourier(SchwartzElement(basic_function(rd, rho, depth), h), rho, n) == want
+        witness = membership_witness(rd, rho, h)
+        top = int(h.support_max())
+        basic = basic_function(rd, rho, top - int(witness.support_min()))
+        left = convolve(specialize(basic, Fraction(-l, 2)), witness, Window(None, top))
+        assert left == h.restrict(Window(None, top))
 
 
 def test_membership_witness_identity():
