@@ -415,8 +415,8 @@ def test_unitarity_grade_zero_check_present():
 def test_verifiers_stay_on_the_character_side(monkeypatch):
     # each verifier transforms the basic element once, and inverse-transforms
     # only the grades its cross-checks read: -N, -N+1, 0 and 1.  A whole
-    # product sent through inverse_satake (and back) adds the grades in
-    # between: multiplying by convolve there sent 18 grades in fixed-point
+    # product sent through inverse_satake (and back) would add the grades
+    # in between
     import sphecke.satake as satake_mod
 
     n = 12
