@@ -19,11 +19,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import rep_weight_list, rep_weight_multiset
 from .errors import InvalidInput, PoleError
+from .record import Record
 from .rootdata import RepSpec, RootDatum, Vec, bareiss_solve, dot, l_constant, weyl_orbit
 
 # Lanczos g=7, n=9 coefficient set (double precision)
@@ -85,21 +85,28 @@ def _exponent(p) -> Fraction:
     return p
 
 
-@dataclass
-class ArchParams:
+class ArchParams(Record):
     """Spectral parameter, weight forms, and normalization data."""
 
-    lam: tuple
-    weights: tuple  # integer linear forms, one per dimension of the module
-    s: complex
-    l: int = 0
-    p: Fraction = Fraction(2)
-    field_tag: str = "real"
+    __slots__ = ("lam", "weights", "s", "l", "p", "field_tag")
 
-    def __post_init__(self):
-        self.p = _exponent(self.p)
-        if self.field_tag not in ("real", "complex"):
+    def __init__(
+        self,
+        lam: tuple,
+        weights: tuple,  # integer linear forms, one per dimension of the module
+        s: complex,
+        l: int = 0,
+        p: Fraction = Fraction(2),
+        field_tag: str = "real",
+    ):
+        self.lam = lam
+        self.weights = weights
+        self.s = s
+        self.l = l
+        self.p = _exponent(p)
+        if field_tag not in ("real", "complex"):
             raise InvalidInput("field_tag must be 'real' or 'complex'")
+        self.field_tag = field_tag
 
     @property
     def epsilon(self) -> Fraction:
@@ -175,12 +182,20 @@ def lfactor_cplx(params: ArchParams) -> complex | None:
     return _finite(total)
 
 
-@dataclass
-class GammaFactorResult:
-    value: complex | None
-    ratio_route: complex | None
-    rel_discrepancy: float | None
-    flags: list = field(default_factory=list)
+class GammaFactorResult(Record):
+    __slots__ = ("value", "ratio_route", "rel_discrepancy", "flags")
+
+    def __init__(
+        self,
+        value: complex | None,
+        ratio_route: complex | None,
+        rel_discrepancy: float | None,
+        flags: list | None = None,
+    ):
+        self.value = value
+        self.ratio_route = ratio_route
+        self.rel_discrepancy = rel_discrepancy
+        self.flags = [] if flags is None else flags
 
 
 def gamma_factor(params: ArchParams) -> GammaFactorResult:
@@ -388,13 +403,17 @@ def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
 # seminorm probe
 
 
-@dataclass
-class ProbeReport:
-    max_log_value: float
-    shell_max: list
-    decayed: bool
-    pole_flag: bool
-    samples: int
+class ProbeReport(Record):
+    __slots__ = ("max_log_value", "shell_max", "decayed", "pole_flag", "samples")
+
+    def __init__(
+        self, max_log_value: float, shell_max: list, decayed: bool, pole_flag: bool, samples: int
+    ):
+        self.max_log_value = max_log_value
+        self.shell_max = shell_max
+        self.decayed = decayed
+        self.pole_flag = pole_flag
+        self.samples = samples
 
 
 def _directions(m: int, count: int):

@@ -205,10 +205,19 @@ def dual_weight(rd: RootDatum, lam: Vec) -> Vec:
     return dual_weight_vec(rd, lam)
 
 
+def require_defined(point, w: Vec) -> None:
+    """InvalidInput unless x^w is defined at the point: no zero coordinate
+    of it may carry a negative exponent."""
+    if any(e < 0 and not x for x, e in zip(point, w)):
+        raise InvalidInput(f"c^w is undefined at weight {w}: a zero coordinate of c "
+                           "under a negative exponent")
+
+
 def char_eval(ch: CharExpansion, point) -> complex:
     """Evaluate the expansion at a semisimple parameter (tuple of numbers)."""
     total = 0
     for v, c in ch.items():
+        require_defined(point, v)
         term = 1.0
         for x, e in zip(point, v):
             if e:

@@ -14,7 +14,6 @@ telescoping products collapse before any infinite tail is needed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import (
@@ -22,12 +21,14 @@ from .characters import (
     dual_weight,
     ext_power_decomp,
     rep_weight_list,
+    require_defined,
     sym_power_decomp,
     weight_multiplicities,
     weyl_dim,
 )
 from .errors import InvalidInput, PoleError
 from .laurent import Laurent
+from .record import Record
 from .rootdata import (
     RepSpec,
     RootDatum,
@@ -160,17 +161,17 @@ def _kernel_image(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     return satake_mul(series, inverse_l_image(rd, rho, True, (-1, l)), Window(None, N))
 
 
-@dataclass
-class SchwartzElement:
+class SchwartzElement(Record):
     """Pair (basic truncation, compactly supported h) standing for their
     convolution."""
 
-    basic: GradedElement
-    h: GradedElement
+    __slots__ = ("basic", "h")
 
-    def __post_init__(self):
-        if self.h.window != Window():
+    def __init__(self, basic: GradedElement, h: GradedElement):
+        if h.window != Window():
             raise InvalidInput("h must be compactly supported with full knowledge")
+        self.basic = basic
+        self.h = h
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +187,12 @@ def fourier(f, rho: RepSpec, N: int) -> GradedElement:
     l = l_constant(rd, rho)
     top = max(int(h.support_max()), 0) if h.grades else 0
     if isinstance(f, SchwartzElement):
-        report = verify_fixed_point(rd, rho, min(f.basic.window.hi, N), basic=f.basic)
+        image = satake(f.basic)
+        report = _fixed_point_report(rd, rho, min(f.basic.window.hi, N), f.basic, image)
         if report.status != "PASS":
             raise RuntimeError(f"telescope identity failed: {report.first_mismatch}")
-        image = satake(f.basic) if f.basic.window.hi >= N + top else l_series(rd, rho, N + top)
+        if f.basic.window.hi < N + top:
+            image = l_series(rd, rho, N + top)
         factor = specialize(image, Fraction(2 + l, 2))
     elif f.window != Window():
         raise InvalidInput("direct transform needs a compactly supported element")
@@ -203,15 +206,23 @@ def fourier(f, rho: RepSpec, N: int) -> GradedElement:
 # verifiers
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(Record):
     """A verifier's result: the checks it ran, in order, as {part, grades,
     ok}, and the first mismatch (grade, vector, expected, got) met."""
 
-    name: str
-    status: str = "PASS"
-    checks: list = field(default_factory=list)
-    first_mismatch: tuple | None = None
+    __slots__ = ("name", "status", "checks", "first_mismatch")
+
+    def __init__(
+        self,
+        name: str,
+        status: str = "PASS",
+        checks: list | None = None,
+        first_mismatch: tuple | None = None,
+    ):
+        self.name = name
+        self.status = status
+        self.checks = [] if checks is None else checks
+        self.first_mismatch = first_mismatch
 
     def check(self, part: str, lo: int, hi: int, mismatch) -> bool:
         """Record one check over grades [lo, hi]; the first mismatch seen
@@ -262,9 +273,16 @@ def verify_fixed_point(
     multiply transforms, of ``satake(basic)`` taken once.
     """
     _require_truncation(N)
-    report = VerifyReport("fixed-point")
     basic = basic_function(rd, rho, N) if basic is None else basic
-    image = satake(basic)
+    return _fixed_point_report(rd, rho, N, basic, satake(basic))
+
+
+def _fixed_point_report(
+    rd: RootDatum, rho: RepSpec, N: int, basic: GradedElement, image: GradedElement
+) -> VerifyReport:
+    """``verify_fixed_point`` given the transform ``image`` of ``basic``."""
+    _require_truncation(N)
+    report = VerifyReport("fixed-point")
     l = l_constant(rd, rho)
     flipped = dual(specialize(image, Fraction(-l, 2)))
     inv0 = specialize(inverse_l_image(rd, rho, True, (-1, l)), Fraction(0))
@@ -378,12 +396,14 @@ def zeta_closed_form(
 ) -> complex:
     """Product formula for the zeta value of basic*h at a numeric point;
     q is the residue-field size, so anything but q > 1 is refused, and a
-    pole |c^w q^-s| >= 1 is found on logarithms before any power is taken."""
+    pole |c^w q^-s| >= 1 is found on logarithms before any power is taken.
+    A zero coordinate of c under a negative exponent of a weight is refused."""
     rd.check_length(tuple(c))
     if not q > 1:
         raise InvalidInput(f"residue-field size q must exceed 1, got {q}")
     value = 1.0 + 0j
     for w in rep_weight_list(rd, rho):
+        require_defined(c, w)
         log_abs = sum(e * (math.log(abs(ci)) if ci else -math.inf) for ci, e in zip(c, w) if e)
         if log_abs - s.real * math.log(q) >= 0:
             raise PoleError(f"outside convergence region at weight {w}")
@@ -392,11 +412,13 @@ def zeta_closed_form(
     return value * h_value(rd, rho, h, c, q, s)
 
 
-@dataclass
-class ZetaPolynomial:
+class ZetaPolynomial(Record):
     """Finite expansion in X^± with character-expansion coefficients."""
 
-    terms: dict  # x-power -> {lambda: v-only Laurent}
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms  # x-power -> {lambda: v-only Laurent}
 
     def x_support(self):
         return sorted(self.terms)

@@ -19,7 +19,6 @@ basis coordinates.  In all presets the coroot forms are integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -29,6 +28,7 @@ from .errors import (
     NonDominantError,
     WeylCapError,
 )
+from .record import Record, Value
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -69,22 +69,37 @@ def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Value):
     """Immutable root datum; safe to share across threads."""
 
-    cartan: str
-    rank: int
-    simple_roots: tuple[Vec, ...]
-    simple_coroot_forms: tuple[Vec, ...]
-    positive_roots: tuple[Vec, ...]
-    positive_coroot_forms: tuple[Vec, ...]
-    sigma: Vec
-    rho_b_times2: Vec
-    pair2_form: Vec
-    w0: Mat
+    __slots__ = (
+        "cartan",
+        "rank",
+        "simple_roots",
+        "simple_coroot_forms",
+        "positive_roots",
+        "positive_coroot_forms",
+        "sigma",
+        "rho_b_times2",
+        "pair2_form",
+        "w0",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        cartan: str,
+        rank: int,
+        simple_roots: tuple[Vec, ...],
+        simple_coroot_forms: tuple[Vec, ...],
+        positive_roots: tuple[Vec, ...],
+        positive_coroot_forms: tuple[Vec, ...],
+        sigma: Vec,
+        rho_b_times2: Vec,
+        pair2_form: Vec,
+        w0: Mat,
+    ):
+        self._freeze(cartan, rank, simple_roots, simple_coroot_forms, positive_roots,
+                     positive_coroot_forms, sigma, rho_b_times2, pair2_form, w0)
         if len(self.simple_roots) != len(self.simple_coroot_forms):
             raise InvalidInput("simple roots and coroot forms must pair up")
         if len(self.positive_roots) != len(self.positive_coroot_forms):
@@ -124,18 +139,24 @@ class RootDatum:
         return vsub(mu, vscale(c, self.simple_roots[i]))
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(Value):
     """A representation of the dual side, given by its highest weight."""
 
-    highest_weight: Vec
+    __slots__ = ("highest_weight",)
+
+    def __init__(self, highest_weight: Vec):
+        self._freeze(highest_weight)
 
 
-@dataclass
-class ValidationReport:
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("passed", "failures", "notes")
+
+    def __init__(
+        self, passed: bool, failures: list[str] | None = None, notes: list[str] | None = None
+    ):
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     def __str__(self):
         head = "PASS" if self.passed else "FAIL"

@@ -21,7 +21,6 @@ which makes the transform multiplicative by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -29,6 +28,7 @@ from .characters import char_eval, tensor, times_char, weight_multiplicities
 from .errors import InvalidInput, NonDominantError, WindowError
 from .kostka import kl_row
 from .laurent import Laurent
+from .record import Record, Value
 from .rootdata import (
     RootDatum,
     Vec,
@@ -43,12 +43,13 @@ CELLS = "cells"
 CHARS = "chars"
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """Known-grade range; ``None`` means unbounded on that side."""
 
-    lo: int | None = None
-    hi: int | None = None
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int | None = None, hi: int | None = None):
+        self._freeze(lo, hi)
 
     def knows(self, g: int) -> bool:
         return (self.lo is None or g >= self.lo) and (self.hi is None or g <= self.hi)
@@ -369,13 +370,22 @@ def cell(rd: RootDatum, mu: Vec, coeff: Laurent | int = 1) -> GradedElement:
 # numeric evaluation
 
 
-@dataclass
-class EvalResult:
-    value: complex
-    grade_values: dict
-    tail_ratio: float | None
-    tail_bound: float | None
-    converged: bool
+class EvalResult(Record):
+    __slots__ = ("value", "grade_values", "tail_ratio", "tail_bound", "converged")
+
+    def __init__(
+        self,
+        value: complex,
+        grade_values: dict,
+        tail_ratio: float | None,
+        tail_bound: float | None,
+        converged: bool,
+    ):
+        self.value = value
+        self.grade_values = grade_values
+        self.tail_ratio = tail_ratio
+        self.tail_bound = tail_bound
+        self.converged = converged
 
 
 def eval_numeric(

@@ -1,13 +1,20 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphecke.cli
 from sphecke.cli import COMMANDS, _build_parser, _join_negative_values, main
 from sphecke.rootdata import build_gl, datum_to_json
+from sphecke.satake import cell
+from sphecke.serialize import element_to_json
 
 
 def _reject_constant(name):
@@ -251,6 +258,62 @@ def test_zeta_outside_convergence_exit_2(capsys, q, s):
     assert code == 2
     assert out == ""
     assert "outside convergence region" in err
+
+
+@pytest.mark.parametrize(
+    "group, rho, c, weight",
+    [
+        ("gl2", "2,-1", "0,0", "(2, -1)"),
+        ("gl2", "2,-1", "0,0.5", "(-1, 2)"),
+        ("b2", "1,0,1", "0,0.2,0.5", "(-1, 0, 1)"),
+    ],
+)
+def test_zeta_undefined_point_exit_2(capsys, group, rho, c, weight):
+    # a zero coordinate of c under a negative exponent leaves c^w undefined:
+    # refused, not summed into nan and printed as an overflow
+    code, out, err = run(
+        capsys, "zeta", "--group", group, "--rho", rho, "--c", c, "--q", "3", "--s", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: c^w is undefined at weight {weight}: "
+        "a zero coordinate of c under a negative exponent\n"
+    )
+
+
+def test_zeta_undefined_point_of_h_exit_2(tmp_path, capsys):
+    # the weights of rho are all nonnegative; those of the dual cell are not
+    h = tmp_path / "h.json"
+    h.write_text(element_to_json(cell(build_gl(2), (0, -1))))
+    code, out, err = run(
+        capsys, "zeta", "--group", "gl2", "--c", "0,0.5", "--q", "3", "--s", "1",
+        "--h-json", str(h),
+    )
+    assert code == 2
+    assert out == ""
+    assert "c^w is undefined at weight (-1, 0)" in err
+
+
+@pytest.mark.parametrize(
+    "group, rho, c, want",
+    [
+        ("gl2", "std", "0,0", 1.0),
+        ("gl2", "std", "0,0.5", 1 / (1 - 0.5 / 3)),
+        ("b2", "1,0,1", "0.3,0.2,0", 1.0),  # the central coordinate: exponent 1 only
+    ],
+)
+def test_zeta_zero_under_nonnegative_exponents_evaluates(capsys, group, rho, c, want):
+    code, out, err = run(
+        capsys, "zeta", "--group", group, "--rho", rho, "--c", c, "--q", "3", "--s", "1",
+        "--N", "6",
+    )
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert "flags" not in payload
+    assert payload["closed_form"] == [pytest.approx(want), 0.0]
+    assert payload["rel_diff"] < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -597,3 +660,19 @@ def test_numeric_flag_fuzz(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every cold call pays for what `import sphecke.cli` loads; these modules
+    # cost 7-10 ms together and the package needs none of them
+    src = Path(sphecke.cli.__file__).resolve().parents[1]
+    probe = "import sys, sphecke.cli; print(' '.join(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "sphecke.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)

@@ -308,6 +308,26 @@ def test_fourier_of_identity_is_twisted_kernel():
     assert out == want
 
 
+def test_fourier_transforms_the_basic_element_once(monkeypatch):
+    # the fixed-point check and the product share one transform of f.basic
+    import sphecke.satake as satake_mod
+
+    n = 10
+    basic = basic_function(GL3, STD3, n)
+    f = SchwartzElement(basic, identity_element(GL3))
+    real = satake_mod._change_basis
+    forward = []
+
+    def counting(e, row, basis):
+        if basis != CELLS:
+            forward.append(e)
+        return real(e, row, basis)
+
+    monkeypatch.setattr(satake_mod, "_change_basis", counting)
+    fourier(f, STD3, n)
+    assert [e is basic for e in forward].count(True) == 1
+
+
 def test_fourier_linearity():
     rng = random.Random(21)
     f = cell(GL2, (1, 0), Laurent.term(2))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -42,7 +43,7 @@ from sphecke.satake import (
     specialize,
     twist,
 )
-from sphecke.serialize import element_from_json, element_to_json
+from sphecke.serialize import element_from_json, element_from_obj, element_to_json, element_to_obj
 
 GL1 = build_gl(1)
 GL2 = build_gl(2)
@@ -375,6 +376,58 @@ def test_twist_compose_and_cancel():
     f = rand_element(GL2, rng, 2)
     assert twist(twist(f, 1, 0), -1, 0) == f
     assert twist(twist(f, 1, 2), 2, 1) == twist(f, 3, 3)
+
+
+PROPERTY_PRESETS = ["gl2", "gl3", "b2", "c2", "g2"]
+LAWS = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+@functools.cache
+def _small_dominant(label):
+    rd = build_preset(label)
+    return rd, [v for v in itertools.product(range(-2, 3), repeat=rd.rank) if rd.is_dominant(v)]
+
+
+@st.composite
+def _elements(draw, label):
+    """A cell- or character-side element on a small dominant support, with
+    a window that may be bounded on either side."""
+    rd, pool = _small_dominant(label)
+    window = Window(*draw(st.tuples(*[st.none() | st.integers(-3, 3)] * 2)))
+    term = st.tuples(
+        st.sampled_from(pool), st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1)
+    )
+    grades = {}
+    for mu, c, v, x in draw(st.lists(term, max_size=4)):
+        if window.knows(sigma_grade(rd, mu)):
+            g = grades.setdefault(sigma_grade(rd, mu), {})
+            g[mu] = g.get(mu, Laurent.zero()) + Laurent.term(c, v=v, x=x)
+    return GradedElement(rd, draw(st.sampled_from([CELLS, CHARS])), grades, window)
+
+
+@pytest.mark.parametrize("label", PROPERTY_PRESETS)
+@LAWS
+@given(data=st.data())
+def test_dual_is_an_involution(label, data):
+    f = data.draw(_elements(label))
+    assert dual(dual(f)) == f
+
+
+@pytest.mark.parametrize("label", PROPERTY_PRESETS)
+@LAWS
+@given(data=st.data())
+def test_twists_compose(label, data):
+    f = data.draw(_elements(label))
+    a, b, c, d = data.draw(st.tuples(*[st.integers(-3, 3)] * 4))
+    assert twist(twist(f, a, b), c, d) == twist(f, a + c, b + d)
+
+
+@pytest.mark.parametrize("label", PROPERTY_PRESETS)
+@LAWS
+@given(data=st.data())
+def test_element_json_round_trip(label, data):
+    f = data.draw(_elements(label))
+    assert element_from_obj(f.rd, element_to_obj(f)) == f
 
 
 def test_twist_single_cell():
