@@ -25,13 +25,9 @@ from .rootdata import (
     build_preset,
     datum_from_json,
     datum_to_json,
-    dominance_leq,
     dominant_below,
     l_constant,
-    pair_rho_b,
     sigma_grade,
-    validate_rho,
-    weyl_elements,
 )
 from .satake import (
     GradedElement,
@@ -42,14 +38,12 @@ from .satake import (
     eval_numeric,
     identity_element,
     inverse_satake,
-    satake_basis,
     specialize,
     twist,
 )
 from .lseries import (
     SchwartzElement,
     VerifyReport,
-    basic_coeff,
     basic_function,
     fourier,
     gamma_kernel,
@@ -63,7 +57,6 @@ from .lseries import (
     zeta_over_l,
 )
 from .characters import (
-    decompose,
     dual_weight,
     ext_power_decomp,
     sym_power_decomp,

@@ -108,10 +108,6 @@ class ArchParams(Record):
             raise InvalidInput("field_tag must be 'real' or 'complex'")
         self.field_tag = field_tag
 
-    @property
-    def epsilon(self) -> Fraction:
-        return 2 / self.p - 1
-
 
 def arch_params(
     rd: RootDatum,

@@ -75,6 +75,52 @@ def rep_weight_list(rd: RootDatum, rho_or_hw) -> list[Vec]:
     return out
 
 
+def _span_rank(vectors) -> int:
+    """The rank of integer vectors by fraction-free elimination, each
+    cleared row divided by the gcd of its entries."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            r = rows[i]
+            if r[c]:
+                r = [p[c] * x - r[c] * y for x, y in zip(r, p)]
+                g = math.gcd(*r)
+                rows[i] = [x // g for x in r] if g > 1 else r
+        rank += 1
+    return rank
+
+
+@cache
+def require_valid(rd: RootDatum, rho: RepSpec) -> None:
+    """InvalidInput unless rho has a dominant highest weight, every weight
+    of grade one under sigma, and weights that span the torus; cached, so
+    each (rd, rho) is checked once.
+
+    A torus-level proxy only: connectedness of the kernel and global
+    faithfulness are group-level hypotheses weight data cannot show."""
+    lam = rho.highest_weight
+    if not rd.is_dominant(lam):
+        raise InvalidInput(f"representation invalid: highest weight {lam} is not dominant")
+    weights = weight_multiplicities(rd, lam)
+    bad = sorted(w for w in weights if sigma_grade(rd, w) != 1)
+    if bad:
+        raise InvalidInput(
+            f"representation invalid: weights with grade != 1: "
+            f"{bad[:4]}{'...' if len(bad) > 4 else ''}"
+        )
+    span = _span_rank(weights)
+    if span < rd.rank:
+        raise InvalidInput(
+            f"representation invalid: weights span only {span} of {rd.rank} torus directions"
+        )
+
+
 def adams(k: int, ch: CharExpansion) -> CharExpansion:
     """Power-sum operation: evaluate the character on k-th powers."""
     out = {}
@@ -119,25 +165,6 @@ def tensor(rd: RootDatum, lam: Vec, mu: Vec) -> tuple:
 
 def _by_height(rd: RootDatum, chars: dict) -> list:
     return sorted(chars.items(), key=lambda p: (height2(rd, p[0]), p[0]), reverse=True)
-
-
-def _check_invariant(rd: RootDatum, ch) -> None:
-    for v, c in ch.items():
-        for i in range(len(rd.simple_roots)):
-            if ch.get(rd.reflect_simple(i, v)) != c:
-                raise InvalidInput(f"expansion is not Weyl-invariant at {v}")
-
-
-def decompose(rd: RootDatum, ch: CharExpansion):
-    """Irreducible pieces of an actual character, highest first; raises on
-    a non-invariant expansion or a virtual (negative) multiplicity."""
-    ch = {v: c for v, c in ch.items() if c}
-    _check_invariant(rd, ch)
-    parts = _by_height(rd, times_char(rd, ch, (0,) * rd.rank))
-    for lam, mult in parts:
-        if mult < 0:
-            raise InvalidInput(f"negative multiplicity {mult} at {lam}")
-    return parts
 
 
 @cache

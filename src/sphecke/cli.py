@@ -30,16 +30,16 @@ from .lseries import (
     zeta_closed_form,
     zeta_over_l,
 )
-from .characters import ext_power_decomp, sym_power_decomp
+from .characters import ext_power_decomp, require_valid, sym_power_decomp
 from .rootdata import (
     RepSpec,
     RootDatum,
     build_preset,
     datum_from_json,
     datum_to_json,
-    validate_rho,
 )
 from .satake import (
+    CELLS,
     cell,
     convolve,
     eval_numeric,
@@ -75,12 +75,20 @@ def _parse_vec(text: str, conv=int):
     return tuple(_parse_num(x, conv) for x in text.split(","))
 
 
+def _load_json(path: str):
+    """The JSON body of a file; InvalidInput if it is not UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InvalidInput(f"{path} is not a JSON file: {exc}") from None
+
+
 def _load_datum(args) -> RootDatum:
     if getattr(args, "datum", None):
         if getattr(args, "group", None):
             raise InvalidInput("--group and --datum are mutually exclusive")
-        with open(args.datum, "r", encoding="utf-8") as fh:
-            return datum_from_json(json.load(fh))
+        return datum_from_json(_load_json(args.datum))
     if not getattr(args, "group", None):
         raise InvalidInput("need --group PRESET or --datum FILE")
     return build_preset(args.group)
@@ -93,9 +101,7 @@ def _load_rho(rd: RootDatum, args) -> RepSpec:
     else:
         hw = _parse_vec(text)
     rho = RepSpec(hw)
-    report = validate_rho(rd, rho)
-    if not report.passed:
-        raise InvalidInput(f"representation invalid: {report}")
+    require_valid(rd, rho)
     return rho
 
 
@@ -219,8 +225,9 @@ def _cmd_zeta(args) -> int:
     rd = _load_datum(args)
     rho = _load_rho(rd, args)
     if args.h_json:
-        with open(args.h_json, "r", encoding="utf-8") as fh:
-            h = element_from_obj(rd, json.load(fh))
+        h = element_from_obj(rd, _load_json(args.h_json))
+        if h.basis != CELLS:
+            raise InvalidInput("--h-json must hold a cell-side element")
     else:
         h = identity_element(rd)
     if args.over_l:

@@ -22,6 +22,7 @@ from .characters import (
     ext_power_decomp,
     rep_weight_list,
     require_defined,
+    require_valid,
     sym_power_decomp,
     weight_multiplicities,
     weyl_dim,
@@ -32,12 +33,9 @@ from .record import Record
 from .rootdata import (
     RepSpec,
     RootDatum,
-    Vec,
     dominant_below,
-    height2,
     l_constant,
     sigma_grade,
-    validate_rho,
 )
 from .satake import (
     CHARS,
@@ -51,12 +49,6 @@ from .satake import (
     specialize,
     twist,
 )
-
-
-def _require_valid(rd: RootDatum, rho: RepSpec):
-    report = validate_rho(rd, rho)
-    if not report.passed:
-        raise InvalidInput(f"representation fails validation: {report.failures}")
 
 
 def _require_truncation(N: int):
@@ -75,25 +67,13 @@ def _cells(e: GradedElement, lo: int, hi: int) -> GradedElement:
 
 def l_series(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     """Character-side expansion: grade k holds the k-th symmetric power."""
-    _require_valid(rd, rho)
+    require_valid(rd, rho)
     _require_truncation(N)
     grades = {}
     for k in range(N + 1):
         x = Laurent.term(1, x=k)
         grades[k] = {lam: x * m for lam, m in sym_power_decomp(rd, rho, k)}
     return GradedElement(rd, CHARS, grades, Window(None, N))
-
-
-def basic_coeff(rd: RootDatum, rho: RepSpec, mu: Vec) -> Laurent:
-    """Cell coefficient as a polynomial in q^-1 = v^-2 (zero for negative
-    grade): the inverse transform of Sym^k rho alone, at k = sigma(mu),
-    with the cell normalization and X^k taken back off."""
-    if not rd.is_dominant(mu):
-        raise InvalidInput(f"{mu} is not dominant")
-    k = sigma_grade(rd, mu)
-    if k < 0:
-        return Laurent.zero()
-    return _cells(l_series(rd, rho, k), k, k).coefficient(k, mu).shift(v=height2(rd, mu), x=-k)
 
 
 def basic_function(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
@@ -119,7 +99,7 @@ def inverse_l_image(
     """Character side of the reciprocal series: the finite alternating
     sum over exterior powers, with the grade-i term carrying u^i for
     u = X^a v^b."""
-    _require_valid(rd, rho)
+    require_valid(rd, rho)
     a, b = shift
     hw = dual_weight(rd, rho.highest_weight) if dualize else rho.highest_weight
     rho_used = RepSpec(hw)
@@ -154,7 +134,7 @@ def gamma_kernel(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
 
 def _kernel_image(rd: RootDatum, rho: RepSpec, N: int) -> GradedElement:
     """The transform of ``gamma_kernel(rd, rho, N)``."""
-    _require_valid(rd, rho)
+    require_valid(rd, rho)
     _require_truncation(N)
     l = l_constant(rd, rho)
     series = twist(l_series(rd, rho, N + weyl_dim(rd, rho.highest_weight)), 0, -(2 + l))

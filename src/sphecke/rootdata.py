@@ -28,7 +28,7 @@ from .errors import (
     NonDominantError,
     WeylCapError,
 )
-from .record import Record, Value
+from .record import Value
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -60,26 +60,26 @@ def mat_apply(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
 def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class RootDatum(Value):
-    """Immutable root datum; safe to share across threads."""
+    """Immutable root datum; safe to share across threads.
+
+    The constructor derives the positive roots and forms, ``rho_b_times2``,
+    ``pair2_form`` and ``w0`` from the simple roots and their coroot forms,
+    and raises InvalidInput where those give no finite root system that
+    ``sigma`` grades."""
 
     __slots__ = (
         "cartan",
         "rank",
         "simple_roots",
         "simple_coroot_forms",
+        "sigma",
         "positive_roots",
         "positive_coroot_forms",
-        "sigma",
         "rho_b_times2",
         "pair2_form",
         "w0",
@@ -91,40 +91,35 @@ class RootDatum(Value):
         rank: int,
         simple_roots: tuple[Vec, ...],
         simple_coroot_forms: tuple[Vec, ...],
-        positive_roots: tuple[Vec, ...],
-        positive_coroot_forms: tuple[Vec, ...],
         sigma: Vec,
-        rho_b_times2: Vec,
-        pair2_form: Vec,
-        w0: Mat,
     ):
-        self._freeze(cartan, rank, simple_roots, simple_coroot_forms, positive_roots,
-                     positive_coroot_forms, sigma, rho_b_times2, pair2_form, w0)
-        if len(self.simple_roots) != len(self.simple_coroot_forms):
+        simples = tuple(tuple(r) for r in simple_roots)
+        forms = tuple(tuple(f) for f in simple_coroot_forms)
+        sigma = tuple(sigma)
+        if len(simples) != len(forms):
             raise InvalidInput("simple roots and coroot forms must pair up")
-        if len(self.positive_roots) != len(self.positive_coroot_forms):
-            raise InvalidInput("positive roots and coroot forms must pair up")
-        for r in self.positive_roots:
-            if len(r) != self.rank:
-                raise LengthMismatchError(f"root {r} has wrong length")
-            if dot(self.sigma, r) != 0:
-                raise InvalidInput(f"root {r} has nonzero grade under sigma")
-        root_sum = tuple(sum(r[i] for r in self.positive_roots) for i in range(self.rank))
-        if self.rho_b_times2 != root_sum:
-            raise InvalidInput("rho_b_times2 is not the sum of the positive roots")
-        form_sum = tuple(
-            sum(f[i] for f in self.positive_coroot_forms) for i in range(self.rank)
-        )
-        if self.pair2_form != form_sum:
-            raise InvalidInput("pair2_form is not the sum of the positive coroot forms")
-        for alpha, f in zip(self.simple_roots, self.simple_coroot_forms):
-            if alpha not in self.positive_roots:
-                raise InvalidInput(f"simple root {alpha} not listed positive")
+        for v in simples + forms + (sigma,):
+            if len(v) != rank:
+                raise LengthMismatchError(f"{v} has length {len(v)}, want {rank}")
+        for alpha, f in zip(simples, forms):
             if dot(f, alpha) != 2:
                 raise InvalidInput(f"coroot form of {alpha} does not pair to 2")
-        for alpha in self.positive_roots:
-            if dot(self.pair2_form, alpha) <= 0:
+        positive = _close_roots(simples, forms)
+        pos_roots = tuple(r for r, _ in positive)
+        pos_forms = tuple(f for _, f in positive)
+        for r in pos_roots:
+            if dot(sigma, r) != 0:
+                raise InvalidInput(f"root {r} has nonzero grade under sigma")
+        rho2 = tuple(sum(r[i] for r in pos_roots) for i in range(rank))
+        pair2 = tuple(sum(f[i] for f in pos_forms) for i in range(rank))
+        for alpha in pos_roots:
+            if dot(pair2, alpha) <= 0:
                 raise InvalidInput(f"height form not positive on {alpha}")
+        w0 = _longest_element(simples, forms, rho2, len(pos_roots))
+        self._freeze(cartan, rank, simples, forms, sigma, pos_roots, pos_forms, rho2, pair2, w0)
+
+    def __reduce__(self):
+        return type(self), self._fields()[:5]
 
     def check_length(self, mu: Vec) -> None:
         if len(mu) != self.rank:
@@ -133,10 +128,6 @@ class RootDatum(Value):
     def is_dominant(self, mu: Vec) -> bool:
         self.check_length(mu)
         return all(dot(f, mu) >= 0 for f in self.simple_coroot_forms)
-
-    def reflect_simple(self, i: int, mu: Vec) -> Vec:
-        c = dot(self.simple_coroot_forms[i], mu)
-        return vsub(mu, vscale(c, self.simple_roots[i]))
 
 
 class RepSpec(Value):
@@ -148,46 +139,8 @@ class RepSpec(Value):
         self._freeze(highest_weight)
 
 
-class ValidationReport(Record):
-    __slots__ = ("passed", "failures", "notes")
-
-    def __init__(
-        self, passed: bool, failures: list[str] | None = None, notes: list[str] | None = None
-    ):
-        self.passed = passed
-        self.failures = [] if failures is None else failures
-        self.notes = [] if notes is None else notes
-
-    def __str__(self):
-        head = "PASS" if self.passed else "FAIL"
-        lines = [head] + [f"  failure: {f}" for f in self.failures]
-        lines += [f"  note: {n}" for n in self.notes]
-        return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def _assemble(cartan, rank, simples, forms, sigma) -> RootDatum:
-    positive = _close_roots(simples, forms)
-    pos_roots = tuple(r for r, _ in positive)
-    pos_forms = tuple(f for _, f in positive)
-    rho2 = tuple(sum(r[i] for r in pos_roots) for i in range(rank))
-    pair2 = tuple(sum(f[i] for f in pos_forms) for i in range(rank))
-    w0 = _longest_element(tuple(simples), tuple(forms), rho2)
-    return RootDatum(
-        cartan=cartan,
-        rank=rank,
-        simple_roots=tuple(simples),
-        simple_coroot_forms=tuple(forms),
-        positive_roots=pos_roots,
-        positive_coroot_forms=pos_forms,
-        sigma=tuple(sigma),
-        rho_b_times2=rho2,
-        pair2_form=pair2,
-        w0=w0,
-    )
 
 
 def build_gl(n: int) -> RootDatum:
@@ -198,7 +151,7 @@ def build_gl(n: int) -> RootDatum:
         tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n))
         for i in range(n - 1)
     ]
-    return _assemble(f"GL{n}", n, simple, list(simple), (1,) * n)
+    return RootDatum(f"GL{n}", n, simple, simple, (1,) * n)
 
 
 def _euclidean_simples(kind: str, r: int):
@@ -229,7 +182,7 @@ def build_preset(label: str) -> RootDatum:
         # root-basis coordinates plus a central coordinate
         simples = [(1, 0, 0), (-2, -1, 0)]
         forms = [(2, -1, 0), (-1, 0, 0)]
-        return _assemble("G2", 3, simples, forms, (0, 0, 1))
+        return RootDatum("G2", 3, simples, forms, (0, 0, 1))
     kind, digits = label[:1].upper(), label[1:]
     if kind not in "BCD" or digits not in ("2", "3", "4"):
         raise InvalidInput(f"unknown preset {label}")
@@ -238,7 +191,7 @@ def build_preset(label: str) -> RootDatum:
     simples = [s + (0,) for s in base_simples]
     forms = [f + (0,) for f in base_forms]
     sigma = (0,) * r + (1,)
-    return _assemble(f"{kind}{r}", r + 1, simples, forms, sigma)
+    return RootDatum(f"{kind}{r}", r + 1, simples, forms, sigma)
 
 
 def _close_roots(simples, forms):
@@ -246,10 +199,10 @@ def _close_roots(simples, forms):
 
     Each root carries its integer coefficients in the simple roots along
     the reflections that reach it, s_i(beta) = beta - f_i(beta) alpha_i;
-    the positive roots are those with no negative coefficient.
+    the positive roots are those with no negative coefficient.  Past
+    ``WEYL_CAP_DEFAULT`` roots (an infinite system, such as an affine one)
+    the closure stops with WeylCapError.
     """
-    simples = [tuple(s) for s in simples]
-    forms = [tuple(f) for f in forms]
     k = len(simples)
     seen = {
         s: (f, tuple(int(j == i) for j in range(k)))
@@ -267,23 +220,26 @@ def _close_roots(simples, forms):
                     fimg = vsub(fbeta, vscale(dot(fbeta, alpha), falpha))
                     seen[img] = (fimg, cbeta[:i] + (cbeta[i] - c,) + cbeta[i + 1:])
                     new.append(img)
+                    if len(seen) > WEYL_CAP_DEFAULT:
+                        raise WeylCapError(f"root system exceeds cap {WEYL_CAP_DEFAULT}")
         frontier = new
     positive = [(beta, f) for beta, (f, coeffs) in seen.items() if min(coeffs) >= 0]
     positive.sort(reverse=True)
     return positive
 
 
-def _longest_element(simples, forms, rho2: Vec) -> Mat:
+def _longest_element(simples, forms, rho2: Vec, length: int) -> Mat:
     """w0 from a reduced word: reflect the regular vector rho2 across any
     wall it lies on the positive side of until it reaches -rho2.
 
-    Each step s_i raises the length by one, so the word has l(w0) letters
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.8); the
-    matrix follows by the rank-one rule s_i w = w - alpha_i (f_i w).
+    Each step s_i raises the length by one, so the word has l(w0) letters,
+    one per positive root (Humphreys, *Reflection Groups and Coxeter
+    Groups*, 1.6-1.8), and the walk stops there; the matrix follows by the
+    rank-one rule s_i w = w - alpha_i (f_i w).
     """
     w = identity_mat(len(rho2))
     v = rho2
-    while True:
+    for _ in range(length):
         i = next((i for i, f in enumerate(forms) if dot(f, v) > 0), None)
         if i is None:
             break
@@ -306,15 +262,9 @@ def sigma_grade(rd: RootDatum, mu: Vec) -> int:
     return dot(rd.sigma, mu)
 
 
-def pair_rho_b(rd: RootDatum, mu: Vec) -> Fraction:
-    """Pairing of mu against the half sum of positive roots on the group
-    side, i.e. half the sum of the stored coroot forms."""
-    rd.check_length(mu)
-    return Fraction(dot(rd.pair2_form, mu), 2)
-
-
 def height2(rd: RootDatum, v: Vec) -> int:
-    """Twice the pairing above; positive on nonzero sums of positive roots."""
+    """Twice the pairing of v with the half sum of the positive roots;
+    positive on nonzero sums of positive roots."""
     return dot(rd.pair2_form, v)
 
 
@@ -326,34 +276,6 @@ def l_constant(rd: RootDatum, rho: RepSpec) -> int:
     if l < 0:
         raise InvalidInput(f"negative normalization constant for {lam}")
     return l
-
-
-def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Exact Gauss-Jordan elimination, in place, on the first ``ncols`` columns.
-
-    Later columns (right-hand sides) are carried along.  Returns the
-    pivot columns: pivot i sits in row i with value 1, every other entry
-    of its column is zero, and the rows after the last pivot are zero in
-    the first ``ncols`` columns.  The rank is the number of pivots.
-    """
-    m = len(rows)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots
 
 
 def bareiss_solve(rows: list[list[int]]):
@@ -384,22 +306,6 @@ def bareiss_solve(rows: list[list[int]]):
     if prev < 0:
         return [-x for x in nums], -prev
     return nums, prev
-
-
-def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
-    """Exact rational coefficients of target in the simple roots, or None.
-
-    Row reduction over the rationals: the tests' reference for
-    ``root_coeffs``."""
-    k = len(simple)
-    rows = [[Fraction(s[i]) for s in simple] + [Fraction(x)] for i, x in enumerate(target)]
-    pivots = row_reduce(rows, k)
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return None
-    coeffs = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        coeffs[c] = rows[i][-1]
-    return tuple(coeffs)
 
 
 @cache
@@ -437,15 +343,6 @@ def root_coeffs(rd: RootDatum, v: Vec) -> Vec | None:
     return tuple(coeffs) if tuple(spelled) == tuple(v) else None
 
 
-def dominance_leq(rd: RootDatum, mu: Vec, lam: Vec) -> bool:
-    """True iff lam - mu is a nonnegative integer combination of simple roots."""
-    for v in (mu, lam):
-        if not rd.is_dominant(v):
-            raise NonDominantError(f"{v} is not dominant")
-    coeffs = root_coeffs(rd, vsub(lam, mu))
-    return coeffs is not None and min(coeffs, default=0) >= 0
-
-
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
     """All dominant mu <= lam, reverse-lexicographically descending.
 
@@ -474,47 +371,6 @@ def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
 
 # ---------------------------------------------------------------------------
 # Weyl group
-
-
-def _reflection_matrix(alpha: Vec, form: Vec, rank: int) -> Mat:
-    return tuple(
-        tuple((1 if i == j else 0) - form[j] * alpha[i] for j in range(rank))
-        for i in range(rank)
-    )
-
-
-def _weyl_bfs(simples, forms, rank: int, cap: int):
-    gens = [_reflection_matrix(a, f, rank) for a, f in zip(simples, forms)]
-    ident = identity_mat(rank)
-    seen = {ident: 0}
-    order = [(ident, 0)]
-    frontier = [ident]
-    depth = 0
-    while frontier:
-        depth += 1
-        new = []
-        for w in frontier:
-            for g in gens:
-                wg = mat_mul(g, w)
-                if wg not in seen:
-                    seen[wg] = depth
-                    new.append(wg)
-                    if len(seen) > cap:
-                        raise WeylCapError(f"Weyl group exceeds cap {cap}")
-        new.sort()
-        order.extend((w, depth) for w in new)
-        frontier = new
-    return order
-
-
-@cache
-def weyl_elements(rd: RootDatum, cap: int = WEYL_CAP_DEFAULT):
-    """All Weyl elements as (matrix, length), breadth-first by length.
-
-    The matrix oracle: tests check ``signed_orbit`` and ``rd.w0`` against
-    it.  No production path builds the group as matrices.
-    """
-    return tuple(_weyl_bfs(rd.simple_roots, rd.simple_coroot_forms, rd.rank, cap))
 
 
 def _orbit_walk(rd: RootDatum, v: Vec, cap: int, coeffs: bool = False) -> list[tuple]:
@@ -599,45 +455,6 @@ def dual_weight_vec(rd: RootDatum, lam: Vec) -> Vec:
     return vneg(mat_apply(rd.w0, lam))
 
 
-# ---------------------------------------------------------------------------
-# validation of a grading-compatible representation
-
-
-def validate_rho(rd: RootDatum, rho: RepSpec) -> ValidationReport:
-    """Torus-level checks: every weight has grade one and the weights span.
-
-    Group-level hypotheses (connected kernel, faithfulness beyond the
-    torus) are not visible from weight data; the report says so.
-    """
-    from .characters import rep_weight_multiset  # cycle-free at call time
-
-    report = ValidationReport(passed=True)
-    lam = rho.highest_weight
-    if not rd.is_dominant(lam):
-        report.passed = False
-        report.failures.append(f"highest weight {lam} is not dominant")
-        return report
-    weights = rep_weight_multiset(rd, lam)
-    bad = sorted(w for w in weights if sigma_grade(rd, w) != 1)
-    if bad:
-        report.passed = False
-        report.failures.append(
-            f"weights with grade != 1: {bad[:4]}{'...' if len(bad) > 4 else ''}"
-        )
-    # spanning = torus-level faithfulness proxy
-    span = len(row_reduce([[Fraction(x) for x in w] for w in weights], rd.rank))
-    if span < rd.rank:
-        report.passed = False
-        report.failures.append(
-            f"weights span only {span} of {rd.rank} torus directions"
-        )
-    report.notes.append(
-        "torus-level proxy only: connectedness of the kernel and global "
-        "faithfulness are group-level hypotheses not checkable from weight data"
-    )
-    return report
-
-
 def datum_to_json(rd: RootDatum) -> dict:
     return {
         "cartan": rd.cartan,
@@ -651,26 +468,36 @@ def datum_to_json(rd: RootDatum) -> dict:
 
 
 def datum_from_json(obj: dict) -> RootDatum:
-    rank = int(obj["rank"])
-    simples = [tuple(int(x) for x in r) for r in obj["simple_roots"]]
-    if "simple_coroot_forms" in obj:
-        forms = [tuple(int(x) for x in f) for f in obj["simple_coroot_forms"]]
-    else:
+    """The datum a JSON body spells, as ``datum_to_json`` writes it, with
+    the coroot forms optional; InvalidInput for a malformed body or stated
+    positive roots or rho_b_times_2 that the datum does not derive."""
+    try:
+        rank = int(obj["rank"])
+        simples = [tuple(int(x) for x in r) for r in obj["simple_roots"]]
+        forms = None
+        if "simple_coroot_forms" in obj:
+            forms = [tuple(int(x) for x in f) for f in obj["simple_coroot_forms"]]
+        sigma = tuple(int(x) for x in obj["sigma"])
+        stated = sorted(tuple(int(x) for x in r) for r in obj["positive_roots"])
+        stated_rho2 = tuple(int(x) for x in obj["rho_b_times_2"])
+        cartan = str(obj["cartan"])
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise InvalidInput(f"malformed datum: {type(exc).__name__}: {exc}") from None
+    if forms is None:
         forms = []
         for s in simples:
             norm = dot(s, s)
+            if not norm:
+                raise InvalidInput("a zero simple root has no coroot form")
             f = tuple(Fraction(2 * x, norm) for x in s)
             if any(x.denominator != 1 for x in f):
                 raise InvalidInput(
                     f"coroot form of {s} is not integral; supply simple_coroot_forms"
                 )
             forms.append(tuple(int(x) for x in f))
-    rd = _assemble(
-        str(obj["cartan"]), rank, simples, forms, tuple(int(x) for x in obj["sigma"])
-    )
-    stated = sorted(tuple(int(x) for x in r) for r in obj["positive_roots"])
+    rd = RootDatum(cartan, rank, simples, forms, sigma)
     if stated != sorted(rd.positive_roots):
         raise InvalidInput("stated positive roots disagree with the reflection closure")
-    if tuple(int(x) for x in obj["rho_b_times_2"]) != rd.rho_b_times2:
+    if stated_rho2 != rd.rho_b_times2:
         raise InvalidInput("stated rho_b_times_2 disagrees with the root sum")
     return rd

@@ -258,12 +258,6 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
     return tuple(sorted(out, reverse=True))
 
 
-def satake_basis(rd: RootDatum, mu: Vec) -> "GradedElement":
-    """Transform of a single cell indicator, as a character expansion."""
-    k = sigma_grade(rd, mu)
-    return GradedElement(rd, CHARS, {k: dict(satake_basis_row(rd, mu))})
-
-
 def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:
     """Expand every vector of f by ``row(rd, vector)``, grade by grade."""
     out = {}

@@ -100,7 +100,8 @@ def test_criterion_3_unitarity():
 
 
 def _oracle_partitions(beta, rd):
-    from sphecke.rootdata import solve_simple_coeffs, vscale, vsub
+    from oracles import solve_simple_coeffs
+    from sphecke.rootdata import vscale, vsub
 
     roots = rd.positive_roots
     if not roots:
@@ -134,7 +135,8 @@ def _oracle_partitions(beta, rd):
 
 
 def _oracle_lusztig(rd, lam, mu):
-    from sphecke.rootdata import mat_apply, vadd, vscale, vsub, weyl_elements
+    from oracles import weyl_elements
+    from sphecke.rootdata import mat_apply, vadd, vscale, vsub
 
     rho2 = rd.rho_b_times2
     lam2 = vadd(vscale(2, lam), rho2)

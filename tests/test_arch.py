@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from oracles import row_reduce, weyl_elements
 from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.arch import (
     ArchParams,
@@ -22,15 +23,12 @@ from sphecke.arch import (
     stirling_ratio,
     threshold,
 )
-from sphecke.characters import rep_weight_list, rep_weight_multiset
+from sphecke.characters import rep_weight_list, rep_weight_multiset, require_valid
 from sphecke.rootdata import (
     RepSpec,
     build_gl,
     build_preset,
     l_constant,
-    row_reduce,
-    validate_rho,
-    weyl_elements,
 )
 
 mp.mp.dps = 30
@@ -316,7 +314,7 @@ def _c_rho_fraction_route(rd, rho):
 @pytest.mark.parametrize("label", sorted(PRESET_RHO))
 def test_threshold_matches_fraction_route(label):
     rd, rho = build_preset(label), RepSpec(PRESET_RHO[label])
-    assert validate_rho(rd, rho).passed
+    require_valid(rd, rho)
     for p in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(2, 5), Fraction(2)):
         for (which, field_tag), want in _threshold_fraction_route(rd, rho, p).items():
             assert threshold(rd, rho, p, which, field_tag) == want
@@ -393,8 +391,3 @@ def test_arch_params_validation():
         ArchParams((0.0,), ((1,),), 1.0, 0, Fraction(3))
     with pytest.raises(InvalidInput):
         ArchParams((0.0,), ((1,),), 1.0, 0, Fraction(1), "wrong")
-
-
-def test_arch_params_epsilon():
-    p = ArchParams((0.0,), ((1,),), 1.0, 0, Fraction(1, 2))
-    assert p.epsilon == 3

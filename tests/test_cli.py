@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import sphecke.cli
 from sphecke.cli import COMMANDS, _build_parser, _join_negative_values, main
-from sphecke.rootdata import build_gl, datum_to_json
-from sphecke.satake import cell
-from sphecke.serialize import element_to_json
+from sphecke import characters
+from sphecke.rootdata import build_gl, build_preset, datum_to_json
+from sphecke.satake import cell, convolve
+from sphecke.serialize import element_to_obj
 
 
 def _reject_constant(name):
@@ -285,7 +288,7 @@ def test_zeta_undefined_point_exit_2(capsys, group, rho, c, weight):
 def test_zeta_undefined_point_of_h_exit_2(tmp_path, capsys):
     # the weights of rho are all nonnegative; those of the dual cell are not
     h = tmp_path / "h.json"
-    h.write_text(element_to_json(cell(build_gl(2), (0, -1))))
+    h.write_text(oracles.element_to_json(cell(build_gl(2), (0, -1))))
     code, out, err = run(
         capsys, "zeta", "--group", "gl2", "--c", "0,0.5", "--q", "3", "--s", "1",
         "--h-json", str(h),
@@ -463,13 +466,13 @@ def test_arch_probe_csv(tmp_path, capsys):
     ],
 )
 def test_cold_queries_build_no_weyl_matrices(capsys, monkeypatch, line):
-    from sphecke import kostka, rootdata
+    from sphecke import kostka
 
     def refuse(*args):
         raise AssertionError("the Weyl group was built as matrices")
 
-    monkeypatch.setattr(rootdata, "_weyl_bfs", refuse)
-    for cached in (rootdata.weyl_elements, kostka.lusztig_q_analogue, kostka.kl_row):
+    monkeypatch.setattr(oracles, "_weyl_bfs", refuse)
+    for cached in (oracles.weyl_elements, kostka.lusztig_q_analogue, kostka.kl_row):
         cached.cache_clear()
     code, _, err = run(capsys, *line.split())
     assert code == 0, err
@@ -495,6 +498,148 @@ def test_large_weyl_group_datum_exits_2_at_the_cap_on_the_kostka_path(tmp_path, 
     assert code == 2
     assert out == ""
     assert err == "error: Weyl group exceeds cap 50000\n"
+
+
+def test_affine_datum_exits_2_at_the_root_cap(tmp_path, capsys):
+    # affine A1 (Cartan matrix [[2, -2], [-2, 2]]) has infinitely many roots
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "cartan": "A1aff", "rank": 3, "sigma": [0, 0, 1],
+        "simple_roots": [[1, 0, 0], [0, 1, 0]],
+        "simple_coroot_forms": [[2, -2, 0], [-2, 2, 0]],
+        "positive_roots": [], "rho_b_times_2": [0, 0, 0],
+    }))
+    code, out, err = run(capsys, "kostka", "--datum", str(path), "--lambda", "0,0,0",
+                         "--mu", "0,0,0")
+    assert (code, out, err) == (2, "", "error: root system exceeds cap 50000\n")
+
+
+_GL2 = datum_to_json(build_gl(2))
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--datum", json.dumps({k: v for k, v in _GL2.items() if k != "sigma"})),
+        ("--datum", json.dumps({**_GL2, "rank": "a"})),
+        ("--datum", json.dumps([_GL2])),
+        ("--datum", '{"rank": 2,'),
+        ("--datum", "\udcff"),
+        ("--datum", json.dumps({**{k: v for k, v in _GL2.items() if k != "simple_coroot_forms"},
+                                "simple_roots": [[0, 0]]})),
+        ("--datum", json.dumps({**_GL2, "simple_coroot_forms": [[1, -1], [-1, 0]]})),
+        ("--datum", json.dumps({**_GL2, "sigma": [1, float("inf")]})),
+        ("--h-json", "{}"),
+        ("--h-json", json.dumps({"basis": "bogus", "grades": [], "window": [None, None]})),
+        ("--h-json", json.dumps({"basis": "chars", "grades": [], "window": [None, None]})),
+        ("--h-json", json.dumps({"basis": "cells", "grades": [], "window": ["a", None]})),
+        ("--h-json", json.dumps({"basis": "cells", "window": [None, None],
+                                 "grades": [{"k": 1, "terms": [{"mu": [1, 1], "coeff": []}]}]})),
+        ("--h-json", json.dumps({"basis": "cells", "window": [None, None],
+                                 "grades": [{"k": 1, "terms": [{"mu": [1], "coeff": []}]}]})),
+        ("--h-json", json.dumps({"basis": "cells", "window": [None, None],
+                                 "grades": [{"k": 1, "terms": [{"mu": [1, 0], "coeff": [[1]]}]}]})),
+    ],
+    ids=["no-sigma", "rank-text", "list", "bad-json", "not-utf8", "zero-root", "extra-form",
+         "infinite", "h-empty", "h-basis", "h-chars", "h-window", "h-off-grade", "h-length",
+         "h-coeff"],
+)
+def test_malformed_json_file_exit_2(tmp_path, capsys, flag, text):
+    path = tmp_path / "body.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = ["zeta", "--over-l", flag, str(path)]
+    argv += ["--group", "gl2"] if flag == "--h-json" else []
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                               max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, bodies):
+    """A valid body with one to three edits: a value replaced by any JSON
+    value, a key or entry dropped, or an integer moved by up to 2; or, now
+    and then, raw text that need not be JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=12))
+    body = copy.deepcopy(draw(st.sampled_from(bodies)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(body))))
+        if not path:
+            body = draw(_JSON_VALUE)
+            continue
+        parent = body
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        edit = draw(st.sampled_from(["replace", "drop", "bump"]))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "bump" and type(value) is int:
+            parent[key] = value + draw(st.integers(-2, 2))
+        else:
+            parent[key] = draw(_JSON_VALUE)
+    return json.dumps(body)
+
+
+_DATUM_BODIES = [datum_to_json(build_preset(label)) for label in ("gl1", "gl2", "gl3", "b2", "g2")]
+_H_BODIES = [
+    element_to_obj(convolve(cell(build_gl(2), (1, 0)), cell(build_gl(2), (0, -1)))),
+    element_to_obj(cell(build_gl(2), (2, -1))),
+]
+
+
+def _exit_of(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mutated(_DATUM_BODIES), _mutated(_H_BODIES))
+def test_json_body_fuzz(tmp_path_factory, datum_text, h_text):
+    # a --datum or --h-json file of any content: exit 0, 1 or 2, never an
+    # internal error
+    folder = tmp_path_factory.getbasetemp() / "json-bodies"
+    folder.mkdir(exist_ok=True)
+    datum, h = folder / "datum.json", folder / "h.json"
+    datum.write_text(datum_text)
+    h.write_text(h_text)
+    for argv in (
+        ["decomp", "--datum", str(datum), "--sym", "2"],
+        ["zeta", "--group", "gl2", "--h-json", str(h), "--over-l"],
+        ["zeta", "--group", "gl2", "--h-json", str(h), "--c", "0.3,0.2", "--N", "2"],
+    ):
+        code, err = _exit_of(argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert "internal error" not in err and "Traceback" not in err
+
+
+def test_rho_is_validated_once_per_op(capsys, monkeypatch):
+    # the command line, l_series, the kernel image and the inverse series all
+    # ask for the check; the span rank runs once
+    calls = []
+    span_rank = characters._span_rank
+    monkeypatch.setattr(characters, "_span_rank", lambda v: calls.append(v) or span_rank(v))
+    characters.require_valid.cache_clear()
+    code, _, err = run(capsys, "kernel", "--group", "b2", "--rho", "1,0,1", "--N", "2")
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_datum_file_roundtrip(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import solve_simple_coeffs, weyl_elements
 from sphecke import kostka
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
@@ -20,7 +21,6 @@ from sphecke.rootdata import (
     vadd,
     vscale,
     vsub,
-    weyl_elements,
 )
 
 GL1 = build_gl(1)
@@ -37,8 +37,6 @@ def oracle_partitions(beta, rd):
 
     Plain exhaustive recursion, no memo: each multiplicity is bounded
     exactly by the simple-root coefficient vector of what is left."""
-    from sphecke.rootdata import solve_simple_coeffs
-
     roots = rd.positive_roots
     if not roots:
         return {0: 1} if all(x == 0 for x in beta) else {}

@@ -8,7 +8,6 @@ from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.laurent import Laurent
 from sphecke.lseries import (
     SchwartzElement,
-    basic_coeff,
     basic_function,
     fourier,
     gamma_kernel,
@@ -102,6 +101,16 @@ def test_l_series_requires_valid_rho():
 
 
 # -- coefficients of the basic element
+
+
+def basic_coeff(rd, rho, mu):
+    """Grade sigma(mu) of the basic element at the mu-cell, as a polynomial
+    in q^-1 = v^-2: the cell normalization and X^k taken back off (zero
+    for negative grade)."""
+    k = sigma_grade(rd, mu)
+    if k < 0:
+        return Laurent.zero()
+    return basic_function(rd, rho, k).coefficient(k, mu).shift(v=height2(rd, mu), x=-k)
 
 
 def test_basic_coeff_examples():

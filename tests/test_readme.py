@@ -24,3 +24,19 @@ def test_readme_library_example():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue() == want + "\n"
+
+
+def test_readme_lists_the_exports():
+    import types
+
+    import sphecke
+
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- `\w+`:(.*?)(?=^- |^\n)", section, re.S | re.M)
+    listed = [name for item in items for name in re.findall(r"`(\w+)`", item)]
+    exported = [
+        name for name, value in vars(sphecke).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(exported)

@@ -11,7 +11,6 @@ from sphecke.errors import WindowError
 from sphecke.lseries import VerifyReport
 from sphecke.rootdata import (
     RepSpec,
-    ValidationReport,
     build_gl,
     build_preset,
     datum_from_json,
@@ -79,8 +78,6 @@ def test_list_defaults_are_fresh_per_instance():
     a, b = VerifyReport("a"), VerifyReport("b")
     a.check("part", 0, 0, None)
     assert a.checks == [{"part": "part", "grades": [0, 0], "ok": True}] and b.checks == []
-    assert ValidationReport(True).failures is not ValidationReport(True).failures
-    assert ValidationReport(True).notes is not ValidationReport(True).notes
     assert GammaFactorResult(1, 1, 0.0).flags is not GammaFactorResult(1, 1, 0.0).flags
 
 

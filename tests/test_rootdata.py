@@ -6,32 +6,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    dominance_leq,
+    mat_mul,
+    pair_rho_b,
+    row_reduce,
+    solve_simple_coeffs,
+    weyl_elements,
+)
+from sphecke.characters import _span_rank, require_valid
 from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError, WeylCapError
 from sphecke.rootdata import (
     WEYL_CAP_DEFAULT,
     RepSpec,
+    RootDatum,
     _orbit_walk,
     bareiss_solve,
     build_gl,
     build_preset,
     datum_from_json,
     datum_to_json,
-    dominance_leq,
     dominant_below,
     dual_weight_vec,
+    identity_mat,
     l_constant,
     mat_apply,
-    pair_rho_b,
     root_coeffs,
-    row_reduce,
     sigma_grade,
     signed_orbit,
-    solve_simple_coeffs,
     straighten,
-    validate_rho,
     vscale,
     vsub,
-    weyl_elements,
     weyl_orbit,
 )
 
@@ -189,8 +194,6 @@ def test_weyl_c2_preset():
 
 
 def test_weyl_closed_under_composition():
-    from sphecke.rootdata import mat_mul
-
     elems = [w for w, _ in weyl_elements(GL3)]
     for a in elems:
         for b in elems:
@@ -212,8 +215,6 @@ def test_sigma_vanishes_on_roots():
 
 def test_w0_involution_and_dominance():
     for rd in (GL2, GL3, build_preset("c2"), build_preset("g2")):
-        from sphecke.rootdata import identity_mat, mat_mul
-
         assert mat_mul(rd.w0, rd.w0) == identity_mat(rd.rank)
         # -w0 preserves dominance
         doms = [v for v in itertools.product(range(0, 2), repeat=rd.rank) if rd.is_dominant(v)]
@@ -274,26 +275,43 @@ def test_straighten_examples():
 def test_validate_rho_std_passes():
     for n in (1, 2, 3):
         rd = build_gl(n)
-        assert validate_rho(rd, RepSpec((1,) + (0,) * (n - 1))).passed
+        assert require_valid(rd, RepSpec((1,) + (0,) * (n - 1))) is None
 
 
 def test_validate_rho_sym2_fails_grade():
-    report = validate_rho(GL2, RepSpec((2, 0)))
-    assert not report.passed
-    assert any("grade" in f for f in report.failures)
+    with pytest.raises(InvalidInput, match=r"^representation invalid: weights with grade != 1"):
+        require_valid(GL2, RepSpec((2, 0)))
 
 
 def test_validate_rho_fails_span():
     # a grade-one character of B2: one weight, three torus directions
-    report = validate_rho(build_preset("b2"), RepSpec((0, 0, 1)))
-    assert not report.passed
-    assert report.failures == ["weights span only 1 of 3 torus directions"]
+    with pytest.raises(InvalidInput) as info:
+        require_valid(build_preset("b2"), RepSpec((0, 0, 1)))
+    assert str(info.value) == "representation invalid: weights span only 1 of 3 torus directions"
 
 
-def test_validate_rho_notes_torus_proxy():
-    report = validate_rho(GL1, RepSpec((1,)))
-    assert report.passed
-    assert any("torus-level" in n for n in report.notes)
+def test_validate_rho_fails_span_on_a_custom_datum():
+    # a rank-2 torus graded by its first coordinate: the character (1, 5)
+    # has grade one, but its one weight spans one of two directions
+    torus = RootDatum("T2", 2, [], [], (1, 0))
+    with pytest.raises(InvalidInput) as info:
+        require_valid(torus, RepSpec((1, 5)))
+    assert str(info.value) == "representation invalid: weights span only 1 of 2 torus directions"
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@example((2, [[1, 2], [2, 4]]))  # dependent rows
+@example((3, [[0, 0, 3], [0, 2, 1], [0, 4, 2]]))  # a zero column, dependent rows
+@example((1, []))  # no vectors
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=6)
+    )
+))
+def test_span_rank_matches_row_reduce(case):
+    n, rows = case
+    ref = [[Fraction(x) for x in row] for row in rows]
+    assert _span_rank(rows) == len(row_reduce(ref, n))
 
 
 def test_datum_json_roundtrip():
@@ -417,3 +435,34 @@ def test_bareiss_solve_matches_row_reduce(rows):
     nums, d = got
     assert d == abs(_det([row[:n] for row in rows]))
     assert [Fraction(x, d) for x in nums] == [row[n] for row in ref]
+
+
+def test_datum_derives_its_fields():
+    # the five inputs of B2 give the preset, positive roots and w0 included
+    b2 = RootDatum("B2", 3, [(1, -1, 0), (0, 1, 0)], [(1, -1, 0), (0, 2, 0)], (0, 0, 1))
+    assert b2 == build_preset("b2")
+    assert b2.positive_roots == ((1, 1, 0), (1, 0, 0), (1, -1, 0), (0, 1, 0))
+    assert b2.rho_b_times2 == (3, 1, 0) and b2.pair2_form == (4, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "simples, forms, sigma, error, match",
+    [
+        ([(1, 0)], [(2, 0), (0, 2)], (0, 1), InvalidInput, "must pair up"),
+        ([(1, 0, 0)], [(2, 0)], (0, 0, 1), LengthMismatchError, "want 3"),
+        ([(1, 0)], [(1, 0)], (0, 1), InvalidInput, "does not pair to 2"),
+        ([(1, 0)], [(2, 0)], (1, 1), InvalidInput, "nonzero grade"),
+        ([(1, 0), (-1, 0)], [(2, 0), (-2, 0)], (0, 1), InvalidInput, "height form"),
+        # Cartan matrix [[2, 1], [1, 2]]: alpha_1 - alpha_2 is a root, neither
+        # positive nor negative, and w0's reduced word never reaches -rho2
+        ([(1, 0, 0), (0, 1, 0)], [(2, 1, 0), (1, 2, 0)], (0, 0, 1), InvalidInput,
+         "not regular"),
+        # affine A1: the closure never ends, so it stops at the cap
+        ([(1, 0, 0), (0, 1, 0)], [(2, -2, 0), (-2, 2, 0)], (0, 0, 1), WeylCapError,
+         f"root system exceeds cap {WEYL_CAP_DEFAULT}"),
+    ],
+    ids=["pair-up", "length", "pairing", "sigma", "height", "not-regular", "affine"],
+)
+def test_datum_refuses_inconsistent_inputs(simples, forms, sigma, error, match):
+    with pytest.raises(error, match=match):
+        RootDatum("X", len(sigma), simples, forms, sigma)
