@@ -10,6 +10,42 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
+from .errors import InvalidInput, json_ints
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """The nonzero terms of the product of two term dicts, in the order
+    in which ``Laurent.__mul__`` keeps them."""
+    if len(a) == 1 or len(b) == 1:  # no two pairs of terms meet on a monomial
+        return {
+            (a1 + a2, b1 + b2): c1 * c2
+            for (a1, b1), c1 in a.items()
+            for (a2, b2), c2 in b.items()
+        }
+    out = {}
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def add_terms(acc: dict, terms, scale: int = 1) -> None:
+    """Add scale times the (monomial, coefficient) pairs into the term
+    dict acc in place, and drop a monomial whose sum cancels.
+
+    The pairs must have distinct monomials and, times scale, nonzero
+    coefficients, as the terms of one ``Laurent`` have.  Then acc ends with
+    the monomials of ``Laurent(acc) + scale * Laurent(terms)``, in the same
+    order, so a sum taken in place evaluates to the same floats.
+    """
+    for k, c in terms:
+        c = acc.get(k, 0) + scale * c
+        if c:
+            acc[k] = c
+        else:
+            del acc[k]
+
 
 class Laurent:
     """Immutable-by-convention {(v_exp, x_exp): int} with exact arithmetic."""
@@ -48,8 +84,7 @@ class Laurent:
         if isinstance(other, int):
             other = Laurent({(0, 0): other})
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
+        add_terms(out, other.terms.items())
         return Laurent(out)
 
     __radd__ = __add__
@@ -67,12 +102,7 @@ class Laurent:
             if other == 0:
                 return Laurent()
             return Laurent({k: c * other for k, c in self.terms.items()})
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return Laurent(out)
+        return Laurent(mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -132,5 +162,13 @@ class Laurent:
         return [[a, b, self.terms[(a, b)]] for (a, b) in sorted(self.terms)]
 
     @classmethod
-    def from_json(cls, obj):
-        return cls({(int(a), int(b)): int(c) for a, b, c in obj})
+    def from_json(cls, obj, name: str = "coeff"):
+        """The polynomial ``to_json`` writes: [v_exp, x_exp, coeff] triples of
+        JSON integers; InvalidInput naming the first entry that is not."""
+        if type(obj) is not list:
+            raise InvalidInput(f"{name} must be a list of [v, X, coeff] triples, got {obj!r}")
+        terms = {}
+        for i, triple in enumerate(obj):
+            a, b, c = json_ints(triple, f"{name}[{i}]")
+            terms[(a, b)] = c
+        return cls(terms)

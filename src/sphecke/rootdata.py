@@ -21,12 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import add, mul, sub
 
 from .errors import (
     InvalidInput,
     LengthMismatchError,
     NonDominantError,
     WeylCapError,
+    json_int,
+    json_ints,
 )
 from .record import Value
 
@@ -53,7 +56,7 @@ def vscale(c: int, a: Vec) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
@@ -127,7 +130,10 @@ class RootDatum(Value):
 
     def is_dominant(self, mu: Vec) -> bool:
         self.check_length(mu)
-        return all(dot(f, mu) >= 0 for f in self.simple_coroot_forms)
+        for f in self.simple_coroot_forms:
+            if dot(f, mu) < 0:
+                return False
+        return True
 
 
 class RepSpec(Value):
@@ -343,6 +349,22 @@ def root_coeffs(rd: RootDatum, v: Vec) -> Vec | None:
     return tuple(coeffs) if tuple(spelled) == tuple(v) else None
 
 
+@cache
+def _label_tables(rd: RootDatum) -> tuple:
+    """The datum's tables for walks in Dynkin labels (CONVENTIONS.md):
+    the Cartan matrix by columns, (f_j(alpha_i))_j for each simple root
+    alpha_i; the simple roots by coordinate, (alpha_i[t])_i for each
+    coordinate t; and each positive root as (its labels, its simple-root
+    coefficients)."""
+    forms, roots = rd.simple_coroot_forms, rd.simple_roots
+    columns = tuple(tuple(dot(f, alpha) for f in forms) for alpha in roots)
+    rows = tuple(tuple(alpha[t] for alpha in roots) for t in range(rd.rank))
+    steps = tuple(
+        (tuple(dot(f, beta) for f in forms), root_coeffs(rd, beta)) for beta in rd.positive_roots
+    )
+    return columns, rows, steps
+
+
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
     """All dominant mu <= lam, reverse-lexicographically descending.
 
@@ -352,21 +374,34 @@ def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
     joined by a chain of dominant weights whose steps are single
     positive roots (Stembridge, *The partial order of dominant weights*,
     Adv. Math. 136 (1998)).
+
+    The walk runs in Dynkin labels: mu is dominant when its labels are
+    nonnegative, and subtracting a positive root subtracts that root's
+    labels.  On lam minus the root lattice the labels fix the weight (the
+    Cartan matrix is invertible), so they key the walk; each weight
+    carries the simple-root coefficients of lam - mu and is rebuilt from
+    them once, at the end.
     """
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
-    seen = {lam}
-    frontier = [lam]
+    _, rows, steps = _label_tables(rd)
+    start = tuple(dot(f, lam) for f in rd.simple_coroot_forms)
+    seen = {start: (0,) * len(start)}
+    frontier = [start]
     while frontier:
         new = []
-        for v in frontier:
-            for alpha in rd.positive_roots:
-                mu = vsub(v, alpha)
-                if mu not in seen and rd.is_dominant(mu):
-                    seen.add(mu)
+        for labels in frontier:
+            coeffs = seen[labels]
+            for step, beta in steps:
+                mu = tuple(map(sub, labels, step))
+                if min(mu) >= 0 and mu not in seen:
+                    seen[mu] = tuple(map(add, coeffs, beta))
                     new.append(mu)
         frontier = new
-    return sorted(seen, reverse=True)
+    return sorted(
+        (tuple(x - dot(c, row) for x, row in zip(lam, rows)) for c in seen.values()),
+        reverse=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,35 +414,42 @@ def _orbit_walk(rd: RootDatum, v: Vec, cap: int, coeffs: bool = False) -> list[t
     ``coeffs`` triples that add the coefficients of u - v in the simple
     roots.
 
-    The coefficients ride along the walk: s_i(u) = u - f_i(u) alpha_i
-    changes only the i-th one, so no image is solved for.  Plain orbits
-    (``weyl_orbit``) do not carry them.
+    The walk runs in Dynkin labels, as ``straighten`` does: s_i subtracts
+    f_i(u) times the i-th column of the Cartan matrix from the labels and
+    changes only the i-th coefficient, by -f_i(u).  Within the orbit the
+    labels fix u, so they key the walk, and u is built only for an image
+    the walk has not met.  Past ``cap`` images the walk stops with
+    WeylCapError.
     """
-    k = len(rd.simple_roots)
-    seen = {v}
-    order = [(v, 0, (0,) * k) if coeffs else (v, 0)]
-    frontier = order[:]
+    columns, _, _ = _label_tables(rd)
+    roots = rd.simple_roots
+    start = tuple([dot(f, v) for f in rd.simple_coroot_forms])
+    seen = {start}
+    walk = [(v, 0, (0,) * len(start))]
+    frontier = [(start, walk[0])]
     depth = 0
     while frontier:
         depth += 1
         new = []
-        for entry in frontier:
-            u = entry[0]
-            for i, (f, alpha) in enumerate(zip(rd.simple_coroot_forms, rd.simple_roots)):
-                c = dot(f, u)
-                img = tuple(x - c * a for x, a in zip(u, alpha))
+        for labels, (u, _, cu) in frontier:
+            for i, column in enumerate(columns):
+                c = labels[i]
+                if not c:
+                    continue  # s_i fixes u
+                img = tuple([x - c * a for x, a in zip(labels, column)])
                 if img not in seen:
                     seen.add(img)
-                    if coeffs:
-                        cu = entry[2]
-                        new.append((img, depth, cu[:i] + (cu[i] - c,) + cu[i + 1:]))
-                    else:
-                        new.append((img, depth))
+                    entry = (
+                        tuple([x - c * a for x, a in zip(u, roots[i])]),
+                        depth,
+                        cu[:i] + (cu[i] - c,) + cu[i + 1:],
+                    )
+                    walk.append(entry)
+                    new.append((img, entry))
                     if len(seen) > cap:
                         raise WeylCapError(f"Weyl group exceeds cap {cap}")
-        order.extend(new)
         frontier = new
-    return order
+    return walk if coeffs else [(u, depth) for u, depth, _ in walk]
 
 
 def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int, Vec]]:
@@ -434,20 +476,35 @@ def straighten(rd: RootDatum, v2: Vec):
     sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
     sign times that of 2(lam + rho); returns None when v2 lies on a wall,
     where that sum vanishes.
+
+    The walk runs in Dynkin labels, the pairings of the vector with the
+    simple coroot forms.  The first label that is not positive decides
+    each step: zero puts the vector on a wall, and a negative one reflects
+    in that simple root.  s_i(u) = u - f_i(u) alpha_i subtracts f_i(u)
+    times the i-th column of the Cartan matrix from the labels and f_i(u)
+    from the i-th simple-root coefficient of w(v2) - v2, so the vector is
+    rebuilt from those coefficients once, at the end.
     """
-    forms, roots = rd.simple_coroot_forms, rd.simple_roots
+    columns, rows, _ = _label_tables(rd)
+    labels = [dot(f, v2) for f in rd.simple_coroot_forms]
+    coeffs = None
     sign = 1
     while True:
-        for form, alpha in zip(forms, roots):
-            c = dot(form, v2)
-            if c < 0:
+        for i, c in enumerate(labels):
+            if c <= 0:
                 break
-            if c == 0:
-                return None
         else:
-            return sign, tuple((x - r) // 2 for x, r in zip(v2, rd.rho_b_times2))
-        v2 = tuple(x - c * a for x, a in zip(v2, alpha))
+            break
+        if not c:
+            return None
+        if coeffs is None:
+            coeffs = [0] * len(labels)
+        coeffs[i] -= c
+        labels = [x - c * a for x, a in zip(labels, columns[i])]
         sign = -sign
+    if coeffs is not None:
+        v2 = [x + dot(coeffs, row) for x, row in zip(v2, rows)]
+    return sign, tuple((x - r) // 2 for x, r in zip(v2, rd.rho_b_times2))
 
 
 def dual_weight_vec(rd: RootDatum, lam: Vec) -> Vec:
@@ -469,18 +526,27 @@ def datum_to_json(rd: RootDatum) -> dict:
 
 def datum_from_json(obj: dict) -> RootDatum:
     """The datum a JSON body spells, as ``datum_to_json`` writes it, with
-    the coroot forms optional; InvalidInput for a malformed body or stated
-    positive roots or rho_b_times_2 that the datum does not derive."""
+    the coroot forms optional; InvalidInput for a malformed body (an entry
+    that is not a JSON integer is named) or stated positive roots or
+    rho_b_times_2 that the datum does not derive."""
+    def vectors(key):
+        rows = obj[key]
+        if type(rows) is not list:
+            raise InvalidInput(f"{key} must be a list of integer lists, got {rows!r}")
+        return [json_ints(r, f"{key}[{i}]") for i, r in enumerate(rows)]
+
     try:
-        rank = int(obj["rank"])
-        simples = [tuple(int(x) for x in r) for r in obj["simple_roots"]]
-        forms = None
-        if "simple_coroot_forms" in obj:
-            forms = [tuple(int(x) for x in f) for f in obj["simple_coroot_forms"]]
-        sigma = tuple(int(x) for x in obj["sigma"])
-        stated = sorted(tuple(int(x) for x in r) for r in obj["positive_roots"])
-        stated_rho2 = tuple(int(x) for x in obj["rho_b_times_2"])
-        cartan = str(obj["cartan"])
+        rank = json_int(obj["rank"], "rank")
+        simples = vectors("simple_roots")
+        forms = vectors("simple_coroot_forms") if "simple_coroot_forms" in obj else None
+        sigma = json_ints(obj["sigma"], "sigma")
+        stated = sorted(vectors("positive_roots"))
+        stated_rho2 = json_ints(obj["rho_b_times_2"], "rho_b_times_2")
+        cartan = obj["cartan"]
+        if type(cartan) is not str:
+            raise InvalidInput(f"cartan must be a string, got {cartan!r}")
+    except InvalidInput as exc:
+        raise InvalidInput(f"malformed datum: {exc}") from None
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidInput(f"malformed datum: {type(exc).__name__}: {exc}") from None
     if forms is None:

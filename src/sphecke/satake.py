@@ -27,7 +27,7 @@ from functools import cache
 from .characters import char_eval, tensor, times_char, weight_multiplicities
 from .errors import InvalidInput, NonDominantError, WindowError
 from .kostka import kl_row
-from .laurent import Laurent
+from .laurent import Laurent, add_terms, mul_terms
 from .record import Record, Value
 from .rootdata import (
     RootDatum,
@@ -202,9 +202,10 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 @cache
 def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
     """D = prod over the positive roots alpha of (1 - t e^-alpha), with
-    (1 - e^-alpha) on the wall roots, as {-beta: d_beta(t)} in v with
-    t = v^-2; and |W_mu|, the order of the stabilizer the walls span,
-    as the product of (ht + 1)/ht over the wall roots."""
+    (1 - e^-alpha) on the wall roots, as {-beta: d_beta(t)} with each
+    d_beta a term dict in v, t = v^-2; and |W_mu|, the order of the
+    stabilizer the walls span, as the product of (ht + 1)/ht over the
+    wall roots."""
     d = {((0,) * rd.rank, 0): 1}
     for alpha in rd.positive_roots:
         step = 0 if alpha in walls else 1
@@ -222,7 +223,7 @@ def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
         weights.setdefault(w, {})[(-2 * e, 0)] = c
     hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
     order = math.prod(h + 1 for h in hts) // math.prod(hts)
-    return {w: Laurent(t) for w, t in weights.items()}, order
+    return weights, order
 
 
 @cache
@@ -249,7 +250,7 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
     out = []
     for lam, c in times_char(rd, weights, mu).items():
         terms = {}
-        for (a, b), x in c.terms.items():
+        for (a, b), x in c.items():
             q, r = divmod(x, order)
             if r:
                 raise RuntimeError(f"inexact division by |W_mu| = {order} at {lam}")
@@ -259,13 +260,17 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
 
 
 def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:
-    """Expand every vector of f by ``row(rd, vector)``, grade by grade."""
+    """Expand every vector of f by ``row(rd, vector)``, grade by grade.
+
+    Each target's coefficient is summed in place as a term dict and
+    becomes one ``Laurent`` at the end."""
     out = {}
     for k, terms in f.grades.items():
-        acc = out[k] = {}
+        acc = {}
         for vec, c in terms.items():
             for target, w in row(f.rd, vec):
-                acc[target] = acc.get(target, Laurent.zero()) + c * w
+                add_terms(acc.setdefault(target, {}), mul_terms(c.terms, w.terms).items())
+        out[k] = {target: Laurent(t) for target, t in acc.items()}
     return GradedElement(f.rd, basis, out, f.window)
 
 
@@ -286,7 +291,8 @@ def inverse_satake(phi: GradedElement) -> GradedElement:
 
 
 def satake_mul(a: GradedElement, b: GradedElement, window: Window | None = None) -> GradedElement:
-    """Graded product of two character-side elements."""
+    """Graded product of two character-side elements; each coefficient is
+    summed in place as a term dict and becomes one ``Laurent`` at the end."""
     assert a.basis == CHARS and b.basis == CHARS
     wout = conv_window(a, b)
     if window is not None:
@@ -301,10 +307,11 @@ def satake_mul(a: GradedElement, b: GradedElement, window: Window | None = None)
             acc = out.setdefault(g, {})
             for lam, c1 in ta.items():
                 for mu, c2 in tb.items():
-                    c = c1 * c2
+                    c = mul_terms(c1.terms, c2.terms).items()
                     for nu, m in tensor(a.rd, lam, mu):
-                        acc[nu] = acc.get(nu, Laurent.zero()) + c * m
-    return GradedElement(a.rd, CHARS, out, wout)
+                        add_terms(acc.setdefault(nu, {}), c, m)
+    grades = {g: {nu: Laurent(t) for nu, t in acc.items()} for g, acc in out.items()}
+    return GradedElement(a.rd, CHARS, grades, wout)
 
 
 def _check_window_available(requested: Window, available: Window):

@@ -7,7 +7,7 @@ are bit-exact (integer coefficients of any size survive).
 
 from __future__ import annotations
 
-from .errors import GradeMismatchError, InvalidInput
+from .errors import GradeMismatchError, InvalidInput, json_int, json_ints
 from .laurent import Laurent
 from .rootdata import RootDatum, sigma_grade
 from .satake import CELLS, CHARS, GradedElement, Window
@@ -27,22 +27,24 @@ def element_to_obj(e: GradedElement) -> dict:
 
 def element_from_obj(rd: RootDatum, obj: dict) -> GradedElement:
     """The element a JSON body spells, as ``element_to_obj`` writes it;
-    InvalidInput for a malformed body, a vector off its grade or length,
-    or window bounds that are not integers or null."""
+    InvalidInput for a malformed body (an entry that is not a JSON integer
+    is named), a vector off its grade or length, or window bounds that are
+    not integers or null."""
     try:
         basis = obj["basis"]
         if basis not in (CELLS, CHARS):
             raise InvalidInput(f"unknown basis {basis!r}")
         key = "mu" if basis == CELLS else "lambda"
         grades = {}
-        for g in obj["grades"]:
-            k = int(g["k"])
+        for i, g in enumerate(obj["grades"]):
+            k = json_int(g["k"], f"grades[{i}].k")
             terms = grades.setdefault(k, {})
-            for t in g["terms"]:
-                vec = tuple(int(x) for x in t[key])
+            for j, t in enumerate(g["terms"]):
+                name = f"grades[{i}].terms[{j}]"
+                vec = json_ints(t[key], f"{name}.{key}")
                 if sigma_grade(rd, vec) != k:
                     raise GradeMismatchError(f"{vec} is not of grade {k}")
-                terms[vec] = Laurent.from_json(t["coeff"])
+                terms[vec] = Laurent.from_json(t["coeff"], f"{name}.coeff")
         lo, hi = obj["window"]
     except InvalidInput:
         raise

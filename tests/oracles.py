@@ -2,28 +2,36 @@
 
 None of these is on a production path: the Weyl group as matrices
 (breadth-first by length), exact rational row reduction, the dominance
-order and the half-sum pairing spelled out, and JSON text round trips of
-graded elements.
+order and the half-sum pairing spelled out, JSON text round trips of
+graded elements, and the transforms and the product summed one
+``Laurent`` object per term, as the package once summed them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import cache
 
+
+from sphecke.characters import tensor
 from sphecke.errors import NonDominantError, WeylCapError
+from sphecke.kostka import kl_row
+from sphecke.laurent import Laurent
 from sphecke.rootdata import (
     WEYL_CAP_DEFAULT,
     Mat,
     RootDatum,
     Vec,
     dot,
+    height2,
     identity_mat,
     root_coeffs,
+    straighten,
     vsub,
 )
-from sphecke.satake import GradedElement
+from sphecke.satake import CELLS, CHARS, GradedElement, conv_window
 from sphecke.serialize import element_from_obj, element_to_obj
 
 
@@ -139,3 +147,107 @@ def element_to_json(e: GradedElement) -> str:
 
 def element_from_json(rd: RootDatum, text: str) -> GradedElement:
     return element_from_obj(rd, json.loads(text))
+
+
+# -- the transforms and the product, one ``Laurent`` object per term
+
+
+def satake_basis_row_reference(rd: RootDatum, mu: Vec) -> tuple:
+    """Macdonald's row for the mu-cell, summed with ``Laurent`` objects:
+    the factor D = prod (1 - t e^-alpha), (1 - e^-alpha) on the wall roots,
+    straightened weight by weight."""
+    walls = tuple(
+        alpha
+        for alpha, form in zip(rd.positive_roots, rd.positive_coroot_forms)
+        if dot(form, mu) == 0
+    )
+    d = {((0,) * rd.rank, 0): 1}
+    for alpha in rd.positive_roots:
+        step = 0 if alpha in walls else 1
+        nxt = dict(d)
+        for (w, e), c in d.items():
+            key = (vsub(w, alpha), e + step)
+            c = nxt.get(key, 0) - c
+            if c:
+                nxt[key] = c
+            else:
+                del nxt[key]
+        d = nxt
+    weights = {}
+    for (w, e), c in d.items():
+        weights.setdefault(w, {})[(-2 * e, 0)] = c
+    hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
+    order = math.prod(h + 1 for h in hts) // math.prod(hts)
+    lam2 = tuple(2 * x + r for x, r in zip(mu, rd.rho_b_times2))
+    sums = {}
+    for nu, t in weights.items():
+        hit = straighten(rd, tuple(2 * x + y for x, y in zip(nu, lam2)))
+        if hit is None:
+            continue
+        sign, top = hit
+        c = sums.get(top, 0) + sign * Laurent(t)
+        if c:
+            sums[top] = c
+        elif top in sums:
+            del sums[top]
+    shift = height2(rd, mu)
+    out = []
+    for lam, c in sums.items():
+        terms = {}
+        for (a, b), x in c.terms.items():
+            q, r = divmod(x, order)
+            assert not r
+            terms[(a + shift, b)] = q
+        out.append((lam, Laurent(terms)))
+    return tuple(sorted(out, reverse=True))
+
+
+def _change_basis_reference(f: GradedElement, row, basis: str) -> GradedElement:
+    out = {}
+    for k, terms in f.grades.items():
+        acc = out[k] = {}
+        for vec, c in terms.items():
+            for target, w in row(f.rd, vec):
+                acc[target] = acc.get(target, Laurent.zero()) + c * w
+    return GradedElement(f.rd, basis, out, f.window)
+
+
+def satake_reference(f: GradedElement) -> GradedElement:
+    assert f.basis == CELLS
+    return _change_basis_reference(f, satake_basis_row_reference, CHARS)
+
+
+def inverse_satake_reference(phi: GradedElement) -> GradedElement:
+    assert phi.basis == CHARS
+    return _change_basis_reference(phi, kl_row, CELLS)
+
+
+def satake_mul_reference(a: GradedElement, b: GradedElement) -> GradedElement:
+    """The graded product over the grades ``conv_window`` determines."""
+    wout = conv_window(a, b)
+    out = {}
+    for i, ta in a.grades.items():
+        for j, tb in b.grades.items():
+            g = i + j
+            if not wout.knows(g):
+                continue
+            acc = out.setdefault(g, {})
+            for lam, c1 in ta.items():
+                for mu, c2 in tb.items():
+                    c = c1 * c2
+                    for nu, m in tensor(a.rd, lam, mu):
+                        acc[nu] = acc.get(nu, Laurent.zero()) + c * m
+    return GradedElement(a.rd, CHARS, out, wout)
+
+
+def spelled(e: GradedElement) -> tuple:
+    """Everything an element stores, in its stored order: grades, the
+    vectors of each grade, and the monomials of each coefficient."""
+    return (
+        e.basis,
+        e.window,
+        [
+            (k, [(vec, list(c.terms.items())) for vec, c in terms.items()])
+            for k, terms in e.grades.items()
+        ],
+    )

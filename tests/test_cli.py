@@ -554,6 +554,48 @@ def test_malformed_json_file_exit_2(tmp_path, capsys, flag, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({**_GL2, "rank": 2.9}, "rank must be an integer, got 2.9"),
+        ({**_GL2, "sigma": [1, "1"]}, "sigma[1] must be an integer, got '1'"),
+        ({**_GL2, "sigma": [True, True]}, "sigma[0] must be an integer, got True"),
+        ({**_GL2, "simple_roots": [[1.9, -1]]}, "simple_roots[0][0] must be an integer, got 1.9"),
+    ],
+    ids=["rank-float", "sigma-text", "sigma-bool", "root-float"],
+)
+def test_non_integer_datum_entry_exit_2(tmp_path, capsys, body, message):
+    # each body loaded as GL2 while entries were read through int()
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "kostka", "--datum", str(path), "--lambda", "2,0", "--mu", "1,1")
+    assert (code, out, err) == (2, "", f"error: malformed datum: {message}\n")
+
+
+_CELL = {"basis": "cells", "window": [None, None]}
+
+
+@pytest.mark.parametrize(
+    "grade, message",
+    [
+        ({"k": 1.0, "terms": [{"mu": [1, 0], "coeff": [[0, 0, 1]]}]},
+         "grades[0].k must be an integer, got 1.0"),
+        ({"k": 1, "terms": [{"mu": [True, 0], "coeff": [[0, 0, 1]]}]},
+         "grades[0].terms[0].mu[0] must be an integer, got True"),
+        ({"k": 1, "terms": [{"mu": [1, 0], "coeff": [[0, 0, "1"]]}]},
+         "grades[0].terms[0].coeff[0][2] must be an integer, got '1'"),
+        ({"k": 1, "terms": [{"mu": [1, 0], "coeff": [[0.5, 0, 1]]}]},
+         "grades[0].terms[0].coeff[0][0] must be an integer, got 0.5"),
+    ],
+    ids=["k-float", "mu-bool", "coeff-text", "exponent-float"],
+)
+def test_non_integer_element_entry_exit_2(tmp_path, capsys, grade, message):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({**_CELL, "grades": [grade]}))
+    code, out, err = run(capsys, "zeta", "--group", "gl2", "--h-json", str(path), "--over-l")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 _JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
@@ -805,6 +847,76 @@ def test_numeric_flag_fuzz(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# argv of the algebra commands: small weight vectors that may have the
+# wrong length, be non-dominant or sit off their grade
+_FUZZ_GROUPS = {"gl2": 2, "gl3": 3, "b2": 3, "c2": 3, "g2": 3}
+
+
+@st.composite
+def _algebra_argv(draw):
+    group = draw(st.sampled_from(sorted(_FUZZ_GROUPS)))
+    rank = _FUZZ_GROUPS[group]
+
+    def vec():
+        n = draw(st.sampled_from([rank, rank, rank, rank - 1, rank + 1]))
+        return ",".join(map(str, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+
+    command = draw(st.sampled_from(["kostka", "satake", "convolve", "decomp"]))
+    argv = [command, "--group", group]
+    if command == "kostka":
+        argv += ["--lambda", vec(), "--mu", vec()] + (["--json"] if draw(st.booleans()) else [])
+    elif command == "satake":
+        argv += ["--mu", vec()]
+    elif command == "convolve":
+        argv += ["--mu", vec(), "--nu", vec()]
+    else:
+        rho = draw(st.sampled_from(["std", "1,0,1", "0,-1,1", "2,-1", None]))
+        argv += ["--rho", rho or vec(), draw(st.sampled_from(["--sym", "--ext"])),
+                 str(draw(st.integers(-1, 3)))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_algebra_argv())
+def test_algebra_argv_fuzz(argv):
+    # exit 0 with strict JSON on stdout (kostka prints its polynomial as a
+    # text line first, and JSON after it only with --json), or exit 2 with
+    # one error line; never a traceback or an internal error
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+    elif argv[0] != "kostka":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    elif "--json" in argv:
+        json.loads(out.getvalue().split("\n", 1)[1], parse_constant=_reject_constant)
+
+
+def test_cli_import_fills_no_cache():
+    # every table of the package fills on first use, so a cold call pays
+    # only for the work it asks for
+    src = Path(sphecke.cli.__file__).resolve().parents[1]
+    probe = (
+        "import json, sys, sphecke.cli\n"
+        "tables = {f'{name}.{attr}': obj.cache_info().currsize\n"
+        "          for name, mod in list(sys.modules.items()) if name.startswith('sphecke')\n"
+        "          for attr, obj in vars(mod).items() if hasattr(obj, 'cache_info')}\n"
+        "print(json.dumps(tables))"
+    )
+    tables = json.loads(subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout)
+    assert "sphecke.satake.satake_basis_row" in tables and "sphecke.kostka.kl_row" in tables
+    assert {name: size for name, size in tables.items() if size} == {}
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

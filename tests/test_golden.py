@@ -3,12 +3,12 @@
 ``perfbench/golden.json`` holds the SHA-256 of each benchmark op's
 normalized stdout, taken from a commit whose outputs are known to be
 right; ``perfbench/run.py`` defines the normalization.  This test only
-reads those two files, and covers one line of each output kind, plus
-the kernel on a simply-laced datum and on G2, the orbit-walk and
-integer routes (a B4 Kostka polynomial, a C4 threshold and the GL4
-weight-norm constant), the cell-to-character rows (a B2 cell), and
-every line of the ``verify`` workload, so each verifier's report is
-byte-checked on every datum the benchmark runs it on.
+reads those two files, and covers one line of each output kind, the
+orbit-walk and integer routes (a B4 Kostka polynomial, a C4 threshold
+and the GL4 weight-norm constant), the cell-to-character rows (a B2
+cell), and every line of the ``kernel`` and ``verify`` workloads, so
+each basic element, kernel and verifier report is byte-checked on every
+datum the benchmark runs it on.
 """
 
 import contextlib
@@ -33,10 +33,14 @@ LINES = [
     "satake --group b2 --mu 2,1,0",
     "convolve --group c2 --mu 1,1,0 --nu 1,0,0",
     "decomp --group gl3 --sym 4",
-    "basic --group c2 --rho 1,0,1 --N 10",
-    "kernel --group b2 --rho 1,0,1 --N 2",
     "kernel --group gl4 --N 4",
+    "basic --group gl4 --N 9",
+    "kernel --group b2 --rho 1,0,1 --N 2",
+    "basic --group b2 --rho 1,0,1 --N 8",
+    "kernel --group c2 --rho 1,0,1 --N 5",
+    "basic --group c2 --rho 1,0,1 --N 10",
     "kernel --group g2 --rho 0,-1,1 --N 0",
+    "basic --group g2 --rho 0,-1,1 --N 7",
     "verify fixed-point --group gl3 --N 12",
     "verify unitarity --group gl3 --N 12",
     "verify fixed-point --group gl2 --rho 2,-1 --N 11",

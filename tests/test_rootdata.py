@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -43,6 +44,8 @@ from sphecke.rootdata import (
 GL1 = build_gl(1)
 GL2 = build_gl(2)
 GL3 = build_gl(3)
+
+PRESETS = ["gl1", "gl2", "gl3", "gl4", "b2", "b3", "b4", "c2", "c3", "c4", "d3", "d4", "g2"]
 
 
 def test_build_gl2():
@@ -251,7 +254,7 @@ def _straighten_oracle(rd, v2):
     return hits[0] if hits else None
 
 
-@pytest.mark.parametrize("label", ["gl3", "b2", "b3", "c3", "d4", "g2"])
+@pytest.mark.parametrize("label", [p for p in PRESETS if p != "gl1"])  # gl1: its own test
 def test_straighten_weyl_group_oracle(label):
     rd = build_preset(label)
     rng = random.Random(f"straighten:{label}")
@@ -263,6 +266,14 @@ def test_straighten_weyl_group_oracle(label):
         assert got == _straighten_oracle(rd, v2), v
         walls += got is None
     assert 0 < walls < 300
+
+
+def test_straighten_gl1_oracle():
+    # no simple roots, so no walls: every vector is already dominant
+    rng = random.Random("straighten:gl1")
+    for _ in range(50):
+        x = rng.randint(-6, 6)
+        assert straighten(GL1, (2 * x,)) == _straighten_oracle(GL1, (2 * x,)) == (1, (x,))
 
 
 def test_straighten_examples():
@@ -321,6 +332,40 @@ def test_datum_json_roundtrip():
         assert back == rd
 
 
+@pytest.mark.parametrize("label", PRESETS)
+def test_datum_json_roundtrip_every_preset(label):
+    # through JSON text, and with the coroot forms left to be derived
+    rd = build_preset(label)
+    text = json.dumps(datum_to_json(rd))
+    assert datum_from_json(json.loads(text)) == rd
+    assert datum_to_json(datum_from_json(json.loads(text))) == json.loads(text)
+    if label != "g2":  # g2's forms are not 2 alpha / (alpha, alpha) in its coordinates
+        bare = {k: v for k, v in json.loads(text).items() if k != "simple_coroot_forms"}
+        assert datum_from_json(bare) == rd
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("rank", 2.9, "rank must be an integer, got 2.9"),
+        ("rank", True, "rank must be an integer, got True"),
+        ("sigma", [1, "1"], "sigma[1] must be an integer, got '1'"),
+        ("sigma", [True, True], "sigma[0] must be an integer, got True"),
+        ("sigma", [1.0, 1], "sigma[0] must be an integer, got 1.0"),
+        ("sigma", "11", "sigma must be a list of integers, got '11'"),
+        ("simple_roots", [[1.9, -1]], "simple_roots[0][0] must be an integer, got 1.9"),
+        ("simple_coroot_forms", [[1, False]], "simple_coroot_forms[0][1] must be an integer, got False"),
+        ("positive_roots", [[1, "-1"]], "positive_roots[0][1] must be an integer, got '-1'"),
+        ("rho_b_times_2", [1, -1.0], "rho_b_times_2[1] must be an integer, got -1.0"),
+        ("cartan", [1], "cartan must be a string, got [1]"),
+    ],
+)
+def test_datum_json_refuses_mistyped_entries(key, value, message):
+    with pytest.raises(InvalidInput) as info:
+        datum_from_json({**datum_to_json(GL2), key: value})
+    assert str(info.value) == f"malformed datum: {message}"
+
+
 def test_datum_json_rejects_bad_positive_roots():
     obj = datum_to_json(GL2)
     obj["positive_roots"] = [[1, 1]]
@@ -343,7 +388,6 @@ def test_weyl_cap_enforced():
         weyl_elements(d4, cap=10)
 
 
-PRESETS = ["gl1", "gl2", "gl3", "gl4", "b2", "b3", "b4", "c2", "c3", "c4", "d3", "d4", "g2"]
 
 
 def _nonzero_dominant(rd):

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import element_from_json, element_to_json
+from oracles import (
+    element_from_json,
+    element_to_json,
+    inverse_satake_reference,
+    satake_basis_row_reference,
+    satake_mul_reference,
+    satake_reference,
+    spelled,
+)
 import sphecke.characters
 import sphecke.satake
 from sphecke.errors import WindowError
@@ -428,6 +436,89 @@ def test_twists_compose(label, data):
 def test_element_json_round_trip(label, data):
     f = data.draw(_elements(label))
     assert element_from_obj(f.rd, element_to_obj(f)) == f
+
+
+# -- the in-place sums against the Laurent-object loops they replace: the
+# same grades, vectors, coefficients and monomials, stored in the same order
+
+
+def _in_basis(f, basis):
+    return GradedElement(f.rd, basis, f.grades, f.window)
+
+
+@pytest.mark.parametrize("label", PROPERTY_PRESETS)
+@LAWS
+@given(data=st.data())
+def test_transforms_match_the_laurent_loops(label, data):
+    f = data.draw(_elements(label))
+    cells, chars = _in_basis(f, CELLS), _in_basis(f, CHARS)
+    assert spelled(satake(cells)) == spelled(satake_reference(cells))
+    assert spelled(inverse_satake(chars)) == spelled(inverse_satake_reference(chars))
+
+
+@pytest.mark.parametrize("label", PROPERTY_PRESETS)
+@LAWS
+@given(data=st.data())
+def test_satake_mul_matches_the_laurent_loop(label, data):
+    a, b = (_in_basis(data.draw(_elements(label)), CHARS) for _ in "ab")
+    try:
+        want = satake_mul_reference(a, b)
+    except WindowError:
+        with pytest.raises(WindowError):
+            satake_mul(a, b)
+        return
+    assert spelled(satake_mul(a, b)) == spelled(want)
+
+
+@pytest.mark.parametrize(
+    "basis, terms",
+    [
+        (CELLS, {(1, 0, -1): {(-4, 0): -2}, (2, -1, -1): {(4, 0): -2, (-2, 0): 1},
+                 (2, 0, -2): {(-2, 0): -2, (4, 0): -2, (2, 0): 2}}),
+        (CHARS, {(2, 0, -2): {(2, 0): 1, (4, 0): -1, (0, 0): 2}, (1, 0, -1): {(-4, 0): -1}}),
+    ],
+    ids=["cells", "chars"],
+)
+def test_change_of_basis_sums_each_product_before_adding_it(basis, terms):
+    # a target's monomial passes through zero part-way through one product
+    # of multi-term coefficients; added term by term it would move to the
+    # end of the target's terms
+    f = GradedElement(GL3, basis, {0: {mu: L(t) for mu, t in terms.items()}})
+    if basis == CELLS:
+        assert spelled(satake(f)) == spelled(satake_reference(f))
+    else:
+        assert spelled(inverse_satake(f)) == spelled(inverse_satake_reference(f))
+
+
+@pytest.mark.parametrize("label", PROPERTY_PRESETS)
+def test_satake_basis_row_matches_the_laurent_loop(label):
+    rd, pool = _small_dominant(label)
+    for mu in pool:
+        got = [(lam, list(c.terms.items())) for lam, c in satake_basis_row(rd, mu)]
+        want = [(lam, list(c.terms.items())) for lam, c in satake_basis_row_reference(rd, mu)]
+        assert got == want, mu
+
+
+@pytest.mark.parametrize("label, mu", [("gl3", (2, 1, 0)), ("b2", (2, 1, 0)), ("g2", (0, -2, 1))])
+def test_inverse_transform_cancels_every_lower_target(label, mu):
+    # the transform of one cell spreads over the characters below it; back
+    # across, every cell below mu sums to zero and is dropped
+    rd = build_preset(label)
+    phi = satake(cell(rd, mu, L({(1, 0): 2, (0, 1): -1})))
+    targets = {nu for lam in phi.grades[sigma_grade(rd, mu)] for nu, _ in kl_row(rd, lam)}
+    assert len(targets) > 1
+    back = inverse_satake(phi)
+    assert back.grades == {sigma_grade(rd, mu): {mu: L({(1, 0): 2, (0, 1): -1})}}
+    assert spelled(back) == spelled(inverse_satake_reference(phi))
+
+
+def test_satake_mul_drops_a_cancelled_target():
+    # chi(1,0) (chi(1,0) - chi(2,-1)) = chi(1,1) - chi(3,-1): the two chi(2,0) cancel
+    a = GradedElement(GL2, CHARS, {1: {(1, 0): Laurent.one()}})
+    b = GradedElement(GL2, CHARS, {1: {(1, 0): Laurent.one(), (2, -1): -Laurent.one()}})
+    got = satake_mul(a, b)
+    assert got.grades == {2: {(1, 1): Laurent.one(), (3, -1): -Laurent.one()}}
+    assert spelled(got) == spelled(satake_mul_reference(a, b))
 
 
 def test_twist_single_cell():
