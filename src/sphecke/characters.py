@@ -17,7 +17,6 @@ from functools import cache
 
 from .errors import InvalidInput, NonDominantError
 from .kostka import kl_row
-from .laurent import add_terms
 from .rootdata import (
     RepSpec,
     RootDatum,
@@ -33,7 +32,6 @@ from .rootdata import (
 CharExpansion = dict  # weight vector -> multiplicity
 
 
-@cache
 def weyl_dim(rd: RootDatum, lam: Vec) -> int:
     """Dimension of the highest-weight module, by the product formula."""
     if not rd.is_dominant(lam):
@@ -134,30 +132,26 @@ def adams(k: int, ch: CharExpansion) -> CharExpansion:
 
 def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
     """sum_nu m_nu sign chi_straighten(2(nu + lam + rho)), as irreducible
-    highest weight -> coefficient.  The m_nu are ints, or term dicts
-    {(v, X) exponent: int} that are summed in place into one term dict per
-    highest weight (``laurent.add_terms``).
+    highest weight -> coefficient; the m_nu may be ints or ``Laurent``.
 
     For a Weyl-invariant weight multiset this is the multiset times the
     lam-character (Brauer-Klimyk; Humphreys, *Introduction to Lie Algebras
     and Representation Theory*, 24 ex. 9).  The weights need not be
     Weyl-invariant: the sum is always J(e^(lam + rho) sum_nu m_nu e^nu) /
-    J(e^rho), with J the Weyl alternation, which is how
-    ``satake.satake_basis_row`` sums Macdonald's formula."""
+    J(e^rho), with J the Weyl alternation, the sum that
+    ``satake.satake_basis_row`` takes with polynomial m_nu for Macdonald's
+    formula."""
     lam2 = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
     out = {}
     for nu, m in weights.items():
-        hit = straighten(rd, [2 * x + y for x, y in zip(nu, lam2)])
+        hit = straighten(rd, tuple(2 * x + y for x, y in zip(nu, lam2)))
         if hit is None:
             continue
         sign, top = hit
-        if type(m) is dict:
-            c = out.setdefault(top, {})
-            add_terms(c, m.items(), sign)
-        else:
-            c = out.get(top, 0) + sign * m
+        c = out.get(top, 0) + sign * m
+        if c:
             out[top] = c
-        if not c:
+        elif top in out:
             del out[top]
     return out
 

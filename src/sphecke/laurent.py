@@ -14,14 +14,8 @@ from .errors import InvalidInput, json_ints
 
 
 def mul_terms(a: dict, b: dict) -> dict:
-    """The nonzero terms of the product of two term dicts, in the order
-    in which ``Laurent.__mul__`` keeps them."""
-    if len(a) == 1 or len(b) == 1:  # no two pairs of terms meet on a monomial
-        return {
-            (a1 + a2, b1 + b2): c1 * c2
-            for (a1, b1), c1 in a.items()
-            for (a2, b2), c2 in b.items()
-        }
+    """The nonzero terms of the product of two term dicts, each monomial
+    where the products first reach it."""
     out = {}
     for (a1, b1), c1 in a.items():
         for (a2, b2), c2 in b.items():

@@ -130,10 +130,7 @@ class RootDatum(Value):
 
     def is_dominant(self, mu: Vec) -> bool:
         self.check_length(mu)
-        for f in self.simple_coroot_forms:
-            if dot(f, mu) < 0:
-                return False
-        return True
+        return all(dot(f, mu) >= 0 for f in self.simple_coroot_forms)
 
 
 class RepSpec(Value):

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .characters import char_eval, tensor, times_char, weight_multiplicities
+from .characters import char_eval, tensor, weight_multiplicities
 from .errors import InvalidInput, NonDominantError, WindowError
 from .kostka import kl_row
 from .laurent import Laurent, add_terms, mul_terms
@@ -36,6 +36,7 @@ from .rootdata import (
     dual_weight_vec,
     height2,
     sigma_grade,
+    straighten,
     vsub,
 )
 
@@ -202,10 +203,11 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 @cache
 def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
     """D = prod over the positive roots alpha of (1 - t e^-alpha), with
-    (1 - e^-alpha) on the wall roots, as {-beta: d_beta(t)} with each
-    d_beta a term dict in v, t = v^-2; and |W_mu|, the order of the
-    stabilizer the walls span, as the product of (ht + 1)/ht over the
-    wall roots."""
+    (1 - e^-alpha) on the wall roots, as (-beta, d_beta(t)) pairs with
+    each d_beta the (monomial, coefficient) pairs of a polynomial in v,
+    t = v^-2; and |W_mu|, the order of the stabilizer the walls span, as
+    the product of (ht + 1)/ht over the wall roots.  The pairs are tuples,
+    so the cached factor cannot be changed by a caller."""
     d = {((0,) * rd.rank, 0): 1}
     for alpha in rd.positive_roots:
         step = 0 if alpha in walls else 1
@@ -223,7 +225,7 @@ def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
         weights.setdefault(w, {})[(-2 * e, 0)] = c
     hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
     order = math.prod(h + 1 for h in hts) // math.prod(hts)
-    return weights, order
+    return tuple((w, tuple(t.items())) for w, t in weights.items()), order
 
 
 @cache
@@ -246,9 +248,18 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
         if dot(form, mu) == 0
     )
     weights, order = _macdonald_factor(rd, walls)
+    mu2 = tuple(2 * x + r for x, r in zip(mu, rd.rho_b_times2))
+    sums = {}
+    for w, d in weights:
+        hit = straighten(rd, tuple(2 * x + y for x, y in zip(w, mu2)))
+        if hit is not None:
+            sign, lam = hit
+            add_terms(sums.setdefault(lam, {}), d, sign)
     shift = height2(rd, mu)
     out = []
-    for lam, c in times_char(rd, weights, mu).items():
+    for lam, c in sums.items():
+        if not c:
+            continue
         terms = {}
         for (a, b), x in c.items():
             q, r = divmod(x, order)

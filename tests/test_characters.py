@@ -105,6 +105,7 @@ def test_dimension_cross_check_small_sweep():
 def test_weyl_dim_known_values():
     assert weyl_dim(GL3, (2, 1, 0)) == 8
     assert weyl_dim(GL3, (3, 0, 0)) == 10
+    assert weyl_dim(GL3, [3, 0, 0]) == 10  # any sequence, not only tuples
     g2 = build_preset("g2")
     assert weyl_dim(g2, (0, -1, 0)) == 7
     assert weyl_dim(g2, (-1, -2, 0)) == 14
