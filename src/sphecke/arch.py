@@ -450,7 +450,14 @@ def seminorm_probe(
     Reports log-magnitudes, whether the outermost shell decayed below
     the innermost, and whether any sample sat near a gamma pole.  A shell
     maximum is nan once a sample left the double range, -inf for poles only.
+    The radii must be at least two, nonnegative and strictly increasing,
+    or "outermost" and "innermost" mean nothing.
     """
+    radii = tuple(radii)
+    if len(radii) < 2 or not 0 <= radii[0] or not all(a < b for a, b in zip(radii, radii[1:])):
+        raise InvalidInput(
+            f"probe radii {radii} must be at least two, nonnegative and strictly increasing"
+        )
     eps = Fraction(2) / _exponent(p) - 1
     weights = rep_weight_list(rd, rho)
     try:

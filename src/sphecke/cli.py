@@ -9,10 +9,10 @@ term order), so identical inputs produce identical bytes.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import sys
+import types
 from fractions import Fraction
 
 from . import arch as _arch
@@ -67,6 +67,8 @@ def _finite_float(text: str) -> float:
     try:
         return _parse_num(text, float)
     except InvalidInput as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -156,9 +158,11 @@ def _cmd_kostka(args) -> int:
     mu = _parse_vec(args.mu)
     # K(q) is a Laurent polynomial in v = q^(1/2) with even exponents only
     pairs = [[a // 2, c] for (a, _), c in sorted(lusztig_q_analogue(rd, lam, mu).terms.items())]
-    print(_q_text(pairs))
+    text = _q_text(pairs)
     if args.json:
-        _emit(args, {"lambda": list(lam), "mu": list(mu), "qpoly": pairs})
+        _emit(args, {"lambda": list(lam), "mu": list(mu), "qpoly": pairs, "text": text})
+    else:
+        print(text)
     return 0
 
 
@@ -339,107 +343,167 @@ def _cmd_arch(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The command line, written once.  Each subcommand is (help, handler, rows),
+# and each row is one add_argument call: (name, keyword arguments).  main
+# reads argv from this table; argparse is built from it only to print help
+# and usage errors, and to answer argv the table reader leaves to it.
 
 
-COMMANDS = ("basic", "kostka", "satake", "convolve", "kernel", "decomp", "verify", "zeta", "arch")
+def _common(rho=True, n=False):
+    rows = [
+        ("--group", {"help": "preset name (gl1..gl4, b2..b4, c2..c4, d3, d4, g2)"}),
+        ("--datum", {"help": "JSON root-datum file"}),
+        ("--out", {"help": "write JSON here instead of stdout"}),
+    ]
+    if rho:
+        rows.append(("--rho", {"default": "std", "help": "'std' or comma highest weight"}))
+    if n:
+        rows.append(("--N", {"type": int, "default": 4, "help": "grade truncation"}))
+    return rows
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: every subcommand, or only ``command``'s.
+_TABLE = {
+    "basic": ("graded basic element", _cmd_basic, [
+        *_common(n=True),
+        ("--specialize", {"help": "fold X at this rational shift, e.g. -1/2"}),
+    ]),
+    "kostka": ("q-analogue polynomial", _cmd_kostka, [
+        *_common(rho=False),
+        ("--lambda", {"dest": "lam", "required": True}),
+        ("--mu", {"required": True}),
+        ("--json", {"action": "store_true"}),
+    ]),
+    "satake": ("transform of one cell indicator", _cmd_satake, [
+        *_common(rho=False),
+        ("--mu", {"required": True}),
+    ]),
+    "convolve": ("product of two cell indicators", _cmd_convolve, [
+        *_common(rho=False),
+        ("--mu", {"required": True}),
+        ("--nu", {"required": True}),
+    ]),
+    "kernel": ("Fourier kernel truncation", _cmd_kernel, [
+        *_common(n=True),
+        ("--specialize", {"help": "fold X at this rational shift, e.g. 0"}),
+    ]),
+    "decomp": ("symmetric/exterior power decomposition", _cmd_decomp, [
+        *_common(),
+        ("--sym", {"type": int}),
+        ("--ext", {"type": int}),
+    ]),
+    "verify": ("coefficientwise identity checks", _cmd_verify, [
+        ("what", {"choices": ["fixed-point", "unitarity", "gj-standard", "all"]}),
+        *_common(n=True),
+    ]),
+    "zeta": ("zeta values and the X-polynomial", _cmd_zeta, [
+        *_common(n=False),
+        ("--h-json", {"help": "element JSON for the compact factor"}),
+        ("--over-l", {"action": "store_true", "help": "emit the X-polynomial instead"}),
+        ("--c", {"help": "comma floats: the evaluation parameter"}),
+        ("--q", {"type": _finite_float, "default": 2.0}),
+        ("--s", {"default": "1.0"}),
+        ("--N", {"type": int, "default": 0, "help": "also cross-check by truncation"}),
+    ]),
+    "arch": ("archimedean numerics", _cmd_arch, [
+        ("op", {"choices": ["lfactor", "gamma", "stirling", "threshold", "crho", "probe"]}),
+        *_common(),
+        ("--lam", {"help": "comma floats: spectral parameter (default: zero)"}),
+        ("--s", {"default": "1.0"}),
+        ("--p", {"default": "2"}),
+        ("--field", {"choices": ["real", "complex"], "default": "real"}),
+        ("--which", {"choices": ["basic", "kernel"], "default": "basic"}),
+        ("--x", {"type": _finite_float, "default": 2.0}),
+        ("--y", {"type": _finite_float, "default": 100.0}),
+        ("--t", {"type": int, "default": 0}),
+        ("--radii", {"default": "5,15,30,60"}),
+        ("--csv", {"help": "write probe shells as CSV here"}),
+    ]),
+}
 
-    A cold call pays only for the subcommand it runs.  Both builds print
-    the same bytes: a subcommand's own help and errors never name the
-    others, and the one-subcommand build spells the top-level usage's
-    choice list out in full.
+COMMANDS = tuple(_TABLE)
+
+
+def _build_parser(command: str | None = None):
+    """The argparse parser of the table: every subcommand, or only ``command``'s.
+
+    Both builds print the same bytes: a subcommand's own help and errors
+    never name the others, and the one-subcommand build spells the
+    top-level usage's choice list out in full.
     """
+    import argparse
+
     top = argparse.ArgumentParser(prog="sphecke", description=__doc__)
     spelled = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
     sub = top.add_subparsers(dest="command", required=True, **spelled)
-
-    def add(name, text):
-        return sub.add_parser(name, help=text) if command in (None, name) else None
-
-    def common(p, rho=True, n=False):
-        p.add_argument("--group", help="preset name (gl1..gl4, b2..b4, c2..c4, d3, d4, g2)")
-        p.add_argument("--datum", help="JSON root-datum file")
-        p.add_argument("--out", help="write JSON here instead of stdout")
-        if rho:
-            p.add_argument("--rho", default="std", help="'std' or comma highest weight")
-        if n:
-            p.add_argument("--N", type=int, default=4, help="grade truncation")
-
-    if p := add("basic", "graded basic element"):
-        common(p, n=True)
-        p.add_argument("--specialize", help="fold X at this rational shift, e.g. -1/2")
-        p.set_defaults(fn=_cmd_basic)
-
-    if p := add("kostka", "q-analogue polynomial"):
-        common(p, rho=False)
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--mu", required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=_cmd_kostka)
-
-    if p := add("satake", "transform of one cell indicator"):
-        common(p, rho=False)
-        p.add_argument("--mu", required=True)
-        p.set_defaults(fn=_cmd_satake)
-
-    if p := add("convolve", "product of two cell indicators"):
-        common(p, rho=False)
-        p.add_argument("--mu", required=True)
-        p.add_argument("--nu", required=True)
-        p.set_defaults(fn=_cmd_convolve)
-
-    if p := add("kernel", "Fourier kernel truncation"):
-        common(p, n=True)
-        p.add_argument("--specialize", help="fold X at this rational shift, e.g. 0")
-        p.set_defaults(fn=_cmd_kernel)
-
-    if p := add("decomp", "symmetric/exterior power decomposition"):
-        common(p)
-        p.add_argument("--sym", type=int)
-        p.add_argument("--ext", type=int)
-        p.set_defaults(fn=_cmd_decomp)
-
-    if p := add("verify", "coefficientwise identity checks"):
-        p.add_argument("what", choices=["fixed-point", "unitarity", "gj-standard", "all"])
-        common(p, n=True)
-        p.set_defaults(fn=_cmd_verify)
-
-    if p := add("zeta", "zeta values and the X-polynomial"):
-        common(p, n=False)
-        p.add_argument("--h-json", help="element JSON for the compact factor")
-        p.add_argument("--over-l", action="store_true", help="emit the X-polynomial instead")
-        p.add_argument("--c", help="comma floats: the evaluation parameter")
-        p.add_argument("--q", type=_finite_float, default=2.0)
-        p.add_argument("--s", default="1.0")
-        p.add_argument("--N", type=int, default=0, help="also cross-check by truncation")
-        p.set_defaults(fn=_cmd_zeta)
-
-    if p := add("arch", "archimedean numerics"):
-        p.add_argument("op", choices=["lfactor", "gamma", "stirling", "threshold", "crho", "probe"])
-        common(p)
-        p.add_argument("--lam", help="comma floats: spectral parameter (default: zero)")
-        p.add_argument("--s", default="1.0")
-        p.add_argument("--p", default="2")
-        p.add_argument("--field", choices=["real", "complex"], default="real")
-        p.add_argument("--which", choices=["basic", "kernel"], default="basic")
-        p.add_argument("--x", type=_finite_float, default=2.0)
-        p.add_argument("--y", type=_finite_float, default=100.0)
-        p.add_argument("--t", type=int, default=0)
-        p.add_argument("--radii", default="5,15,30,60")
-        p.add_argument("--csv", help="write probe shells as CSV here")
-        p.set_defaults(fn=_cmd_arch)
-
+    for name, (text, fn, rows) in _TABLE.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for arg, kwargs in rows:
+                p.add_argument(arg, **kwargs)
+            p.set_defaults(fn=fn)
     return top
+
+
+def _parse_table(argv):
+    """The fields argparse would parse ``argv`` into, read from the table alone.
+
+    None where argparse must answer: help, every error, and the spellings
+    this reader does not take, such as an abbreviated flag, a value after a
+    space that starts with '-', '--flag=--' or '--json=x'.
+    """
+    if not argv or argv[0] not in _TABLE:
+        return None
+    _, fn, rows = _TABLE[argv[0]]
+    fields = {"command": argv[0], "fn": fn}
+    flags, needed, positional = {}, set(), None
+    for arg, kwargs in rows:
+        dest = kwargs.get("dest", arg.lstrip("-").replace("-", "_"))
+        fields[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        if arg.startswith("-"):
+            flags[arg] = dest, kwargs
+        else:
+            positional = dest, kwargs
+        if kwargs.get("required") or not arg.startswith("-"):
+            needed.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, eq, text = token.partition("=")
+            if flag not in flags:
+                return None
+            dest, kwargs = flags[flag]
+            if "action" in kwargs:  # a store_true switch, which takes no value
+                if eq:
+                    return None
+                fields[dest] = True
+                continue
+            if not eq:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+            elif text == "--":
+                return None
+        elif positional is not None and positional[0] in needed:  # given once
+            (dest, kwargs), text = positional, token
+        else:
+            return None
+        try:
+            value = kwargs["type"](text) if "type" in kwargs else text
+        except Exception:  # argparse runs the same conversion and reports it
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        fields[dest] = value
+        needed.discard(dest)
+    return None if needed else types.SimpleNamespace(**fields)
 
 
 _VALUE_FLAGS = {"--rho", "--specialize", "--s", "--lam", "--c", "--mu", "--nu", "--lambda"}
 
 
 def _join_negative_values(argv):
-    """Fold '--flag -1/2' into '--flag=-1/2' so argparse keeps the value."""
+    """Fold '--flag -1/2' into '--flag=-1/2', so that both parsers read
+    '-1/2' as the flag's value rather than as a flag."""
     out = []
     it = iter(argv)
     for tok in it:
@@ -459,13 +523,15 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_negative_values(list(argv))
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-        if [] in vars(args).values():  # argparse reads "--flag=--" as an empty list
-            parser.error("'--' is not an option value")
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
-        return int(exc.code or 0)
+    args = _parse_table(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+            if [] in vars(args).values():  # argparse reads "--flag=--" as an empty list
+                parser.error("'--' is not an option value")
+        except SystemExit as exc:  # argparse uses 2 for usage errors already
+            return int(exc.code or 0)
     try:
         return args.fn(args)
     except InvalidInput as exc:

@@ -1,19 +1,21 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import sphecke.cli
-from sphecke.cli import COMMANDS, _build_parser, _join_negative_values, main
+from sphecke.cli import COMMANDS, _TABLE, _build_parser, _join_negative_values, _parse_table, main
 from sphecke import characters
 from sphecke.rootdata import build_gl, build_preset, datum_to_json
 from sphecke.satake import cell, convolve
@@ -80,7 +82,7 @@ KOSTKA_CASES = [
 
 
 def test_kostka_prints_canonical_form(capsys):
-    # the text line alone, then the same line followed by the --json payload
+    # the text line alone, or with --json one JSON document that carries it
     for group, lam, mu, text, pairs in KOSTKA_CASES:
         argv = ["kostka", "--group", group, "--lambda", lam, "--mu", mu]
         code, out, _ = run(capsys, *argv)
@@ -88,12 +90,12 @@ def test_kostka_prints_canonical_form(capsys):
         assert out == text + "\n"
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
-        line, _, rest = out.partition("\n")
-        assert line == text
-        payload = json.loads(rest)
-        assert payload["qpoly"] == pairs
-        assert payload["lambda"] == [int(x) for x in lam.split(",")]
-        assert payload["mu"] == [int(x) for x in mu.split(",")]
+        assert json.loads(out, parse_constant=_reject_constant) == {
+            "lambda": [int(x) for x in lam.split(",")],
+            "mu": [int(x) for x in mu.split(",")],
+            "qpoly": pairs,
+            "text": text,
+        }
 
 
 def test_kostka_grade_mismatch_exit_2(capsys):
@@ -233,12 +235,12 @@ def test_arch_gamma_infinite_intermediate_is_flagged(capsys, argv):
     [
         (["arch", "stirling", "--group", "gl1", "--x", "400", "--y", "10"],
          {"flags": ["overflow"], "ratio": None}),
-        (["arch", "probe", "--group", "gl1", "--s", "0", "--radii", "0"],
+        (["arch", "probe", "--group", "gl1", "--s", "0", "--radii", "0,0.01"],
          {"decayed": False, "flags": ["underflow"], "max_log_value": None,
-          "pole_flag": True, "samples": 8, "shell_max": [None]}),
-        (["arch", "probe", "--group", "gl1", "--s", "1e308", "--radii", "5"],
+          "pole_flag": True, "samples": 16, "shell_max": [None, None]}),
+        (["arch", "probe", "--group", "gl1", "--s", "1e308", "--radii", "5,10"],
          {"decayed": False, "flags": ["overflow"], "max_log_value": None,
-          "pole_flag": False, "samples": 8, "shell_max": [None]}),
+          "pole_flag": False, "samples": 16, "shell_max": [None, None]}),
         (["zeta", "--group", "gl1", "--c", "0.5", "--q", "2", "--s", "1e308j", "--N", "2"],
          {"closed_form": pytest.approx([0.67014, 0.06798], rel=1e-4), "flags": ["overflow"],
           "rel_diff": None, "truncated": None}),
@@ -442,6 +444,16 @@ def test_arch_stirling_cli(capsys):
     code, out, _ = run(capsys, "arch", "stirling", "--group", "gl1", "--x", "2", "--y", "100")
     assert code == 0
     assert abs(json.loads(out)["ratio"] - 1) < 0.02
+
+
+@pytest.mark.parametrize("radii", ["5,2", "5", "-1,2", "2,2", "1,3,3"])
+def test_arch_probe_refuses_radii_out_of_order(capsys, radii):
+    # "decayed" compares the outermost shell with the innermost, which
+    # needs two or more radii, nonnegative and strictly increasing
+    code, out, err = run(capsys, "arch", "probe", "--group", "gl2", "--t", "4", f"--radii={radii}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: probe radii (") and "strictly increasing" in err
 
 
 def test_arch_probe_csv(tmp_path, capsys):
@@ -738,8 +750,9 @@ def test_verify_mismatch_exit_1(capsys, monkeypatch):
     assert out.strip().endswith("FAIL")
 
 
-# -- the parser: main registers only the subcommand it runs, with the same
-# text and exit codes as the parser that registers all nine
+# -- the parser: main reads argv from the table, and builds argparse, with
+# only the subcommand it runs, for help and for argv the table reader
+# refuses; the same text and exit codes as the parser that registers all nine
 
 
 def _parse(parser, argv):
@@ -784,23 +797,82 @@ _FLAGS = ["--group", "--datum", "--out", "--rho", "--N", "--mu", "--nu", "--lamb
           "--specialize", "--sym", "--ext", "--c", "--q", "--s", "--over-l", "--h-json", "--lam",
           "--p", "--field", "--which", "--x", "--y", "--t", "--radii", "--csv", "-h", "--bogus"]
 _VALUES = ["gl2", "b4", "std", "1", "0", "-1", "2,0", "1,-1", "-1/2", "x", "", "real", "kernel",
-           "all", "gamma", "fixed-point"]
+           "all", "gamma", "fixed-point", "--"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+_LOOSE_ARGV = st.builds(
+    lambda head, tail: [head] + tail,
     st.one_of(st.sampled_from(COMMANDS), st.sampled_from(_VALUES + _FLAGS)),
     st.lists(st.sampled_from(_FLAGS + _VALUES + list(COMMANDS)), max_size=7),
 )
-def test_parse_layer_fuzz(head, tail):
+
+
+@st.composite
+def _table_argv(draw):
+    # one command's own arguments in any order, each spelled '--flag=value'
+    # or '--flag value' ('--flag' alone for a switch), and each left out
+    # (required ones too), given once or given twice
+    command = draw(st.sampled_from(COMMANDS))
+    words = []
+    for name, kwargs in _TABLE[command][2]:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            value = draw(st.sampled_from(kwargs.get("choices", []) + _VALUES))
+            if not name.startswith("-"):
+                words.append([value])
+            elif draw(st.booleans()):
+                words.append([f"{name}={value}"])
+            else:
+                words.append([name] if "action" in kwargs else [name, value])
+    return [command] + [w for word in draw(st.permutations(words)) for w in word]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_LOOSE_ARGV, _table_argv()))
+# the spellings the table reader leaves to argparse
+@example(["basic", "--gr", "gl2"])  # an abbreviated flag
+@example(["basic", "--group", "-x"])  # a value after a space that starts with '-'
+@example(["basic", "--group", "gl2", "--out=--"])
+@example(["zeta", "--group", "gl2", "--over-l=x"])
+@example(["verify", "all", "fixed-point", "--group", "gl2"])  # a surplus positional
+def test_parse_layer_fuzz(argv):
     # parse only, no handler runs: the one-subcommand parse and the full
-    # parse agree on the Namespace, or both exit with the same text
-    argv = _join_negative_values([head] + tail)
+    # parse agree on the Namespace, or both exit with the same text; where
+    # the table reader takes argv, it reads the full parser's fields
+    argv = _join_negative_values(argv)
     want = _parse(_build_parser(), argv)
     got = _parse(_build_parser(argv[0] if argv[0] in COMMANDS else None), argv)
     assert got == want
     assert want[1] in (None, 0, 2)
     assert "Traceback" not in want[3]
+    fields = _parse_table(argv)
+    if fields is not None:
+        assert vars(fields) == want[0]
+
+
+def _readme_command_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()]
+
+
+def _benchmark_lines():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [line.split() for name in workloads.WORKLOADS for line in workloads.candidates(name)]
+
+
+def test_benchmark_and_readme_lines_take_the_table_path():
+    # a line that fell back to argparse would still run, only slower
+    readme, bench = _readme_command_lines(), _benchmark_lines()
+    assert len(readme) >= 10 and len(bench) >= 100
+    for argv in readme + bench:
+        argv = _join_negative_values(argv)
+        fields = _parse_table(argv)
+        assert fields is not None, argv
+        assert vars(fields) == _parse(_build_parser(), argv)[0]
 
 
 # the numeric flags of each command the fuzz below drives, and whether the
@@ -881,9 +953,9 @@ def _algebra_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(_algebra_argv())
 def test_algebra_argv_fuzz(argv):
-    # exit 0 with strict JSON on stdout (kostka prints its polynomial as a
-    # text line first, and JSON after it only with --json), or exit 2 with
-    # one error line; never a traceback or an internal error
+    # exit 0 with strict JSON on stdout (kostka without --json prints its
+    # polynomial as one text line), or exit 2 with one error line; never a
+    # traceback or an internal error
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -891,10 +963,66 @@ def test_algebra_argv_fuzz(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
-    elif argv[0] != "kostka":
+    elif argv[0] != "kostka" or "--json" in argv:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
-    elif "--json" in argv:
-        json.loads(out.getvalue().split("\n", 1)[1], parse_constant=_reject_constant)
+    else:
+        assert out.getvalue().count("\n") == 1, argv
+
+
+# argv of the series commands on small data: N at most 2, a module that may
+# be invalid for the group, and number flags that may leave the domain
+_SERIES_GROUPS = {"gl1": 1, "gl2": 2, "b2": 3}
+
+
+@st.composite
+def _series_argv(draw):
+    group = draw(st.sampled_from(sorted(_SERIES_GROUPS)))
+    rank = _SERIES_GROUPS[group]
+
+    def vec(entries):
+        n = draw(st.sampled_from([rank, rank, rank, rank - 1, rank + 1]))
+        return ",".join(draw(st.lists(st.sampled_from(entries), min_size=n, max_size=n)))
+
+    command = draw(st.sampled_from(["basic", "kernel", "verify", "zeta"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(["fixed-point", "unitarity", "gj-standard", "all"])))
+    # the valid modules of dimension at most 5 (a module of dimension d takes
+    # the kernel to grade N + d), and vectors that are malformed, of the
+    # wrong length, non-dominant or off grade one for one group or another
+    rho = draw(st.sampled_from(["std", "1,0,1", "2,-1", "0,1", "1,1", "0,0,1", "1,0,0,0", "1,x"]))
+    argv += ["--group", group, "--rho", rho, "--N", str(draw(st.integers(-1, 2)))]
+    if command in ("basic", "kernel") and draw(st.booleans()):
+        argv += ["--specialize", draw(st.sampled_from(["0", "-1/2", "3", "1/0", "x"]))]
+    if command == "zeta":
+        if draw(st.booleans()):
+            argv.append("--over-l")
+        else:
+            argv += ["--c", vec(["0.3", "-0.5", "0", "2"]),
+                     "--q", draw(st.sampled_from(["2", "3", "0.5"])),
+                     "--s", draw(st.sampled_from(["1", "0.5", "2+1j", "-1"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_argv())
+def test_series_argv_fuzz(argv):
+    # basic, kernel, verify and zeta through their handlers: exit 0 with
+    # strict JSON (verify adds a PASS line), 1 on a mismatch, or 2 with one
+    # error line; never a traceback or an internal error
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+    elif argv[0] == "verify":
+        body, _, status = out.getvalue().rstrip("\n").rpartition("\n")
+        assert status == ("PASS" if code == 0 else "FAIL")
+        json.loads(body, parse_constant=_reject_constant)
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_cli_import_fills_no_cache():
@@ -919,17 +1047,31 @@ def test_cli_import_fills_no_cache():
     assert {name: size for name, size in tables.items() if size} == {}
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # every cold call pays for what `import sphecke.cli` loads; these modules
-    # cost 7-10 ms together and the package needs none of them
+def _modules_after(code):
+    """The names in sys.modules once a fresh interpreter has imported
+    sphecke.cli and run ``code``."""
     src = Path(sphecke.cli.__file__).resolve().parents[1]
-    probe = "import sys, sphecke.cli; print(' '.join(sys.modules))"
-    loaded = subprocess.run(
+    probe = f"import sys, sphecke.cli\n{code}\nprint(' '.join(sys.modules))"
+    return set(subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split()
+    ).stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every cold call pays for what `import sphecke.cli` loads; these modules
+    # cost 7-10 ms together and the package needs none of them
+    loaded = _modules_after("")
     assert "sphecke.cli" in loaded
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded
+    # a call the table reader parses builds no argparse parser: argparse,
+    # and the gettext and locale imports of its first message lookup, cost
+    # about 5 ms of a cold call
+    loaded = _modules_after(
+        "assert sphecke.cli.main(['kostka', '--group', 'gl3', '--lambda', '2,1,0',"
+        " '--mu', '1,1,1', '--json']) == 0"
+    )
+    assert not {"argparse", "gettext", "locale"} & loaded
