@@ -14,6 +14,7 @@ import json
 import sys
 import types
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import arch as _arch
 from .errors import InvalidInput
@@ -107,8 +108,39 @@ def _load_rho(rd: RootDatum, args) -> RepSpec:
     return rho
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` for
+    str-keyed dicts, lists, tuples, strings, ints, floats, bools and None,
+    written directly: json's encoder runs in pure Python once it indents.
+    ``pad`` is the newline and indentation before the value's closing
+    bracket."""
+    if type(obj) is int:  # most of every payload; bools and subclasses come below
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not cmath.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = _json_text(obj) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -422,6 +454,13 @@ _TABLE = {
 
 COMMANDS = tuple(_TABLE)
 
+# the flags of _TABLE whose value may start with '-'; path and choice flags
+# are left out, so that '--out --json' is not read as a file name
+_VALUE_FLAGS = {
+    "--rho", "--specialize", "--s", "--lam", "--lambda", "--c", "--mu", "--nu",
+    "--x", "--y", "--q", "--p", "--t", "--radii", "--N", "--sym", "--ext",
+}
+
 
 def _build_parser(command: str | None = None):
     """The argparse parser of the table: every subcommand, or only ``command``'s.
@@ -498,22 +537,15 @@ def _parse_table(argv):
     return None if needed else types.SimpleNamespace(**fields)
 
 
-_VALUE_FLAGS = {"--rho", "--specialize", "--s", "--lam", "--c", "--mu", "--nu", "--lambda"}
-
-
 def _join_negative_values(argv):
     """Fold '--flag -1/2' into '--flag=-1/2', so that both parsers read
-    '-1/2' as the flag's value rather than as a flag."""
+    '-1/2' as the flag's value rather than as a flag.  A token that starts
+    with '--' is never taken as a value, so a missing value stays a usage
+    error that names the flag."""
     out = []
-    it = iter(argv)
-    for tok in it:
-        if tok in _VALUE_FLAGS:
-            try:
-                val = next(it)
-            except StopIteration:
-                out.append(tok)
-                break
-            out.append(f"{tok}={val}")
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and not tok.startswith("--"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out

@@ -11,6 +11,8 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
+from operator import sub
+
 # Kept as a constant: benchmark logs record it, and their comparison
 # refuses runs whose kernels differ.
 BACKEND = "python"
@@ -56,7 +58,7 @@ class PartitionContext:
             for e, c in self._rec(cur, idx + 1).items():
                 e += t
                 out[e] = out.get(e, 0) + c
-            cur = tuple(a - b for a, b in zip(cur, root))
+            cur = tuple(map(sub, cur, root))
             t += 1
         self.memo[key] = out
         return out

@@ -15,26 +15,31 @@ Everything is counted in simple-root coefficients (Kostant's partition
 function, Humphreys, *Introduction to Lie Algebras and Representation
 Theory*, 24.2, computed by recursion over the roots as in
 Schmidt–Bincer, J. Math. Phys. 25 (1984)).  The shifted orbit carries
-the coefficients of w(lam + rho) - (lam + rho) along its walk, lam - mu
-is converted once per mu, and an image with a negative coefficient is
-dropped before any count.  A vector off the root lattice counts zero.
+only the coefficients of w(lam + rho) - (lam + rho) along its walk,
+``kl_row`` reads those of lam - mu off the dominance walk, and an image
+with a negative coefficient is dropped before any count.  A vector off
+the root lattice counts zero.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
 from .errors import GradeMismatchError, NonDominantError
 from .kernels import PartitionContext
 from .laurent import Laurent
 from .rootdata import (
+    WEYL_CAP_DEFAULT,
     RootDatum,
     Vec,
-    dominant_below,
+    _label_tables,
+    _orbit_walk,
+    dominant_below_coeffs,
     height2,
+    identity_mat,
     root_coeffs,
     sigma_grade,
-    signed_orbit,
     vadd,
     vscale,
     vsub,
@@ -43,12 +48,12 @@ from .rootdata import (
 
 @cache
 def _context(rd: RootDatum) -> PartitionContext:
-    return PartitionContext(root_coeffs(rd, r) for r in rd.positive_roots)
+    return PartitionContext(coeffs for _, coeffs in _label_tables(rd)[2])
 
 
-def _in_q(counts: dict, sign: int) -> Laurent:
-    """Sum of c q^(sign e) over the {e: c} counts, in v with q = v^2."""
-    return Laurent({(2 * sign * e, 0): c for e, c in counts.items()})
+def _in_q(counts: dict) -> Laurent:
+    """Sum of c q^e over the {e: c} counts, in v with q = v^2."""
+    return Laurent({(2 * e, 0): c for e, c in counts.items()})
 
 
 def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
@@ -56,41 +61,41 @@ def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
     zero off the root lattice."""
     rd.check_length(beta)
     coeffs = root_coeffs(rd, beta)
-    return Laurent.zero() if coeffs is None else _in_q(_context(rd).counts(coeffs), 1)
+    return Laurent.zero() if coeffs is None else _in_q(_context(rd).counts(coeffs))
 
 
 def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
     """Triples (drop, coefficients, sign of w) over the Weyl group, drop
     ascending: the coefficients are those of w(lam + rho) - (lam + rho) in
-    the simple roots, all <= 0, and the drop is minus their sum."""
+    the simple roots, all <= 0, and the drop is minus their sum.  The walk
+    carries only the coefficients, of w(v) - v for v = 2(lam + rho)."""
+    k = len(rd.simple_roots)
+    v = vadd(vscale(2, lam), rd.rho_b_times2)
     orbit = []
-    for _, sign, coeffs in signed_orbit(rd, vadd(vscale(2, lam), rd.rho_b_times2)):
+    for depth, coeffs in _orbit_walk(rd, v, WEYL_CAP_DEFAULT, (0,) * k, identity_mat(k)):
         if any(x % 2 for x in coeffs):
             raise RuntimeError("odd coordinate in shifted Weyl sum")
-        half = tuple(x // 2 for x in coeffs)
-        orbit.append((-sum(half), half, sign))
+        half = tuple([x // 2 for x in coeffs])
+        orbit.append((-sum(half), half, -1 if depth % 2 else 1))
     orbit.sort()
     return orbit
 
 
-def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec) -> dict:
-    """K[lam, mu] as nonzero {e: c} from the shifted orbit of lam: the
-    signed sum of the graded partition counts of w(lam + rho) - (mu + rho),
-    in simple-root coefficients.  An image with a negative coefficient
-    counts nothing and is dropped before any lookup."""
-    delta = root_coeffs(rd, vsub(lam, mu))
-    if delta is None:
-        return {}
+def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dict:
+    """K[lam, mu] as nonzero {e: c} from the shifted orbit of lam and the
+    simple-root coefficients delta of lam - mu: the signed sum of the
+    graded partition counts of w(lam + rho) - (mu + rho).  An image with a
+    negative coefficient counts nothing and is dropped before any lookup."""
     height = sum(delta)
-    ctx = _context(rd)
+    table = _context(rd)._rec  # the memo entries themselves, read only
     total = {}
     for drop, coeffs, sign in orbit:
         if drop > height:
             break  # this image and every later one has a negative coefficient
-        beta = tuple(a + b for a, b in zip(delta, coeffs))
+        beta = tuple(map(add, delta, coeffs))
         if min(beta, default=0) < 0:
             continue
-        for e, c in ctx.counts(beta).items():
+        for e, c in table(beta, 0).items():
             total[e] = total.get(e, 0) + sign * c
     out = {e: c for e, c in total.items() if c}
     if any(c < 0 for c in out.values()):
@@ -112,7 +117,9 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
         raise GradeMismatchError(
             f"grades differ: {sigma_grade(rd, lam)} vs {sigma_grade(rd, mu)}"
         )
-    return _in_q(_alternating_sum(rd, _shifted_orbit(rd, lam), lam, mu), 1)
+    orbit = _shifted_orbit(rd, lam)
+    delta = root_coeffs(rd, vsub(lam, mu))
+    return _in_q({} if delta is None else _alternating_sum(rd, orbit, lam, mu, delta))
 
 
 @cache
@@ -120,12 +127,14 @@ def kl_row(rd: RootDatum, lam: Vec) -> tuple:
     """Expansion of the lam-character into cell indicators, the inverse
     transform's row: the nonzero (mu, v^(-2<rho_B,mu>) K[lam, mu](q^-1))
     over the dominant mu <= lam, mu descending, all from one shifted Weyl
-    orbit of lam."""
-    below = dominant_below(rd, lam)
+    orbit of lam and the coefficients of lam - mu the dominance walk
+    carries."""
+    below = dominant_below_coeffs(rd, lam)
     orbit = _shifted_orbit(rd, lam)
     row = []
-    for mu in below:
-        counts = _alternating_sum(rd, orbit, lam, mu)
+    for mu, delta in below:
+        counts = _alternating_sum(rd, orbit, lam, mu, delta)
         if counts:
-            row.append((mu, _in_q(counts, -1).shift(v=-height2(rd, mu))))
+            shift = -height2(rd, mu)
+            row.append((mu, Laurent({(shift - 2 * e, 0): c for e, c in counts.items()})))
     return tuple(row)

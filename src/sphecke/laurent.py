@@ -107,14 +107,16 @@ class Laurent:
         return Laurent({(a + v, b + x): c for (a, b), c in self.terms.items()})
 
     def specialize_x(self, s: Fraction):
-        """Fold X into v at s (half-integral): X^b -> v^(-2 s b)."""
-        s = Fraction(s)
+        """Fold X into v at s (half-integral): X^b -> v^(-2 s b).  With
+        2s = n/d, v^a X^b goes to v^((a d - n b)/d); InvalidInput where that
+        power is fractional."""
+        n, d = (2 * Fraction(s)).as_integer_ratio()
         out = {}
         for (a, b), c in self.terms.items():
-            e = a - 2 * s * b
-            if e.denominator != 1:
-                raise ValueError(f"specialization at {s} leaves fractional v-power")
-            k = (int(e), 0)
+            e, r = divmod(a * d - n * b, d)
+            if r:
+                raise InvalidInput(f"specialization at {Fraction(s)} leaves fractional v-power")
+            k = (e, 0)
             out[k] = out.get(k, 0) + c
         return Laurent(out)
 

@@ -363,7 +363,13 @@ def _label_tables(rd: RootDatum) -> tuple:
 
 
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
-    """All dominant mu <= lam, reverse-lexicographically descending.
+    """All dominant mu <= lam, reverse-lexicographically descending."""
+    return [mu for mu, _ in dominant_below_coeffs(rd, lam)]
+
+
+def dominant_below_coeffs(rd: RootDatum, lam: Vec) -> list[tuple[Vec, Vec]]:
+    """The pairs (mu, the simple-root coefficients of lam - mu) over the
+    dominant mu <= lam, mu reverse-lexicographically descending.
 
     A breadth-first walk down from lam that subtracts one positive root
     at a time and keeps only dominant weights.  It reaches every
@@ -396,7 +402,7 @@ def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
                     new.append(mu)
         frontier = new
     return sorted(
-        (tuple(x - dot(c, row) for x, row in zip(lam, rows)) for c in seen.values()),
+        ((tuple(x - dot(c, row) for x, row in zip(lam, rows)), c) for c in seen.values()),
         reverse=True,
     )
 
@@ -405,65 +411,48 @@ def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
 # Weyl group
 
 
-def _orbit_walk(rd: RootDatum, v: Vec, cap: int, coeffs: bool = False) -> list[tuple]:
+def _orbit_walk(rd: RootDatum, v: Vec, cap: int, start: Vec, steps) -> list[tuple[int, Vec]]:
     """The Weyl orbit of v, walked breadth-first by simple reflections from
-    v: pairs (u, the depth at which the walk first reaches u), or with
-    ``coeffs`` triples that add the coefficients of u - v in the simple
-    roots.
+    v: pairs (the depth at which the walk first reaches an image u, x_u).
+    x_v is ``start``, and where s_i first reaches an image it subtracts
+    f_i(u) steps[i] from x_u.  So with v and the simple roots x_u is u,
+    and with zero and the unit vectors it holds the simple-root
+    coefficients of u - v.
 
     The walk runs in Dynkin labels, as ``straighten`` does: s_i subtracts
-    f_i(u) times the i-th column of the Cartan matrix from the labels and
-    changes only the i-th coefficient, by -f_i(u).  Within the orbit the
-    labels fix u, so they key the walk, and u is built only for an image
-    the walk has not met.  Past ``cap`` images the walk stops with
-    WeylCapError.
+    f_i(u) times the i-th column of the Cartan matrix from the labels.
+    Within the orbit the labels fix u, so they key the walk, and x is
+    carried only to an image the walk has not met.  Past ``cap`` images
+    the walk stops with WeylCapError.
     """
     columns, _, _ = _label_tables(rd)
-    roots = rd.simple_roots
-    start = tuple([dot(f, v) for f in rd.simple_coroot_forms])
-    seen = {start}
-    walk = [(v, 0, (0,) * len(start))]
-    frontier = [(start, walk[0])]
+    first = tuple([dot(f, v) for f in rd.simple_coroot_forms])
+    seen = {first}
+    walk = [(0, start)]
+    frontier = [(first, start)]
     depth = 0
     while frontier:
         depth += 1
         new = []
-        for labels, (u, _, cu) in frontier:
+        for labels, x in frontier:
             for i, column in enumerate(columns):
                 c = labels[i]
                 if not c:
                     continue  # s_i fixes u
-                img = tuple([x - c * a for x, a in zip(labels, column)])
+                img = tuple([y - c * a for y, a in zip(labels, column)])
                 if img not in seen:
                     seen.add(img)
-                    entry = (
-                        tuple([x - c * a for x, a in zip(u, roots[i])]),
-                        depth,
-                        cu[:i] + (cu[i] - c,) + cu[i + 1:],
-                    )
+                    entry = (depth, tuple([y - c * a for y, a in zip(x, steps[i])]))
                     walk.append(entry)
-                    new.append((img, entry))
+                    new.append((img, entry[1]))
                     if len(seen) > cap:
                         raise WeylCapError(f"Weyl group exceeds cap {cap}")
         frontier = new
-    return walk if coeffs else [(u, depth) for u, depth, _ in walk]
-
-
-def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int, Vec]]:
-    """Triples (w(v), (-1)^l(w), the simple-root coefficients of w(v) - v)
-    over the Weyl group, for a regular dominant v, v first.
-
-    For regular v the map w -> w(v) is a bijection, and l(w) is the depth
-    at which the orbit walk first reaches w(v).
-    """
-    if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
-        raise NonDominantError(f"{v} is not regular dominant")
-    walk = _orbit_walk(rd, v, WEYL_CAP_DEFAULT, coeffs=True)
-    return [(u, -1 if depth % 2 else 1, c) for u, depth, c in walk]
+    return walk
 
 
 def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
-    return {u for u, _ in _orbit_walk(rd, mu, WEYL_CAP_DEFAULT)}
+    return {u for _, u in _orbit_walk(rd, mu, WEYL_CAP_DEFAULT, mu, rd.simple_roots)}
 
 
 def straighten(rd: RootDatum, v2: Vec):

@@ -1,9 +1,11 @@
 """Reference routes the tests check the package against.
 
 None of these is on a production path: the Weyl group as matrices
-(breadth-first by length), exact rational row reduction, the dominance
-order and the half-sum pairing spelled out, JSON text round trips of
-graded elements, and the transforms and the product summed one
+(breadth-first by length), the signed orbit of a regular weight with its
+simple-root coefficients solved image by image, exact rational row
+reduction, the dominance order and the half-sum pairing spelled out,
+JSON text round trips of graded elements, the Kostka-Foulkes row summed
+over the whole orbit, and the transforms and the product summed one
 ``Laurent`` object per term, as the package once summed them.
 """
 
@@ -17,6 +19,7 @@ from functools import cache
 
 from sphecke.characters import tensor
 from sphecke.errors import NonDominantError, WeylCapError
+from sphecke.kernels import PartitionContext
 from sphecke.kostka import kl_row
 from sphecke.laurent import Laurent
 from sphecke.rootdata import (
@@ -24,6 +27,8 @@ from sphecke.rootdata import (
     Mat,
     RootDatum,
     Vec,
+    _orbit_walk,
+    dominant_below,
     dot,
     height2,
     identity_mat,
@@ -79,6 +84,51 @@ def weyl_elements(rd: RootDatum, cap: int = WEYL_CAP_DEFAULT):
     it.  No production path builds the group as matrices.
     """
     return tuple(_weyl_bfs(rd.simple_roots, rd.simple_coroot_forms, rd.rank, cap))
+
+
+def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int, Vec]]:
+    """Triples (w(v), (-1)^l(w), the simple-root coefficients of w(v) - v)
+    over the Weyl group, for a regular dominant v, v first.
+
+    For regular v the map w -> w(v) is a bijection, and l(w) is the depth
+    at which the orbit walk first reaches w(v).  The coefficients are
+    solved from each image by ``root_coeffs``, not carried by the walk.
+    """
+    if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
+        raise NonDominantError(f"{v} is not regular dominant")
+    walk = _orbit_walk(rd, v, WEYL_CAP_DEFAULT, v, rd.simple_roots)
+    return [(u, -1 if depth % 2 else 1, root_coeffs(rd, vsub(u, v))) for depth, u in walk]
+
+
+def shifted_orbit_reference(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
+    """``kostka._shifted_orbit`` from the signed orbit of 2(lam + rho):
+    (drop, halved coefficients, sign), sorted."""
+    v2 = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
+    orbit = []
+    for _, sign, coeffs in signed_orbit(rd, v2):
+        assert not any(x % 2 for x in coeffs)
+        half = tuple(x // 2 for x in coeffs)
+        orbit.append((-sum(half), half, sign))
+    return sorted(orbit)
+
+
+def kl_row_reference(rd: RootDatum, lam: Vec) -> tuple:
+    """``kostka.kl_row`` summed over the whole shifted orbit, with a fresh
+    partition memo, lam - mu solved by ``root_coeffs`` for each mu, and the
+    q^-1 polynomial shifted by v^(-2<rho_B,mu>) as a second step."""
+    orbit = shifted_orbit_reference(rd, lam)
+    ctx = PartitionContext(root_coeffs(rd, r) for r in rd.positive_roots)
+    row = []
+    for mu in dominant_below(rd, lam):
+        delta = root_coeffs(rd, vsub(lam, mu))
+        total = {}
+        for _, coeffs, sign in orbit if delta is not None else ():
+            for e, c in ctx.counts(tuple(a + b for a, b in zip(delta, coeffs))).items():
+                total[e] = total.get(e, 0) + sign * c
+        if any(total.values()):
+            poly = Laurent({(-2 * e, 0): c for e, c in total.items()})
+            row.append((mu, poly.shift(v=-height2(rd, mu))))
+    return tuple(row)
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:

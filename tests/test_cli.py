@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import oracles
 import sphecke.cli
-from sphecke.cli import COMMANDS, _TABLE, _build_parser, _join_negative_values, _parse_table, main
+from sphecke.cli import (
+    COMMANDS,
+    _TABLE,
+    _build_parser,
+    _join_negative_values,
+    _json_text,
+    _parse_table,
+    main,
+)
 from sphecke import characters
 from sphecke.rootdata import build_gl, build_preset, datum_to_json
 from sphecke.satake import cell, convolve
@@ -70,6 +78,14 @@ def test_basic_indicator_via_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pretty"]["2"] == {"1,1": "1", "2,0": "1"}
+
+
+@pytest.mark.parametrize("command", ["basic", "kernel"])
+def test_fractional_specialization_exit_2(capsys, command):
+    # X^b folds to v^(-2b/3) at s = 1/3: refused input, not an internal error
+    code, out, err = run(capsys, command, "--group", "gl2", "--N", "2", "--specialize", "1/3")
+    assert (code, out) == (2, "")
+    assert err == "error: specialization at 1/3 leaves fractional v-power\n"
 
 
 KOSTKA_CASES = [
@@ -502,14 +518,16 @@ def test_large_weyl_group_datum_exits_2_at_the_cap(tmp_path, capsys):
 
 
 def test_large_weyl_group_datum_exits_2_at_the_cap_on_the_kostka_path(tmp_path, capsys):
-    # the shifted orbit of lam walks W(GL9) before any partition count
+    # the shifted orbit of lam walks W(GL9) before any partition count, for
+    # the datum's first lam and for a second lam in the same process
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_json(build_gl(9))))
-    lam = ",".join(["1"] + ["0"] * 8)
-    code, out, err = run(capsys, "kostka", "--datum", str(path), "--lambda", lam, "--mu", lam)
-    assert code == 2
-    assert out == ""
-    assert err == "error: Weyl group exceeds cap 50000\n"
+    for top in ("1", "2"):
+        lam = ",".join([top] + ["0"] * 8)
+        code, out, err = run(capsys, "kostka", "--datum", str(path), "--lambda", lam, "--mu", lam)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Weyl group exceeds cap 50000\n"
 
 
 def test_affine_datum_exits_2_at_the_root_cap(tmp_path, capsys):
@@ -864,6 +882,30 @@ def _benchmark_lines():
     return [line.split() for name in workloads.WORKLOADS for line in workloads.candidates(name)]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["arch", "stirling", "--group", "gl1", "--y", "10"], "--x", "-1e5"),
+        (["arch", "stirling", "--group", "gl1", "--x", "2"], "--y", "-1e5"),
+        (["zeta", "--group", "gl1", "--c", "0.5"], "--q", "-2.5e1"),
+        (["arch", "threshold", "--group", "gl2"], "--p", "-1/2"),
+        (["arch", "probe", "--group", "gl2", "--radii", "5,10"], "--t", "-1"),
+        (["arch", "probe", "--group", "gl2"], "--radii", "-5,10"),
+        (["basic", "--group", "gl2"], "--N", "-1"),
+        (["decomp", "--group", "gl2"], "--sym", "-1"),
+        (["decomp", "--group", "gl2"], "--ext", "-1"),
+    ],
+    ids=["x", "y", "q", "p", "t", "radii", "N", "sym", "ext"],
+)
+def test_value_flags_read_a_negative_value_either_spelling(capsys, argv, flag, value):
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced == run(capsys, *argv, f"{flag}={value}")
+    assert "expected one argument" not in spaced[2]
+    # a flag where the value should be is a missing value, not the value
+    code, out, err = run(capsys, *argv, flag, "--datum", "x.json")
+    assert (code, out) == (2, "") and f"argument {flag}: expected one argument" in err
+
+
 def test_benchmark_and_readme_lines_take_the_table_path():
     # a line that fell back to argparse would still run, only slower
     readme, bench = _readme_command_lines(), _benchmark_lines()
@@ -993,7 +1035,7 @@ def _series_argv(draw):
     rho = draw(st.sampled_from(["std", "1,0,1", "2,-1", "0,1", "1,1", "0,0,1", "1,0,0,0", "1,x"]))
     argv += ["--group", group, "--rho", rho, "--N", str(draw(st.integers(-1, 2)))]
     if command in ("basic", "kernel") and draw(st.booleans()):
-        argv += ["--specialize", draw(st.sampled_from(["0", "-1/2", "3", "1/0", "x"]))]
+        argv += ["--specialize", draw(st.sampled_from(["0", "-1/2", "3", "1/3", "1/0", "x"]))]
     if command == "zeta":
         if draw(st.booleans()):
             argv.append("--over-l")
@@ -1075,3 +1117,72 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         " '--mu', '1,1,1', '--json']) == 0"
     )
     assert not {"argparse", "gettext", "locale"} & loaded
+
+
+# -- the JSON writer
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+_JSON_STRINGS = st.one_of(
+    st.text(),
+    st.text(st.characters(exclude_categories=())),  # surrogates and controls too
+    st.sampled_from(["", "\x00\x1f\x7f", "\"\\/", "\u00e9\u2028\U0001f600", "\ud800\udfff"]),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**100, -(2**521), 0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e-300, 1.5, 2.0**63]),
+    _JSON_STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"": [], "a": {}, "b": [[], {}, ()]})
+def test_json_writer_is_json_dumps(obj):
+    assert _json_text(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_refuses_non_finite_floats(bad):
+    for obj in (bad, [1, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(ValueError):
+            _dumps(obj)
+        with pytest.raises(ValueError):
+            _json_text(obj)
+
+
+def test_json_writer_on_the_benchmark_lines(monkeypatch):
+    # every object a kernel, basic and verify line emits: the writer's text
+    # equals json.dumps, and stdout is that text
+    emitted = []
+    emit = sphecke.cli._emit
+    monkeypatch.setattr(sphecke.cli, "_emit", lambda args, obj: (emitted.append(obj), emit(args, obj)))
+    lines = [argv for argv in _benchmark_lines() if argv[0] in ("kernel", "basic", "verify")]
+    assert len(lines) == 18
+    for argv in lines:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        obj = emitted.pop()
+        text = _json_text(obj)
+        assert text == _dumps(obj), argv
+        assert out.getvalue().startswith(text + "\n"), argv

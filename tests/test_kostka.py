@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from oracles import solve_simple_coeffs, weyl_elements
-from sphecke import kostka
+from oracles import (
+    kl_row_reference,
+    shifted_orbit_reference,
+    solve_simple_coeffs,
+    weyl_elements,
+)
+from sphecke import kostka, rootdata
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
     kl_row,
@@ -233,3 +238,44 @@ def test_kl_row_gl2_grade2():
 def test_kl_row_gl1():
     assert kl_row(GL1, (3,)) == (((3,), Laurent.one()),)
 
+
+
+# a nonzero dominant top weight per preset; the tests below run over every
+# dominant lam below it
+TOPS = {
+    "gl1": (2,), "gl2": (2, 0), "gl3": (2, 1, 0), "gl4": (2, 1, 0, 0),
+    "b2": (2, 1, 0), "b3": (2, 1, 0, 0), "b4": (2, 1, 0, 0, 0),
+    "c2": (2, 1, 0), "c3": (2, 1, 0, 0), "c4": (2, 1, 0, 0, 0),
+    "d3": (2, 1, 0, 0), "d4": (2, 1, 0, 0, 0), "g2": (0, -3, 0),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TOPS))
+def test_shifted_orbit_and_row_match_the_oracles(label):
+    # the coefficient-only walk against the signed orbit with coefficients
+    # solved image by image, and the row against a sum over the whole orbit
+    rd = build_preset(label)
+    for lam in dominant_below(rd, TOPS[label]):
+        assert kostka._shifted_orbit(rd, lam) == shifted_orbit_reference(rd, lam), (label, lam)
+        kl_row.cache_clear()
+        assert kl_row(rd, lam) == kl_row_reference(rd, lam), (label, lam)
+
+
+@pytest.mark.parametrize("label", ["gl3", "b3", "g2"])
+def test_kl_row_solves_no_root_coeffs(monkeypatch, label):
+    # lam - mu comes from the dominance walk, not one solve per mu
+    rd = build_preset(label)
+    kostka._context(rd)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solved(*args)
+
+    solved = rootdata.root_coeffs
+    monkeypatch.setattr(rootdata, "root_coeffs", counting)
+    monkeypatch.setattr(kostka, "root_coeffs", counting)
+    kl_row.cache_clear()
+    for lam in dominant_below(rd, TOPS[label]):
+        assert kl_row(rd, lam)
+    assert calls == []

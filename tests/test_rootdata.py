@@ -12,6 +12,7 @@ from oracles import (
     mat_mul,
     pair_rho_b,
     row_reduce,
+    signed_orbit,
     solve_simple_coeffs,
     weyl_elements,
 )
@@ -34,7 +35,6 @@ from sphecke.rootdata import (
     mat_apply,
     root_coeffs,
     sigma_grade,
-    signed_orbit,
     straighten,
     vscale,
     vsub,
@@ -432,7 +432,7 @@ def test_w0_is_the_longest_matrix(label):
 def test_signed_orbit_cap_and_regularity():
     d4 = build_preset("d4")
     with pytest.raises(WeylCapError):
-        _orbit_walk(d4, d4.rho_b_times2, 10)
+        _orbit_walk(d4, d4.rho_b_times2, 10, d4.rho_b_times2, d4.simple_roots)
     with pytest.raises(NonDominantError):
         signed_orbit(GL3, (1, 0, 0))  # on a wall
 

@@ -15,6 +15,7 @@ from oracles import (
     satake_basis_row_reference,
     satake_mul_reference,
     satake_reference,
+    signed_orbit,
     spelled,
 )
 import sphecke.characters
@@ -29,7 +30,6 @@ from sphecke.rootdata import (
     dominant_below,
     height2,
     sigma_grade,
-    signed_orbit,
     weyl_orbit,
 )
 from sphecke.satake import (
