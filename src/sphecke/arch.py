@@ -21,7 +21,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .characters import rep_weight_list, rep_weight_multiset
+from .characters import rep_weight_list, weight_multiplicities
 from .errors import InvalidInput, PoleError
 from .record import Record
 from .rootdata import RepSpec, RootDatum, Vec, bareiss_solve, dot, l_constant, weyl_orbit
@@ -350,7 +350,7 @@ def threshold(
     if which not in ("basic", "kernel"):
         raise InvalidInput("which must be 'basic' or 'kernel'")
     eps = Fraction(2) / p - 1
-    weights = rep_weight_multiset(rd, rho)
+    weights = weight_multiplicities(rd, rho.highest_weight)
     orbit = weyl_orbit(rd, rd.rho_b_times2)
     best = eps / 2 * max(dot(w, image) for w in weights for image in orbit)
     l = l_constant(rd, rho)

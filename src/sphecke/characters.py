@@ -62,15 +62,10 @@ def weight_multiplicities(rd: RootDatum, lam: Vec) -> CharExpansion:
     return out
 
 
-def rep_weight_multiset(rd: RootDatum, rho_or_hw) -> CharExpansion:
-    hw = rho_or_hw.highest_weight if isinstance(rho_or_hw, RepSpec) else rho_or_hw
-    return weight_multiplicities(rd, hw)
-
-
-def rep_weight_list(rd: RootDatum, rho_or_hw) -> list[Vec]:
+def rep_weight_list(rd: RootDatum, rho: RepSpec) -> list[Vec]:
     """The weights as a flat list, descending, each repeated by its multiplicity."""
     out = []
-    for w, m in sorted(rep_weight_multiset(rd, rho_or_hw).items(), reverse=True):
+    for w, m in sorted(weight_multiplicities(rd, rho.highest_weight).items(), reverse=True):
         out.extend([w] * m)
     return out
 

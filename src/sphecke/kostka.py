@@ -14,23 +14,24 @@ shift leaves alone).
 Everything is counted in simple-root coefficients (Kostant's partition
 function, Humphreys, *Introduction to Lie Algebras and Representation
 Theory*, 24.2, computed by recursion over the roots as in
-Schmidt–Bincer, J. Math. Phys. 25 (1984)).  The shifted orbit carries
-only the coefficients of w(lam + rho) - (lam + rho) along its walk,
-``kl_row`` reads those of lam - mu off the dominance walk, and an image
-with a negative coefficient is dropped before any count.  A vector off
-the root lattice counts zero.
+Schmidt–Bincer, J. Math. Phys. 25 (1984)).  This module holds that
+recursion: ``_context`` builds it once per datum, with the one memo
+every count reads, and only this module reads the memo's format.  The
+shifted orbit carries only the coefficients of w(lam + rho) - (lam + rho)
+along its walk, ``kl_row`` reads those of lam - mu off the dominance
+walk, and a vector with a negative coefficient is dropped before any
+count, so the memo holds only vectors inside the cone.  A vector off the
+root lattice counts zero.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import add
+from operator import add, sub
 
 from .errors import GradeMismatchError, NonDominantError
-from .kernels import PartitionContext
 from .laurent import Laurent
 from .rootdata import (
-    WEYL_CAP_DEFAULT,
     RootDatum,
     Vec,
     _label_tables,
@@ -47,8 +48,46 @@ from .rootdata import (
 
 
 @cache
-def _context(rd: RootDatum) -> PartitionContext:
-    return PartitionContext(coeffs for _, coeffs in _label_tables(rd)[2])
+def _context(rd: RootDatum) -> tuple:
+    """The graded partition count of the datum, and its memo.
+
+    The count is a recursion over the positive roots' simple-root
+    coefficients: from a coefficient vector beta and a root index it
+    returns {number of roots used: number of expressions of beta} by the
+    roots from that index on, read only, as the memo holds it.  The roots
+    run in reverse-lex order, so the roots from index i on are all zero
+    before the first nonzero coefficient of roots[i]: a branch drops as
+    soon as a coefficient goes negative, or stays positive where no
+    remaining root can lower it.  Every memo key is a vector inside the
+    cone, given that no caller passes one with a negative coefficient."""
+    roots = tuple(sorted((coeffs for _, coeffs in _label_tables(rd)[2]), reverse=True))
+    last = len(roots)
+    lead = tuple(next(j for j, x in enumerate(r) if x) for r in roots) + (len(rd.simple_roots),)
+    memo = {}
+
+    def count(beta, idx):
+        if any(beta[: lead[idx]]):
+            return {}  # a coefficient no remaining root covers
+        if idx == last:
+            return {0: 1}
+        key = (beta, idx)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        root = roots[idx]
+        out = dict(count(beta, idx + 1))  # t = 0, a copy: beta is inside the cone
+        cur = tuple(map(sub, beta, root))
+        t = 1
+        while min(cur) >= 0:
+            for e, c in count(cur, idx + 1).items():
+                e += t
+                out[e] = out.get(e, 0) + c
+            cur = tuple(map(sub, cur, root))
+            t += 1
+        memo[key] = out
+        return out
+
+    return count, memo
 
 
 def _in_q(counts: dict) -> Laurent:
@@ -61,7 +100,10 @@ def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
     zero off the root lattice."""
     rd.check_length(beta)
     coeffs = root_coeffs(rd, beta)
-    return Laurent.zero() if coeffs is None else _in_q(_context(rd).counts(coeffs))
+    if coeffs is None or min(coeffs, default=0) < 0:
+        return Laurent.zero()  # before the count, so the memo stays inside the cone
+    count, _ = _context(rd)
+    return _in_q(count(coeffs, 0))
 
 
 def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
@@ -72,7 +114,7 @@ def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
     k = len(rd.simple_roots)
     v = vadd(vscale(2, lam), rd.rho_b_times2)
     orbit = []
-    for depth, coeffs in _orbit_walk(rd, v, WEYL_CAP_DEFAULT, (0,) * k, identity_mat(k)):
+    for depth, coeffs in _orbit_walk(rd, v, (0,) * k, identity_mat(k)):
         if any(x % 2 for x in coeffs):
             raise RuntimeError("odd coordinate in shifted Weyl sum")
         half = tuple([x // 2 for x in coeffs])
@@ -87,7 +129,7 @@ def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dic
     graded partition counts of w(lam + rho) - (mu + rho).  An image with a
     negative coefficient counts nothing and is dropped before any lookup."""
     height = sum(delta)
-    table = _context(rd)._rec  # the memo entries themselves, read only
+    count, _ = _context(rd)
     total = {}
     for drop, coeffs, sign in orbit:
         if drop > height:
@@ -95,7 +137,7 @@ def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dic
         beta = tuple(map(add, delta, coeffs))
         if min(beta, default=0) < 0:
             continue
-        for e, c in table(beta, 0).items():
+        for e, c in count(beta, 0).items():
             total[e] = total.get(e, 0) + sign * c
     out = {e: c for e, c in total.items() if c}
     if any(c < 0 for c in out.values()):

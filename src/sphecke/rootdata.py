@@ -411,7 +411,7 @@ def dominant_below_coeffs(rd: RootDatum, lam: Vec) -> list[tuple[Vec, Vec]]:
 # Weyl group
 
 
-def _orbit_walk(rd: RootDatum, v: Vec, cap: int, start: Vec, steps) -> list[tuple[int, Vec]]:
+def _orbit_walk(rd: RootDatum, v: Vec, start: Vec, steps) -> list[tuple[int, Vec]]:
     """The Weyl orbit of v, walked breadth-first by simple reflections from
     v: pairs (the depth at which the walk first reaches an image u, x_u).
     x_v is ``start``, and where s_i first reaches an image it subtracts
@@ -422,8 +422,8 @@ def _orbit_walk(rd: RootDatum, v: Vec, cap: int, start: Vec, steps) -> list[tupl
     The walk runs in Dynkin labels, as ``straighten`` does: s_i subtracts
     f_i(u) times the i-th column of the Cartan matrix from the labels.
     Within the orbit the labels fix u, so they key the walk, and x is
-    carried only to an image the walk has not met.  Past ``cap`` images
-    the walk stops with WeylCapError.
+    carried only to an image the walk has not met.  Past
+    ``WEYL_CAP_DEFAULT`` images the walk stops with WeylCapError.
     """
     columns, _, _ = _label_tables(rd)
     first = tuple([dot(f, v) for f in rd.simple_coroot_forms])
@@ -445,14 +445,14 @@ def _orbit_walk(rd: RootDatum, v: Vec, cap: int, start: Vec, steps) -> list[tupl
                     entry = (depth, tuple([y - c * a for y, a in zip(x, steps[i])]))
                     walk.append(entry)
                     new.append((img, entry[1]))
-                    if len(seen) > cap:
-                        raise WeylCapError(f"Weyl group exceeds cap {cap}")
+                    if len(seen) > WEYL_CAP_DEFAULT:
+                        raise WeylCapError(f"Weyl group exceeds cap {WEYL_CAP_DEFAULT}")
         frontier = new
     return walk
 
 
 def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
-    return {u for _, u in _orbit_walk(rd, mu, WEYL_CAP_DEFAULT, mu, rd.simple_roots)}
+    return {u for _, u in _orbit_walk(rd, mu, mu, rd.simple_roots)}
 
 
 def straighten(rd: RootDatum, v2: Vec):

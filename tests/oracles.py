@@ -5,8 +5,9 @@ None of these is on a production path: the Weyl group as matrices
 simple-root coefficients solved image by image, exact rational row
 reduction, the dominance order and the half-sum pairing spelled out,
 JSON text round trips of graded elements, the Kostka-Foulkes row summed
-over the whole orbit, and the transforms and the product summed one
-``Laurent`` object per term, as the package once summed them.
+over the whole orbit with a memo-free partition count, and the
+transforms and the product summed one ``Laurent`` object per term, as
+the package once summed them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import cache
 
 from sphecke.characters import tensor
 from sphecke.errors import NonDominantError, WeylCapError
-from sphecke.kernels import PartitionContext
 from sphecke.kostka import kl_row
 from sphecke.laurent import Laurent
 from sphecke.rootdata import (
@@ -34,6 +34,7 @@ from sphecke.rootdata import (
     identity_mat,
     root_coeffs,
     straighten,
+    vadd,
     vsub,
 )
 from sphecke.satake import CELLS, CHARS, GradedElement, conv_window
@@ -96,7 +97,7 @@ def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int, Vec]]:
     """
     if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
         raise NonDominantError(f"{v} is not regular dominant")
-    walk = _orbit_walk(rd, v, WEYL_CAP_DEFAULT, v, rd.simple_roots)
+    walk = _orbit_walk(rd, v, v, rd.simple_roots)
     return [(u, -1 if depth % 2 else 1, root_coeffs(rd, vsub(u, v))) for depth, u in walk]
 
 
@@ -112,18 +113,37 @@ def shifted_orbit_reference(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int
     return sorted(orbit)
 
 
+def _partition_counts(roots, beta) -> dict:
+    """{number of roots used: number of ways} to write the coefficient
+    vector beta as a sum of the nonnegative vectors ``roots``: plain
+    recursion over the list, no memo, each multiplicity run up until a
+    coefficient goes negative."""
+    if not roots:
+        return {} if any(beta) else {0: 1}
+    out = {}
+    t = 0
+    while min(beta) >= 0:
+        for e, c in _partition_counts(roots[1:], beta).items():
+            out[e + t] = out.get(e + t, 0) + c
+        beta = vsub(beta, roots[0])
+        t += 1
+    return out
+
+
 def kl_row_reference(rd: RootDatum, lam: Vec) -> tuple:
-    """``kostka.kl_row`` summed over the whole shifted orbit, with a fresh
-    partition memo, lam - mu solved by ``root_coeffs`` for each mu, and the
-    q^-1 polynomial shifted by v^(-2<rho_B,mu>) as a second step."""
+    """``kostka.kl_row`` summed over the whole shifted orbit, each graded
+    partition count by ``_partition_counts`` over the positive roots'
+    simple-root coefficients, lam - mu solved by ``root_coeffs`` for each
+    mu, and the q^-1 polynomial shifted by v^(-2<rho_B,mu>) as a second
+    step."""
     orbit = shifted_orbit_reference(rd, lam)
-    ctx = PartitionContext(root_coeffs(rd, r) for r in rd.positive_roots)
+    roots = [root_coeffs(rd, r) for r in rd.positive_roots]
     row = []
     for mu in dominant_below(rd, lam):
         delta = root_coeffs(rd, vsub(lam, mu))
         total = {}
         for _, coeffs, sign in orbit if delta is not None else ():
-            for e, c in ctx.counts(tuple(a + b for a, b in zip(delta, coeffs))).items():
+            for e, c in _partition_counts(roots, vadd(delta, coeffs)).items():
                 total[e] = total.get(e, 0) + sign * c
         if any(total.values()):
             poly = Laurent({(-2 * e, 0): c for e, c in total.items()})

@@ -23,7 +23,7 @@ from sphecke.arch import (
     stirling_ratio,
     threshold,
 )
-from sphecke.characters import rep_weight_list, rep_weight_multiset, require_valid
+from sphecke.characters import rep_weight_list, require_valid
 from sphecke.rootdata import (
     RepSpec,
     build_gl,
@@ -274,7 +274,7 @@ def _threshold_fraction_route(rd, rho, p):
     }
     best = max(
         sum(Fraction(a) * v for a, v in zip(w, vert))
-        for w in rep_weight_multiset(rd, rho)
+        for w in rep_weight_list(rd, rho)
         for vert in verts
     )
     l = l_constant(rd, rho)

@@ -146,7 +146,18 @@ def test_partition_memo_stays_inside_the_cone(label, lam, bound):
     kostka._context.cache_clear()
     lusztig_q_analogue.cache_clear()
     lusztig_q_analogue(rd, lam, (0,) * rd.rank)
-    assert len(kostka._context(rd).memo) < bound
+    _, memo = kostka._context(rd)
+    size = len(memo)
+    assert size < bound
+    # a vector with a negative simple-root coefficient counts zero and
+    # adds no memo entry
+    simple = rd.simple_roots
+    outside = [vscale(-1, a) for a in simple] + [vsub(a, b) for a, b in zip(simple, simple[1:])]
+    outside += [vsub(rd.rho_b_times2, vscale(100, a)) for a in simple]
+    for beta in outside:
+        assert min(rootdata.root_coeffs(rd, beta)) < 0, beta
+        assert kostant_q(rd, beta) == Laurent.zero(), beta
+    assert len(memo) == size
 
 
 def test_kostant_degree_and_order():

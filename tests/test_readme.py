@@ -40,3 +40,12 @@ def test_readme_lists_the_exports():
     ]
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(exported)
+
+
+def test_readme_layout_lists_the_modules():
+    section = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("src/sphecke/\n", 1)[1].split("\ntests/\n", 1)[0]
+    listed = re.findall(r"^  (\S+\.py) ", block, re.M)
+    on_disk = [p.name for p in (README.parent / "src" / "sphecke").glob("*.py")]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(on_disk)

@@ -16,6 +16,7 @@ from oracles import (
     solve_simple_coeffs,
     weyl_elements,
 )
+from sphecke import rootdata
 from sphecke.characters import _span_rank, require_valid
 from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError, WeylCapError
 from sphecke.rootdata import (
@@ -429,10 +430,11 @@ def test_w0_is_the_longest_matrix(label):
     assert rd.w0 == weyl_elements(rd)[-1][0]
 
 
-def test_signed_orbit_cap_and_regularity():
+def test_signed_orbit_cap_and_regularity(monkeypatch):
     d4 = build_preset("d4")
-    with pytest.raises(WeylCapError):
-        _orbit_walk(d4, d4.rho_b_times2, 10, d4.rho_b_times2, d4.simple_roots)
+    monkeypatch.setattr(rootdata, "WEYL_CAP_DEFAULT", 10)
+    with pytest.raises(WeylCapError, match="cap 10"):
+        _orbit_walk(d4, d4.rho_b_times2, d4.rho_b_times2, d4.simple_roots)
     with pytest.raises(NonDominantError):
         signed_orbit(GL3, (1, 0, 0))  # on a wall
 
