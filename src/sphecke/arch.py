@@ -4,7 +4,10 @@ checks, decay thresholds, and the weight-norm constant.
 The complex gamma evaluator is self-contained (Lanczos rational
 approximation plus reflection); large-argument work happens in log
 space.  A local or gamma factor that leaves the double range comes back
-as None, flagged ``overflow``, rather than raising.
+as None, flagged ``overflow``, rather than raising.  ``derivative_ratio``
+builds Gamma^(n) / Gamma from the polygammas psi..psi''', which come from
+reflection, the recurrence and the asymptotic series of psi (DLMF 5.11.2)
+and of its derivatives (DLMF 5.15.8); nothing is a finite difference.
 
 Thresholds and the weight-norm constant are exact.  The threshold walks
 the Weyl orbit of the integer vector 2 rho by simple reflections
@@ -41,6 +44,10 @@ _LANCZOS = (
 )
 
 _POLE_TOL = 1e-12
+# seminorm_probe: radial directions per shell, and how near a gamma pole a
+# sample may come before it is flagged instead of evaluated
+_PROBE_DIRECTIONS = 8
+_PROBE_POLE_TOL = 0.1
 
 
 def _lanczos_sum(z: complex) -> tuple[complex, complex]:
@@ -273,56 +280,49 @@ def stirling_ratio(x: float, y: float) -> float:
     return math.exp(log_gamma - log_form)
 
 
-def _log_gamma_derivatives(z: complex, order: int) -> list:
-    """Derivatives of log gamma by Richardson-extrapolated central
-    differences; enough accuracy for ratio checks at |z| >> 1."""
-    h = max(abs(z) * 1e-4, 1e-4)
-    out = []
-    for k in range(1, order + 1):
-        def diff(step, k=k):
-            if k == 1:
-                return (clgamma(z + step) - clgamma(z - step)) / (2 * step)
-            if k == 2:
-                return (clgamma(z + step) - 2 * clgamma(z) + clgamma(z - step)) / step**2
-            if k == 3:
-                return (
-                    clgamma(z + 2 * step)
-                    - 2 * clgamma(z + step)
-                    + 2 * clgamma(z - step)
-                    - clgamma(z - 2 * step)
-                ) / (2 * step**3)
-            raise InvalidInput("derivative order capped at 3 for the log factor")
-
-        d1 = diff(h)
-        d2 = diff(h / 2)
-        out.append((4 * d2 - d1) / 3)  # Richardson for O(h^2) schemes
-    return out
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330)  # B_2, B_4, ..., B_20
 
 
-def derivative_ratio(n: int, z: complex) -> complex:
-    """Ratio of the n-th gamma derivative to gamma times log^n."""
+def _polygammas(z: complex) -> list:
+    """psi, psi', psi'' and psi''' at z: by reflection left of Re z = 1/2, else by the
+    recurrence up to |z| >= 12 and then psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k)
+    (DLMF 5.11.2), differentiated term by term (DLMF 5.15.8)."""
+    if z.real < 0.5:  # psi^(k)(z) = (-1)^k psi^(k)(1 - z) - pi d^k/dz^k cot(pi z)
+        c = 1 / cmath.tan(math.pi * (z - round(z.real)))  # cot has period 1
+        u = 1 + c * c
+        cots = (c, -math.pi * u, 2 * math.pi**2 * c * u, -2 * math.pi**3 * u * (1 + 3 * c * c))
+        right = _polygammas(1 - z)
+        return [(-1) ** k * right[k] - math.pi * cots[k] for k in range(4)]
+    psi = [0j] * 4
+    while abs(z) < 12:  # psi^(k)(z) = psi^(k)(z + 1) - (-1)^k k! / z^(k+1)
+        psi = [p - (-1) ** k * math.factorial(k) / z ** (k + 1) for k, p in enumerate(psi)]
+        z += 1
+    w = 1 / z
+    series = [(1, -0.5)] + [(2 * k, -b / (2 * k)) for k, b in enumerate(_BERNOULLI, start=1)]
+    psi[0] += cmath.log(z)
+    for k in range(4):  # series: the terms a z^-j of psi^(k), less log z at k = 0
+        psi[k] += sum(a * w**j for j, a in series)
+        series = [(j + 1, -j * a) for j, a in series] + [(1, 1.0)] * (k == 0)  # + (log z)'
+    return psi
+
+
+def derivative_ratio(n: int, z: complex) -> complex | None:
+    """Gamma^(n)(z) / (Gamma(z) log^n z) for n = 1..4: the complete Bell polynomial
+    B_n(psi, psi', psi'', psi''') over log^n z.  None when the value, or a polygamma
+    it is built from, leaves the double range, as at tiny |z|."""
     z = complex(z)
     if n < 1 or n > 4:
         raise InvalidInput("order must be 1..4")
-    if z == 0 or abs(cmath.phase(z)) >= math.pi:
-        raise InvalidInput("need |arg z| < pi")
-    f = _log_gamma_derivatives(z, min(n, 3))
-    p1 = f[0]
-    ratios = {1: p1}
-    if n >= 2:
-        ratios[2] = f[1] + p1**2
-    if n >= 3:
-        ratios[3] = f[2] + 3 * f[1] * p1 + p1**3
-    if n == 4:
-        # fourth log-derivative is numerically noisy; build from polygamma-free
-        # recursion D4 = D3' + D3*D1 using one extra difference of D3
-        h = max(abs(z) * 1e-3, 1e-3)
-        def d3(at):
-            g = _log_gamma_derivatives(at, 3)
-            return g[2] + 3 * g[1] * g[0] + g[0] ** 3
-        d3p = (d3(z + h) - d3(z - h)) / (2 * h)
-        ratios[4] = d3p + ratios[3] * p1
-    return ratios[n] / cmath.log(z) ** n
+    if z in (0, 1) or abs(cmath.phase(z)) >= math.pi:
+        raise InvalidInput("need z != 1 and |arg z| < pi")
+    try:
+        psi, bell = _polygammas(z), [1]
+        for m in range(n):  # B_(m+1) = sum_k C(m, k) B_(m-k) psi^(k)
+            bell.append(sum(math.comb(m, k) * bell[m - k] * psi[k] for k in range(m + 1)))
+        return _finite(bell[n] / cmath.log(z) ** n)
+    except _RANGE_ERRORS:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +441,6 @@ def seminorm_probe(
     p,
     t: int,
     radii=(5.0, 15.0, 30.0, 60.0),
-    directions: int = 8,
-    pole_tol: float = 0.1,
 ) -> ProbeReport:
     """Sample (|lam|+1)^t |L(s, pi_lam)| over radial shells, with the
     imaginary part swept over the scaled orbit vertices.
@@ -464,7 +462,7 @@ def seminorm_probe(
         verts = [tuple(float(v) for v in vert) for vert in _orbit_vertices(rd, eps)]
     except OverflowError:
         raise InvalidInput(f"p = {p} scales the orbit vertices past the double range") from None
-    dirs = _directions(rd.rank, directions)
+    dirs = _directions(rd.rank, _PROBE_DIRECTIONS)
     pole_flag = False
     shell_max = []
     samples = 0
@@ -482,7 +480,7 @@ def seminorm_probe(
                         arg = (s + 1j * wx - wy) / 2
                         if arg.real < 0.25:
                             near = round(arg.real)
-                            if near <= 0 and abs(arg - near) < pole_tol:
+                            if near <= 0 and abs(arg - near) < _PROBE_POLE_TOL:
                                 pole_flag = True
                                 break
                         log_val += clgamma(arg).real - arg.real * math.log(math.pi)

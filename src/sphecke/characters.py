@@ -151,7 +151,6 @@ def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
     return out
 
 
-@cache
 def tensor(rd: RootDatum, lam: Vec, mu: Vec) -> tuple:
     """(nu, multiplicity) pairs of the irreducibles in V(lam) (x) V(mu)."""
     if weyl_dim(rd, lam) < weyl_dim(rd, mu):

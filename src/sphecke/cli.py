@@ -452,8 +452,6 @@ _TABLE = {
     ]),
 }
 
-COMMANDS = tuple(_TABLE)
-
 # the flags of _TABLE whose value may start with '-'; path and choice flags
 # are left out, so that '--out --json' is not read as a file name
 _VALUE_FLAGS = {
@@ -462,24 +460,17 @@ _VALUE_FLAGS = {
 }
 
 
-def _build_parser(command: str | None = None):
-    """The argparse parser of the table: every subcommand, or only ``command``'s.
-
-    Both builds print the same bytes: a subcommand's own help and errors
-    never name the others, and the one-subcommand build spells the
-    top-level usage's choice list out in full.
-    """
+def _build_parser():
+    """The argparse parser of the table, for help and usage errors."""
     import argparse
 
     top = argparse.ArgumentParser(prog="sphecke", description=__doc__)
-    spelled = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
-    sub = top.add_subparsers(dest="command", required=True, **spelled)
+    sub = top.add_subparsers(dest="command", required=True)
     for name, (text, fn, rows) in _TABLE.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            for arg, kwargs in rows:
-                p.add_argument(arg, **kwargs)
-            p.set_defaults(fn=fn)
+        p = sub.add_parser(name, help=text)
+        for arg, kwargs in rows:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(fn=fn)
     return top
 
 
@@ -557,7 +548,7 @@ def main(argv=None) -> int:
     argv = _join_negative_values(list(argv))
     args = _parse_table(argv)
     if args is None:
-        parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        parser = _build_parser()
         try:
             args = parser.parse_args(argv)
             if [] in vars(args).values():  # argparse reads "--flag=--" as an empty list

@@ -145,7 +145,6 @@ def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dic
     return out
 
 
-@cache
 def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
     """K[lam, mu](q): the Weyl alternating sum of graded partition counts.
 

@@ -228,7 +228,6 @@ def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
     return tuple((w, tuple(t.items())) for w, t in weights.items()), order
 
 
-@cache
 def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
     """Expansion of the mu-cell indicator transform into characters,
     v^(2<rho_B,mu>) P_mu(t = v^-2), lam descending.

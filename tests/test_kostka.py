@@ -144,7 +144,6 @@ def test_partition_memo_stays_inside_the_cone(label, lam, bound):
     # 36603, 10128 and 3285
     rd = build_preset(label)
     kostka._context.cache_clear()
-    lusztig_q_analogue.cache_clear()
     lusztig_q_analogue(rd, lam, (0,) * rd.rank)
     _, memo = kostka._context(rd)
     size = len(memo)

@@ -159,7 +159,6 @@ def test_satake_basis_row_reads_no_kostka_row(monkeypatch):
 
     monkeypatch.setattr(sphecke.satake, "kl_row", refuse)
     monkeypatch.setattr(sphecke.characters, "kl_row", refuse)
-    satake_basis_row.cache_clear()
     rd = build_preset("b2")
     for mu in dominant_below(rd, (2, 1, 0)):
         assert satake_basis_row(rd, mu)
