@@ -7,6 +7,8 @@ identity verifiers, and a numeric toolkit for the gamma-based
 archimedean factors and decay thresholds.
 """
 
+import sys
+
 from .errors import (
     GradeMismatchError,
     InvalidInput,
@@ -78,3 +80,14 @@ from .arch import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every ``functools.cache`` table in the package, the partition
+    memo (held by ``kostka._context``) among them, for long-running library
+    users; later calls refill them on demand with the same values."""
+    for name, module in list(sys.modules.items()):
+        if name == "sphecke" or name.startswith("sphecke."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

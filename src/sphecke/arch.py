@@ -284,15 +284,17 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
               43867 / 798, -174611 / 330)  # B_2, B_4, ..., B_20
 
 
-def _polygammas(z: complex) -> list:
-    """psi, psi', psi'' and psi''' at z: by reflection left of Re z = 1/2, else by the
-    recurrence up to |z| >= 12 and then psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k)
-    (DLMF 5.11.2), differentiated term by term (DLMF 5.15.8)."""
+def _polygammas(z: complex, s: complex) -> list:
+    """s psi, s^2 psi', s^3 psi'' and s^4 psi''' at z: by reflection left of Re z = 1/2,
+    else by the recurrence up to |z| >= 12 and then psi(z) ~ log z - 1/(2z) - sum_k
+    B_2k / (2k z^2k) (DLMF 5.11.2), differentiated term by term (DLMF 5.15.8).  The
+    reflection scales cot(pi z) by s before squaring it, so s^2 psi' can be in range
+    where psi' ~ 1/z^2 is not."""
     if z.real < 0.5:  # psi^(k)(z) = (-1)^k psi^(k)(1 - z) - pi d^k/dz^k cot(pi z)
-        c = 1 / cmath.tan(math.pi * (z - round(z.real)))  # cot has period 1
-        u = 1 + c * c
-        cots = (c, -math.pi * u, 2 * math.pi**2 * c * u, -2 * math.pi**3 * u * (1 + 3 * c * c))
-        right = _polygammas(1 - z)
+        c = s / cmath.tan(math.pi * (z - round(z.real)))  # s cot(pi z); cot has period 1
+        u = s * s + c * c
+        cots = (c, -math.pi * u, 2 * math.pi**2 * c * u, -2 * math.pi**3 * u * (s * s + 3 * c * c))
+        right = _polygammas(1 - z, s)
         return [(-1) ** k * right[k] - math.pi * cots[k] for k in range(4)]
     psi = [0j] * 4
     while abs(z) < 12:  # psi^(k)(z) = psi^(k)(z + 1) - (-1)^k k! / z^(k+1)
@@ -304,23 +306,25 @@ def _polygammas(z: complex) -> list:
     for k in range(4):  # series: the terms a z^-j of psi^(k), less log z at k = 0
         psi[k] += sum(a * w**j for j, a in series)
         series = [(j + 1, -j * a) for j, a in series] + [(1, 1.0)] * (k == 0)  # + (log z)'
-    return psi
+    return [p * s ** (k + 1) for k, p in enumerate(psi)]
 
 
 def derivative_ratio(n: int, z: complex) -> complex | None:
     """Gamma^(n)(z) / (Gamma(z) log^n z) for n = 1..4: the complete Bell polynomial
-    B_n(psi, psi', psi'', psi''') over log^n z.  None when the value, or a polygamma
-    it is built from, leaves the double range, as at tiny |z|."""
+    B_n(psi, psi', psi'', psi''') over log^n z.  B_n is homogeneous of degree n when
+    psi^(k) has degree k + 1, so the sum runs on the polygammas each scaled by
+    1/log^(k+1) z.  None when the value, or a scaled polygamma it is built from, leaves
+    the double range, as at tiny |z|."""
     z = complex(z)
     if n < 1 or n > 4:
         raise InvalidInput("order must be 1..4")
     if z in (0, 1) or abs(cmath.phase(z)) >= math.pi:
         raise InvalidInput("need z != 1 and |arg z| < pi")
     try:
-        psi, bell = _polygammas(z), [1]
+        psi, bell = _polygammas(z, 1 / cmath.log(z)), [1]
         for m in range(n):  # B_(m+1) = sum_k C(m, k) B_(m-k) psi^(k)
             bell.append(sum(math.comb(m, k) * bell[m - k] * psi[k] for k in range(m + 1)))
-        return _finite(bell[n] / cmath.log(z) ** n)
+        return _finite(bell[n])
     except _RANGE_ERRORS:
         return None
 

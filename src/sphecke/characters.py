@@ -34,6 +34,11 @@ CharExpansion = dict  # weight vector -> multiplicity
 
 def weyl_dim(rd: RootDatum, lam: Vec) -> int:
     """Dimension of the highest-weight module, by the product formula."""
+    return _weyl_dim(rd, tuple(lam))
+
+
+@cache
+def _weyl_dim(rd: RootDatum, lam: Vec) -> int:
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
     rho2 = rd.rho_b_times2
@@ -139,7 +144,7 @@ def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
     lam2 = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
     out = {}
     for nu, m in weights.items():
-        hit = straighten(rd, tuple(2 * x + y for x, y in zip(nu, lam2)))
+        hit = straighten(rd, tuple([2 * x + y for x, y in zip(nu, lam2)]))
         if hit is None:
             continue
         sign, top = hit
@@ -176,13 +181,13 @@ def _power(rd: RootDatum, hw: Vec, n: int, signed: bool) -> dict:
     the same value, so concurrent callers agree."""
     series = _newton_series(rd, hw, signed)
     base = weight_multiplicities(rd, hw)
+    psis = [adams(j, base) for j in range(1, n + 1)] if len(series) <= n else []
     for m in range(len(series), n + 1):
         acc = {}
         for j in range(1, m + 1):
             sign = -1 if signed and j % 2 == 0 else 1
-            psi = adams(j, base)
             for lam, c in series[m - j].items():
-                for nu, k in times_char(rd, psi, lam).items():
+                for nu, k in times_char(rd, psis[j - 1], lam).items():
                     acc[nu] = acc.get(nu, 0) + sign * c * k
         out = {}
         for nu, c in acc.items():

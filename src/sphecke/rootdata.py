@@ -455,13 +455,16 @@ def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
     return {u for _, u in _orbit_walk(rd, mu, mu, rd.simple_roots)}
 
 
+@cache
 def straighten(rd: RootDatum, v2: Vec):
     """Move v2 = 2(gamma + rho) into the dominant chamber by simple reflections.
 
     Returns (sign, lam) with 2(lam + rho) = w(v2) strictly dominant and
     sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
     sign times that of 2(lam + rho); returns None when v2 lies on a wall,
-    where that sum vanishes.
+    where that sum vanishes.  Results are memoized per datum, keyed on
+    (rd, v2): the Brauer-Klimyk products and Macdonald rows of one run
+    straighten the same vectors many times over.
 
     The walk runs in Dynkin labels, the pairings of the vector with the
     simple coroot forms.  The first label that is not positive decides

@@ -250,7 +250,7 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
     mu2 = tuple(2 * x + r for x, r in zip(mu, rd.rho_b_times2))
     sums = {}
     for w, d in weights:
-        hit = straighten(rd, tuple(2 * x + y for x, y in zip(w, mu2)))
+        hit = straighten(rd, tuple([2 * x + y for x, y in zip(w, mu2)]))
         if hit is not None:
             sign, lam = hit
             add_terms(sums.setdefault(lam, {}), d, sign)

@@ -268,6 +268,16 @@ def test_derivative_ratio_at_tiny_z():
     assert [derivative_ratio(n, z) for n in (2, 3, 4)] == [None, None, None]
 
 
+def test_derivative_ratio_where_psi_prime_overflows_alone():
+    # at z = 1e-155, psi'(z) ~ 1/z^2 leaves the double range, but
+    # Gamma''(z) / (Gamma(z) log^2 z) ~ 1.57e305 does not; n = 3, 4 do not fit
+    z = 1e-155
+    with mp.workdps(40):
+        want = _bell_ratios(mp.mpf(z))[1]
+    assert abs(derivative_ratio(2, z) - want) <= 1e-12 * abs(want)
+    assert [derivative_ratio(n, z) for n in (3, 4)] == [None, None]
+
+
 # -- thresholds
 
 

@@ -1089,15 +1089,38 @@ def test_cli_import_fills_no_cache():
     ).stdout)
     assert set(tables) == {
         "sphecke.characters._newton_series",
+        "sphecke.characters._weyl_dim",
         "sphecke.characters.require_valid",
         "sphecke.characters.weight_multiplicities",
         "sphecke.kostka._context",
         "sphecke.kostka.kl_row",
         "sphecke.rootdata._coeff_map",
         "sphecke.rootdata._label_tables",
+        "sphecke.rootdata.straighten",
         "sphecke.satake._macdonald_factor",
     }
     assert {name: size for name, size in tables.items() if size} == {}
+
+
+def _cache_tables():
+    """Every functools.cache table of the loaded sphecke modules, by name."""
+    return {
+        f"{obj.__module__}.{obj.__qualname__}": obj
+        for name, mod in list(sys.modules.items()) if name.startswith("sphecke")
+        for obj in vars(mod).values() if hasattr(obj, "cache_info")
+    }
+
+
+def test_clear_caches_empties_every_table(capsys):
+    argv = ("verify", "fixed-point", "--group", "b2", "--rho", "1,0,1", "--N", "5")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    assert _cache_tables()["sphecke.rootdata.straighten"].cache_info().currsize > 0
+    sphecke.clear_caches()
+    sizes = {name: obj.cache_info().currsize for name, obj in _cache_tables().items()}
+    assert {name: size for name, size in sizes.items() if size} == {}
+    code, second, _ = run(capsys, *argv)
+    assert code == 0 and second == first
 
 
 def _modules_after(code):

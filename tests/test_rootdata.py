@@ -269,6 +269,18 @@ def test_straighten_weyl_group_oracle(label):
     assert 0 < walls < 300
 
 
+def test_straighten_memo_keeps_data_apart():
+    # GL3 and B2 both live in Z^3, so the same v2 reaches the memo under
+    # both data; each answer must still be its own datum's
+    b2 = build_preset("b2")
+    rng = random.Random("straighten:gl3+b2")
+    vectors = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(150)]
+    for _ in range(2):
+        for v2 in vectors:
+            for rd in (GL3, b2):
+                assert straighten(rd, v2) == _straighten_oracle(rd, v2), (rd.cartan, v2)
+
+
 def test_straighten_gl1_oracle():
     # no simple roots, so no walls: every vector is already dominant
     rng = random.Random("straighten:gl1")
