@@ -18,10 +18,11 @@ Schmidt–Bincer, J. Math. Phys. 25 (1984)).  This module holds that
 recursion: ``_context`` builds it once per datum, with the one memo
 every count reads, and only this module reads the memo's format.  The
 shifted orbit carries only the coefficients of w(lam + rho) - (lam + rho)
-along its walk, ``kl_row`` reads those of lam - mu off the dominance
-walk, and a vector with a negative coefficient is dropped before any
-count, so the memo holds only vectors inside the cone.  A vector off the
-root lattice counts zero.
+along its walk, which stops at the largest height of lam - mu the caller
+reads; ``kl_row`` reads those of lam - mu off the dominance walk; and a
+vector with a negative coefficient is dropped before any count, so the
+memo holds only vectors inside the cone.  A vector off the root lattice
+counts zero.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _context(rd: RootDatum) -> tuple:
     soon as a coefficient goes negative, or stays positive where no
     remaining root can lower it.  Every memo key is a vector inside the
     cone, given that no caller passes one with a negative coefficient."""
-    roots = tuple(sorted((coeffs for _, coeffs in _label_tables(rd)[2]), reverse=True))
+    roots = tuple(sorted((coeffs for _, coeffs, _ in _label_tables(rd)[2]), reverse=True))
     last = len(roots)
     lead = tuple(next(j for j, x in enumerate(r) if x) for r in roots) + (len(rd.simple_roots),)
     memo = {}
@@ -106,15 +107,16 @@ def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
     return _in_q(count(coeffs, 0))
 
 
-def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
-    """Triples (drop, coefficients, sign of w) over the Weyl group, drop
-    ascending: the coefficients are those of w(lam + rho) - (lam + rho) in
-    the simple roots, all <= 0, and the drop is minus their sum.  The walk
-    carries only the coefficients, of w(v) - v for v = 2(lam + rho)."""
+def _shifted_orbit(rd: RootDatum, lam: Vec, height: int) -> list[tuple[int, Vec, int]]:
+    """Triples (drop, coefficients, sign of w) over the w whose drop is at
+    most ``height``, drop ascending: the coefficients are those of
+    w(lam + rho) - (lam + rho) in the simple roots, all <= 0, and the drop
+    is minus their sum.  The walk carries only the coefficients, of
+    w(v) - v for v = 2(lam + rho), and stops at drop 2 * height."""
     k = len(rd.simple_roots)
     v = vadd(vscale(2, lam), rd.rho_b_times2)
     orbit = []
-    for depth, coeffs in _orbit_walk(rd, v, (0,) * k, identity_mat(k)):
+    for depth, coeffs in _orbit_walk(rd, v, (0,) * k, identity_mat(k), 2 * height):
         if any(x % 2 for x in coeffs):
             raise RuntimeError("odd coordinate in shifted Weyl sum")
         half = tuple([x // 2 for x in coeffs])
@@ -124,12 +126,13 @@ def _shifted_orbit(rd: RootDatum, lam: Vec) -> list[tuple[int, Vec, int]]:
 
 
 def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dict:
-    """K[lam, mu] as nonzero {e: c} from the shifted orbit of lam and the
-    simple-root coefficients delta of lam - mu: the signed sum of the
-    graded partition counts of w(lam + rho) - (mu + rho).  An image with a
-    negative coefficient counts nothing and is dropped before any lookup."""
+    """K[lam, mu] as nonzero {e: c} from the shifted orbit of lam, walked
+    at least to the height of lam - mu, and its simple-root coefficients
+    delta: the signed sum of the graded partition counts of
+    w(lam + rho) - (mu + rho).  An image with a negative coefficient
+    counts nothing and is dropped before any lookup."""
     height = sum(delta)
-    count, _ = _context(rd)
+    count, memo = _context(rd)
     total = {}
     for drop, coeffs, sign in orbit:
         if drop > height:
@@ -137,7 +140,8 @@ def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dic
         beta = tuple(map(add, delta, coeffs))
         if min(beta, default=0) < 0:
             continue
-        for e, c in count(beta, 0).items():
+        # a memo hit is never empty (the simple roots spell beta), so count runs on a miss
+        for e, c in (memo.get((beta, 0)) or count(beta, 0)).items():
             total[e] = total.get(e, 0) + sign * c
     out = {e: c for e, c in total.items() if c}
     if any(c < 0 for c in out.values()):
@@ -158,9 +162,11 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
         raise GradeMismatchError(
             f"grades differ: {sigma_grade(rd, lam)} vs {sigma_grade(rd, mu)}"
         )
-    orbit = _shifted_orbit(rd, lam)
     delta = root_coeffs(rd, vsub(lam, mu))
-    return _in_q({} if delta is None else _alternating_sum(rd, orbit, lam, mu, delta))
+    if delta is None or min(delta, default=0) < 0:
+        return Laurent.zero()  # mu is not below lam: no orbit walk
+    orbit = _shifted_orbit(rd, lam, sum(delta))
+    return _in_q(_alternating_sum(rd, orbit, lam, mu, delta))
 
 
 @cache
@@ -169,9 +175,10 @@ def kl_row(rd: RootDatum, lam: Vec) -> tuple:
     transform's row: the nonzero (mu, v^(-2<rho_B,mu>) K[lam, mu](q^-1))
     over the dominant mu <= lam, mu descending, all from one shifted Weyl
     orbit of lam and the coefficients of lam - mu the dominance walk
-    carries."""
+    carries.  The orbit is walked only to the largest height of lam - mu
+    in the row, the most any of its entries reads."""
     below = dominant_below_coeffs(rd, lam)
-    orbit = _shifted_orbit(rd, lam)
+    orbit = _shifted_orbit(rd, lam, max(sum(delta) for _, delta in below))
     row = []
     for mu, delta in below:
         counts = _alternating_sum(rd, orbit, lam, mu, delta)

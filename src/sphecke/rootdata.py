@@ -352,12 +352,13 @@ def _label_tables(rd: RootDatum) -> tuple:
     the Cartan matrix by columns, (f_j(alpha_i))_j for each simple root
     alpha_i; the simple roots by coordinate, (alpha_i[t])_i for each
     coordinate t; and each positive root as (its labels, its simple-root
-    coefficients)."""
+    coefficients, the root)."""
     forms, roots = rd.simple_coroot_forms, rd.simple_roots
     columns = tuple(tuple(dot(f, alpha) for f in forms) for alpha in roots)
     rows = tuple(tuple(alpha[t] for alpha in roots) for t in range(rd.rank))
     steps = tuple(
-        (tuple(dot(f, beta) for f in forms), root_coeffs(rd, beta)) for beta in rd.positive_roots
+        (tuple(dot(f, beta) for f in forms), root_coeffs(rd, beta), beta)
+        for beta in rd.positive_roots
     )
     return columns, rows, steps
 
@@ -381,70 +382,71 @@ def dominant_below_coeffs(rd: RootDatum, lam: Vec) -> list[tuple[Vec, Vec]]:
     The walk runs in Dynkin labels: mu is dominant when its labels are
     nonnegative, and subtracting a positive root subtracts that root's
     labels.  On lam minus the root lattice the labels fix the weight (the
-    Cartan matrix is invertible), so they key the walk; each weight
-    carries the simple-root coefficients of lam - mu and is rebuilt from
-    them once, at the end.
+    Cartan matrix is invertible), so they key the walk; each weight is
+    carried along with the simple-root coefficients of lam - mu, the root
+    subtracted from the one and its coefficients added to the other.
     """
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
-    _, rows, steps = _label_tables(rd)
+    _, _, steps = _label_tables(rd)
     start = tuple(dot(f, lam) for f in rd.simple_coroot_forms)
-    seen = {start: (0,) * len(start)}
+    seen = {start: (tuple(lam), (0,) * len(start))}
     frontier = [start]
     while frontier:
         new = []
         for labels in frontier:
-            coeffs = seen[labels]
-            for step, beta in steps:
-                mu = tuple(map(sub, labels, step))
-                if min(mu) >= 0 and mu not in seen:
-                    seen[mu] = tuple(map(add, coeffs, beta))
-                    new.append(mu)
+            mu, coeffs = seen[labels]
+            for step, beta, root in steps:
+                img = tuple(map(sub, labels, step))
+                if min(img) >= 0 and img not in seen:
+                    seen[img] = (tuple(map(sub, mu, root)), tuple(map(add, coeffs, beta)))
+                    new.append(img)
         frontier = new
-    return sorted(
-        ((tuple(x - dot(c, row) for x, row in zip(lam, rows)), c) for c in seen.values()),
-        reverse=True,
-    )
+    return sorted(seen.values(), reverse=True)
 
 
 # ---------------------------------------------------------------------------
 # Weyl group
 
 
-def _orbit_walk(rd: RootDatum, v: Vec, start: Vec, steps) -> list[tuple[int, Vec]]:
-    """The Weyl orbit of v, walked breadth-first by simple reflections from
-    v: pairs (the depth at which the walk first reaches an image u, x_u).
-    x_v is ``start``, and where s_i first reaches an image it subtracts
-    f_i(u) steps[i] from x_u.  So with v and the simple roots x_u is u,
-    and with zero and the unit vectors it holds the simple-root
-    coefficients of u - v.
+def _orbit_walk(rd: RootDatum, v: Vec, start: Vec, steps, bound=float("inf")) -> list:
+    """The Weyl orbit of a dominant v, walked breadth-first by simple
+    reflections from v: pairs (the depth at which the walk first reaches
+    an image u, x_u).  x_v is ``start``, and where s_i first reaches an
+    image it subtracts f_i(u) steps[i] from x_u.  So with v and the simple
+    roots x_u is u, and with zero and the unit vectors it holds the
+    simple-root coefficients of u - v.
 
     The walk runs in Dynkin labels, as ``straighten`` does: s_i subtracts
-    f_i(u) times the i-th column of the Cartan matrix from the labels.
-    Within the orbit the labels fix u, so they key the walk, and x is
-    carried only to an image the walk has not met.  Past
-    ``WEYL_CAP_DEFAULT`` images the walk stops with WeylCapError.
+    f_i(u) times the i-th column of the Cartan matrix from the labels,
+    which fix u within the orbit and key the walk.  Only a positive label
+    reaches a new image (a negative one leads back), so the drop, the sum
+    of the labels stepped by (of the coefficients of v - u), rises along
+    the walk, and an image whose drop passes ``bound`` is neither recorded
+    nor expanded: the walk returns the images of drop <= bound, in the
+    same order and at the same depths.  Past ``WEYL_CAP_DEFAULT`` kept
+    images it stops with WeylCapError.
     """
     columns, _, _ = _label_tables(rd)
     first = tuple([dot(f, v) for f in rd.simple_coroot_forms])
     seen = {first}
     walk = [(0, start)]
-    frontier = [(first, start)]
+    frontier = [(first, start, 0)]
     depth = 0
     while frontier:
         depth += 1
         new = []
-        for labels, x in frontier:
+        for labels, x, drop in frontier:
             for i, column in enumerate(columns):
                 c = labels[i]
-                if not c:
-                    continue  # s_i fixes u
+                if c <= 0 or drop + c > bound:
+                    continue  # s_i fixes u, leads back, or passes the bound
                 img = tuple([y - c * a for y, a in zip(labels, column)])
                 if img not in seen:
                     seen.add(img)
                     entry = (depth, tuple([y - c * a for y, a in zip(x, steps[i])]))
                     walk.append(entry)
-                    new.append((img, entry[1]))
+                    new.append((img, entry[1], drop + c))
                     if len(seen) > WEYL_CAP_DEFAULT:
                         raise WeylCapError(f"Weyl group exceeds cap {WEYL_CAP_DEFAULT}")
         frontier = new
@@ -452,6 +454,9 @@ def _orbit_walk(rd: RootDatum, v: Vec, start: Vec, steps) -> list[tuple[int, Vec
 
 
 def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
+    """The Weyl orbit of the dominant weight mu."""
+    if not rd.is_dominant(mu):
+        raise NonDominantError(f"{mu} is not dominant")
     return {u for _, u in _orbit_walk(rd, mu, mu, rd.simple_roots)}
 
 

@@ -509,26 +509,50 @@ def test_cold_queries_build_no_weyl_matrices(capsys, monkeypatch, line):
 
 def test_large_weyl_group_datum_exits_2_at_the_cap(tmp_path, capsys):
     # a GL9 datum file loads (|W| = 9! is past the cap, but loading walks
-    # no orbit); the first orbit walk, here validating rho, exits 2
+    # no orbit); the first whole orbit walk, here of 2 rho for the
+    # threshold's hull, exits 2
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_json(build_gl(9))))
-    code, out, err = run(capsys, "arch", "gamma", "--datum", str(path))
+    code, out, err = run(capsys, "arch", "threshold", "--datum", str(path), "--p", "1")
     assert code == 2
     assert out == ""
     assert err == "error: Weyl group exceeds cap 50000\n"
 
 
 def test_large_weyl_group_datum_exits_2_at_the_cap_on_the_kostka_path(tmp_path, capsys):
-    # the shifted orbit of lam walks W(GL9) before any partition count, for
-    # the datum's first lam and for a second lam in the same process
+    # the shifted orbit of lam is walked only to the height of lam - mu;
+    # from (18,0,...,0) down to (2,...,2) that passes 50,000 images before
+    # any partition count, for the datum's first query and for a second
+    # one in the same process
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_json(build_gl(9))))
-    for top in ("1", "2"):
-        lam = ",".join([top] + ["0"] * 8)
-        code, out, err = run(capsys, "kostka", "--datum", str(path), "--lambda", lam, "--mu", lam)
+    argv = ("kostka", "--datum", str(path), "--lambda", "18,0,0,0,0,0,0,0,0",
+            "--mu", "2,2,2,2,2,2,2,2,2")
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == "error: Weyl group exceeds cap 50000\n"
+
+
+def test_large_weyl_group_datum_answers_where_the_walks_stay_small(tmp_path, capsys):
+    # bounded walks: the standard weight's row walks one image, so the
+    # gamma factor of the standard module needs only the 9 weights of its
+    # orbit; and a Kostka-Foulkes polynomial near the top of the order is
+    # stable in n, so GL9 prints what GL3 prints
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_json(build_gl(9))))
+    code, out, err = run(capsys, "arch", "gamma", "--datum", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["flags"] == []
+    for top in ("1", "2"):
+        lam = ",".join([top] + ["0"] * 8)
+        assert run(capsys, "kostka", "--datum", str(path), "--lambda", lam, "--mu", lam) == (
+            0, "1\n", "")
+    small = run(capsys, "kostka", "--group", "gl3", "--lambda", "2,1,0", "--mu", "1,1,1")
+    assert small == (0, "q + q^2\n", "")
+    assert run(capsys, "kostka", "--datum", str(path), "--lambda", "2,1,0,0,0,0,0,0,0",
+               "--mu", "1,1,1,0,0,0,0,0,0") == small
 
 
 def test_affine_datum_exits_2_at_the_root_cap(tmp_path, capsys):

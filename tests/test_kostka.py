@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracles import (
+    _partition_counts,
     kl_row_reference,
     shifted_orbit_reference,
     solve_simple_coeffs,
     weyl_elements,
 )
-from sphecke import kostka, rootdata
+from sphecke import clear_caches, kostka, rootdata
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
     kl_row,
@@ -17,7 +20,9 @@ from sphecke.kostka import (
     lusztig_q_analogue,
 )
 from sphecke.laurent import Laurent
+from sphecke.lseries import gamma_kernel
 from sphecke.rootdata import (
+    RepSpec,
     build_gl,
     build_preset,
     dominant_below,
@@ -90,6 +95,32 @@ def oracle_lusztig(rd, lam, mu):
         sign = 1 if length % 2 == 0 else -1
         for e, c in oracle_partitions(beta, rd).items():
             total[e] = total.get(e, 0) + sign * c
+    return {e: c for e, c in total.items() if c}
+
+
+def _integral_coeffs(rd, v):
+    """The simple-root coefficients of v by exact row reduction, or None
+    off the root lattice."""
+    c = solve_simple_coeffs(rd.simple_roots, v)
+    if c is None or any(x.denominator != 1 for x in c):
+        return None
+    return tuple(int(x) for x in c)
+
+
+def whole_orbit_lusztig(rd, lam, mu):
+    """``oracle_lusztig`` with each image solved once: the sum over every
+    Weyl matrix, each w(lam + rho) - (mu + rho) solved in the simple roots
+    by exact row reduction and counted by plain recursion."""
+    roots = [_integral_coeffs(rd, a) for a in rd.positive_roots]
+    lam2 = vadd(vscale(2, lam), rd.rho_b_times2)
+    mu2 = vadd(vscale(2, mu), rd.rho_b_times2)
+    total = {}
+    for w, length in weyl_elements(rd):
+        beta = _integral_coeffs(rd, tuple(x // 2 for x in vsub(mat_apply(w, lam2), mu2)))
+        if beta is None:
+            continue
+        for e, c in _partition_counts(roots, beta).items():
+            total[e] = total.get(e, 0) + (-1) ** length * c
     return {e: c for e, c in total.items() if c}
 
 
@@ -262,13 +293,52 @@ TOPS = {
 
 @pytest.mark.parametrize("label", sorted(TOPS))
 def test_shifted_orbit_and_row_match_the_oracles(label):
-    # the coefficient-only walk against the signed orbit with coefficients
-    # solved image by image, and the row against a sum over the whole orbit
+    # the bounded coefficient-only walk against the signed orbit with
+    # coefficients solved image by image, cut at the same drop: at zero,
+    # at the row's largest height and at the largest drop (the whole
+    # orbit); and the row against a sum over the whole orbit
     rd = build_preset(label)
     for lam in dominant_below(rd, TOPS[label]):
-        assert kostka._shifted_orbit(rd, lam) == shifted_orbit_reference(rd, lam), (label, lam)
+        full = shifted_orbit_reference(rd, lam)
+        row_height = max(sum(rootdata.root_coeffs(rd, vsub(lam, mu)))
+                         for mu in dominant_below(rd, lam))
+        for h in (0, row_height, full[-1][0]):
+            want = [image for image in full if image[0] <= h]
+            assert kostka._shifted_orbit(rd, lam, h) == want, (label, lam, h)
         kl_row.cache_clear()
         assert kl_row(rd, lam) == kl_row_reference(rd, lam), (label, lam)
+
+
+# a dominant top per datum for the seeded draws below, and whether the
+# datum's root lattice is smaller than its weights of one grade
+LUSZTIG_DRAWS = {
+    "gl4": ((2, 1, 0, -1), False), "b3": ((2, 1, 0, 0), False),
+    "c3": ((2, 1, 1, 0), True), "d4": ((2, 1, 1, 0, 0), True), "g2": ((0, -3, 0), False),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LUSZTIG_DRAWS))
+def test_lusztig_matches_the_whole_orbit_sum(label):
+    # lusztig_q_analogue walks the shifted orbit only to the height of
+    # lam - mu, and not at all where mu is not below lam; the oracle sums
+    # over every Weyl matrix with a memo-free partition count.  mu runs
+    # over the dominant weights of lam's grade in a box, so the draws hold
+    # mu below lam, mu not below lam, and (on c3, d4) mu off the root
+    # lattice of lam
+    rd = build_preset(label)
+    top, sublattice = LUSZTIG_DRAWS[label]
+    rng = random.Random(f"lusztig-{label}")
+    lams = dominant_below(rd, top)
+    box = [v for v in itertools.product(range(-3, 4), repeat=rd.rank) if rd.is_dominant(v)]
+    kinds = set()
+    for lam in rng.sample(lams, min(4, len(lams))):
+        grade = [v for v in box if rootdata.sigma_grade(rd, v) == rootdata.sigma_grade(rd, lam)]
+        for mu in rng.sample(grade, min(6, len(grade))) + [lam]:
+            coeffs = _integral_coeffs(rd, vsub(lam, mu))
+            kinds.add("off" if coeffs is None else "below" if min(coeffs) >= 0 else "not below")
+            want = whole_orbit_lusztig(rd, lam, mu)
+            assert lusztig_q_analogue(rd, lam, mu).terms == in_q(want), (label, lam, mu)
+    assert kinds == ({"off"} if sublattice else set()) | {"below", "not below"}, kinds
 
 
 @pytest.mark.parametrize("label", ["gl3", "b3", "g2"])
@@ -289,3 +359,141 @@ def test_kl_row_solves_no_root_coeffs(monkeypatch, label):
     for lam in dominant_below(rd, TOPS[label]):
         assert kl_row(rd, lam)
     assert calls == []
+
+
+# -- classical identities at mu = 0, independent of the alternating sum
+
+# The exponents m_i of each preset's root system, from its degrees
+# d_i = m_i + 1 (Humphreys, *Reflection Groups and Coxeter Groups*, 3.7,
+# Table 1; Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI, Plates I-IX).
+# GL(n) has type A(n-1), and GL(1) no root; D3 is A3.
+EXPONENTS = {
+    "gl2": (1,), "gl3": (1, 2), "gl4": (1, 2, 3),
+    "b2": (1, 3), "b3": (1, 3, 5), "b4": (1, 3, 5, 7),
+    "c2": (1, 3), "c3": (1, 3, 5), "c4": (1, 3, 5, 7),
+    "d3": (1, 2, 3), "d4": (1, 3, 3, 5), "g2": (1, 5),
+}
+
+
+def _highest_root(rd):
+    return max(rd.positive_roots, key=lambda alpha: height2(rd, alpha))
+
+
+def _dim(rd, lam):
+    """Weyl's dimension formula over the positive coroot forms."""
+    out = Fraction(1)
+    for f in rd.positive_coroot_forms:
+        out *= Fraction(rootdata.dot(f, vadd(vscale(2, lam), rd.rho_b_times2)),
+                        rootdata.dot(f, rd.rho_b_times2))
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(EXPONENTS))
+def test_adjoint_row_at_zero_is_the_exponents(label):
+    # K[theta, 0](q) = sum_i q^(m_i) for the highest root theta (Kostant,
+    # Amer. J. Math. 81 (1959); Hesselink, Characters of the nullcone,
+    # Math. Ann. (1980))
+    rd = build_preset(label)
+    want = {}
+    for m in EXPONENTS[label]:
+        want[m] = want.get(m, 0) + 1
+    assert lusztig_q_analogue(rd, _highest_root(rd), (0,) * rd.rank).terms == in_q(want)
+
+
+def kostant_hesselink_holds(rd, label, D):
+    """Whether the harmonic polynomials on the Lie algebra, which carry
+    each V_lam with graded multiplicity K[lam, 0](q) (Kostant, Amer. J.
+    Math. 85 (1963); Hesselink, Characters of the nullcone, Math. Ann.
+    (1980)), have the graded dimension prod_i (1 - q^(d_i)) / (1 - q)^(dim g)
+    through q^D, with d_i = m_i + 1 and g semisimple.  Every lam met up to
+    degree D lies below D theta."""
+    zero = (0,) * rd.rank
+    lhs = [0] * (D + 1)
+    for lam in dominant_below(rd, vscale(D, _highest_root(rd))):
+        for (a, _), c in lusztig_q_analogue(rd, lam, zero).terms.items():
+            if a // 2 <= D:
+                lhs[a // 2] += _dim(rd, lam) * c
+    dim_g = len(rd.simple_roots) + 2 * len(rd.positive_roots)
+    rhs = [math.comb(dim_g + k - 1, k) for k in range(D + 1)]
+    for m in EXPONENTS[label]:
+        rhs = [x - (rhs[k - m - 1] if k > m else 0) for k, x in enumerate(rhs)]
+    return lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "label, D",
+    [("gl2", 4), ("gl3", 4), ("b2", 4), ("c2", 4), ("g2", 4), ("b3", 4), ("d4", 4),
+     ("b4", 3), ("c4", 3)],
+)
+def test_kostant_hesselink_identity(label, D):
+    assert kostant_hesselink_holds(build_preset(label), label, D)
+
+
+@pytest.mark.parametrize("label", ["b2", "g2", "b3"])
+def test_kostant_hesselink_catches_a_flipped_sign(monkeypatch, label):
+    # the sign of the third image of every shifted orbit flipped
+    shifted = kostka._shifted_orbit
+
+    def flipped(rd, lam, height):
+        orbit = shifted(rd, lam, height)
+        if len(orbit) > 2:
+            drop, coeffs, sign = orbit[2]
+            orbit[2] = (drop, coeffs, -sign)
+        return orbit
+
+    monkeypatch.setattr(kostka, "_shifted_orbit", flipped)
+    assert not kostant_hesselink_holds(build_preset(label), label, 4)
+
+
+# -- the walks read no further than their rows
+
+
+def _count_walks(monkeypatch):
+    walked = []
+
+    def counting(*args):
+        out = walk(*args)
+        walked.append(len(out))
+        return out
+
+    walk = kostka._orbit_walk
+    monkeypatch.setattr(kostka, "_orbit_walk", counting)
+    clear_caches()
+    return walked
+
+
+def test_standard_row_walks_one_image(monkeypatch):
+    # weight_multiplicities reads this row for every arch op on gl4
+    gl4 = build_gl(4)
+    assert len(shifted_orbit_reference(gl4, (1, 0, 0, 0))) == 24
+    walked = _count_walks(monkeypatch)
+    assert kl_row(gl4, (1, 0, 0, 0)) == (((1, 0, 0, 0), Laurent.term(1, v=-3)),)
+    assert walked == [1]
+
+
+def test_zero_query_walks_no_image(monkeypatch):
+    # (4,0,0,0,0) is not below (3,2,1,0,0): lam - mu has a negative
+    # simple-root coefficient, and the whole orbit has 384 images
+    b4 = build_preset("b4")
+    walked = _count_walks(monkeypatch)
+    assert lusztig_q_analogue(b4, (3, 2, 1, 0, 0), (4, 0, 0, 0, 0)) == Laurent.zero()
+    assert walked == []
+
+
+def test_kernel_rows_walk_only_the_images_they_read(monkeypatch):
+    # an image is read when its drop is at most the height of lam - mu
+    # for some mu in the row
+    gl4 = build_gl(4)
+    walked = _count_walks(monkeypatch)
+    read = {}
+
+    def reading(rd, orbit, lam, mu, delta):
+        n = sum(1 for drop, _, _ in orbit if drop <= sum(delta))
+        read[lam] = max(read.get(lam, 0), n)
+        return summed(rd, orbit, lam, mu, delta)
+
+    summed = kostka._alternating_sum
+    monkeypatch.setattr(kostka, "_alternating_sum", reading)
+    gamma_kernel(gl4, RepSpec((1, 0, 0, 0)), 4)
+    assert len(walked) == len(read) == 27
+    assert sum(walked) == sum(read.values()) < 24 * 27

@@ -243,6 +243,12 @@ def test_weyl_orbit_gl3():
     assert weyl_orbit(GL3, (1, 0, 0)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def test_weyl_orbit_refuses_a_non_dominant_weight():
+    # the walk takes only the steps that raise the depth from a dominant start
+    with pytest.raises(NonDominantError):
+        weyl_orbit(GL3, (0, 1, 0))
+
+
 def _straighten_oracle(rd, v2):
     """Search the whole Weyl group for the w taking v2 strictly dominant."""
     hits = []
