@@ -66,14 +66,11 @@ from .characters import (
     weyl_dim,
 )
 from .arch import (
-    ArchParams,
-    arch_params,
     c_rho_constant,
     cgamma,
     derivative_ratio,
     gamma_factor,
-    lfactor_cplx,
-    lfactor_real,
+    lfactor,
     seminorm_probe,
     stirling_ratio,
     threshold,

@@ -3,8 +3,10 @@ checks, decay thresholds, and the weight-norm constant.
 
 The complex gamma evaluator is self-contained (Lanczos rational
 approximation plus reflection); large-argument work happens in log
-space.  A local or gamma factor that leaves the double range comes back
-as None, flagged ``overflow``, rather than raising.  ``derivative_ratio``
+space.  One range rule, kept in ``in_range``, holds for the local factor,
+both gamma routes, ``stirling_ratio``, ``derivative_ratio`` and each probe
+sample: a float that leaves the double range gives None (a nan shell
+maximum in the probe), and a pole still raises PoleError.  ``derivative_ratio``
 builds Gamma^(n) / Gamma from the polygammas psi..psi''', which come from
 reflection, the recurrence and the asymptotic series of psi (DLMF 5.11.2)
 and of its derivatives (DLMF 5.15.8); nothing is a finite difference.
@@ -84,57 +86,12 @@ def clgamma(z: complex) -> complex:
     return 0.5 * math.log(2 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
-def _exponent(p) -> Fraction:
+def exponent(p) -> Fraction:
     """p as a Fraction; InvalidInput unless 0 < p <= 2."""
     p = Fraction(p)
     if not 0 < p <= 2:
         raise InvalidInput("p must lie in (0, 2]")
     return p
-
-
-class ArchParams(Record):
-    """Spectral parameter, weight forms, and normalization data."""
-
-    __slots__ = ("lam", "weights", "s", "l", "p", "field_tag")
-
-    def __init__(
-        self,
-        lam: tuple,
-        weights: tuple,  # integer linear forms, one per dimension of the module
-        s: complex,
-        l: int = 0,
-        p: Fraction = Fraction(2),
-        field_tag: str = "real",
-    ):
-        self.lam = lam
-        self.weights = weights
-        self.s = s
-        self.l = l
-        self.p = _exponent(p)
-        if field_tag not in ("real", "complex"):
-            raise InvalidInput("field_tag must be 'real' or 'complex'")
-        self.field_tag = field_tag
-
-
-def arch_params(
-    rd: RootDatum,
-    rho: RepSpec,
-    lam,
-    s: complex,
-    p=Fraction(2),
-    field_tag: str = "real",
-) -> ArchParams:
-    """Raises LengthMismatchError unless lam has one entry per coordinate."""
-    lam = tuple(lam)
-    rd.check_length(lam)
-    return ArchParams(
-        lam=lam,
-        weights=tuple(rep_weight_list(rd, rho)),
-        s=s,
-        l=l_constant(rd, rho),
-        p=p,
-        field_tag=field_tag,
-    )
 
 
 def _weight_value(w: Vec, lam) -> complex:
@@ -143,9 +100,20 @@ def _weight_value(w: Vec, lam) -> complex:
 
 # what a float that leaves the double range raises: OverflowError from exp,
 # sin and real powers, ZeroDivisionError from a complex power of an underflow,
-# ValueError from cmath on an infinite intermediate.  PoleError is a
-# ValueError too, so every handler re-raises it first.
+# ValueError from cmath on an infinite intermediate.  A pole, or any other
+# InvalidInput, is a ValueError too, so in_range re-raises those first.
 _RANGE_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def in_range(compute, *args, default=None):
+    """compute(*args), or default once a float leaves the double range on the
+    way; a pole or other invalid input still raises."""
+    try:
+        return compute(*args)
+    except InvalidInput:
+        raise
+    except _RANGE_ERRORS:
+        return default
 
 
 def _finite(z: complex) -> complex | None:
@@ -153,36 +121,38 @@ def _finite(z: complex) -> complex | None:
     return z if cmath.isfinite(z) else None
 
 
-def lfactor_real(params: ArchParams) -> complex | None:
-    """Product of pi^(-(s+i w(lam))/2) Gamma((s+i w(lam))/2) over weights;
-    None when the product leaves the double range."""
+def _checked(rd: RootDatum, rho: RepSpec, lam, field: str) -> tuple:
+    """lam as a tuple, checked for length, and the weights of rho."""
+    lam = tuple(lam)
+    rd.check_length(lam)
+    if field not in ("real", "complex"):
+        raise InvalidInput("field must be 'real' or 'complex'")
+    return lam, tuple(rep_weight_list(rd, rho))
+
+
+def _product(weights: tuple, lam: tuple, s: complex, field: str) -> complex | None:
+    """The local factor as a product over the weights w, at s + i w(lam):
+    pi^(-(s+i w(lam))/2) Gamma((s+i w(lam))/2) over the reals, and
+    2 (2 pi)^(-(2s+i w(lam))/2) Gamma((2s+i w(lam))/2) over the complex
+    numbers; None once it has overflowed to an infinity or NaN."""
     total = 1.0 + 0j
-    try:
-        for w in params.weights:
-            arg = (params.s + 1j * _weight_value(w, params.lam)) / 2
+    for w in weights:
+        wv = _weight_value(w, lam)
+        if field == "real":
+            arg = (s + 1j * wv) / 2
             total *= math.pi ** (-arg.real) * cmath.exp(-1j * arg.imag * math.log(math.pi))
-            total *= cgamma(arg)
-    except PoleError:
-        raise
-    except _RANGE_ERRORS:
-        return None
-    return _finite(total)
-
-
-def lfactor_cplx(params: ArchParams) -> complex | None:
-    """Product of 2 (2 pi)^(-(2s+i w(lam))/2) Gamma((2s+i w(lam))/2);
-    None when the product leaves the double range."""
-    total = 1.0 + 0j
-    try:
-        for w in params.weights:
-            arg = (2 * params.s + 1j * _weight_value(w, params.lam)) / 2
+        else:
+            arg = (2 * s + 1j * wv) / 2
             total *= 2.0 * cmath.exp(-arg * math.log(2 * math.pi))
-            total *= cgamma(arg)
-    except PoleError:
-        raise
-    except _RANGE_ERRORS:
-        return None
+        total *= cgamma(arg)
     return _finite(total)
+
+
+def lfactor(rd: RootDatum, rho: RepSpec, lam, s: complex, field: str = "real") -> complex | None:
+    """The local factor L(s, pi_lam, rho) over the real or complex field
+    (``_product``); None when it leaves the double range, PoleError at a pole."""
+    lam, weights = _checked(rd, rho, lam, field)
+    return in_range(_product, weights, lam, s, field)
 
 
 class GammaFactorResult(Record):
@@ -201,7 +171,29 @@ class GammaFactorResult(Record):
         self.flags = [] if flags is None else flags
 
 
-def gamma_factor(params: ArchParams) -> GammaFactorResult:
+def _reflected(weights: tuple, lam: tuple, u0: complex, field: str) -> complex | None:
+    """Route 2 of the gamma factor at u0 = s + l/2: the denominator gamma
+    eliminated through the reflection identity, one factor per weight."""
+    total = 1.0 + 0j
+    for w in weights:
+        wv = _weight_value(w, lam)
+        if field == "real":
+            u = u0 + 1j * wv
+            total *= cmath.exp(-(0.5 + u) * math.log(math.pi))
+            total *= cgamma((1 + u) / 2)
+            total *= cmath.sin(math.pi * (2 + u) / 2) / math.pi
+            total *= cgamma((2 + u) / 2)
+        else:
+            u = u0 + 1j * wv / 2
+            total *= cmath.exp(-(1 + 2 * u) * math.log(2 * math.pi))
+            g = cgamma(1 + u)
+            total *= g * g * cmath.sin(math.pi * (1 + u)) / math.pi
+    return _finite(total)
+
+
+def gamma_factor(
+    rd: RootDatum, rho: RepSpec, lam, s: complex, field: str = "real"
+) -> GammaFactorResult:
     """Two-route gamma factor.
 
     Route 1 is the ratio of shifted local factors (numerator at
@@ -212,20 +204,15 @@ def gamma_factor(params: ArchParams) -> GammaFactorResult:
     A route that leaves the double range is dropped and flagged
     ``overflow``; the value is None when route 2 is the one dropped.
     """
-    s, l, lam = params.s, params.l, params.lam
+    lam, weights = _checked(rd, rho, lam, field)
+    l = l_constant(rd, rho)
     flags = []
-    real_case = params.field_tag == "real"
-    lf = lfactor_real if real_case else lfactor_cplx
-    num_params = ArchParams(lam, params.weights, 1 + s + l / 2, l, params.p, params.field_tag)
-    den_params = ArchParams(
-        tuple(-x for x in lam), params.weights, -s - l / 2, l, params.p, params.field_tag
-    )
     route1 = None
     overflow = False
     try:
-        num = lf(num_params)
+        num = in_range(_product, weights, lam, 1 + s + l / 2, field)
         try:
-            den = lf(den_params)
+            den = in_range(_product, weights, tuple(-x for x in lam), -s - l / 2, field)
         except PoleError:
             flags.append("denominator-pole")
             route1 = 0j
@@ -237,27 +224,7 @@ def gamma_factor(params: ArchParams) -> GammaFactorResult:
                 overflow = route1 is None
     except PoleError:
         flags.append("numerator-pole")
-
-    route2 = 1.0 + 0j
-    try:
-        for w in params.weights:
-            wv = _weight_value(w, lam)
-            if real_case:
-                u = s + l / 2 + 1j * wv
-                route2 *= cmath.exp(-(0.5 + u) * math.log(math.pi))
-                route2 *= cgamma((1 + u) / 2)
-                route2 *= cmath.sin(math.pi * (2 + u) / 2) / math.pi
-                route2 *= cgamma((2 + u) / 2)
-            else:
-                u = s + l / 2 + 1j * wv / 2
-                route2 *= cmath.exp(-(1 + 2 * u) * math.log(2 * math.pi))
-                g = cgamma(1 + u)
-                route2 *= g * g * cmath.sin(math.pi * (1 + u)) / math.pi
-        route2 = _finite(route2)
-    except PoleError:
-        raise
-    except _RANGE_ERRORS:
-        route2 = None
+    route2 = in_range(_reflected, weights, lam, s + l / 2, field)
     if overflow or route2 is None:
         flags.append("overflow")
     rel = None
@@ -271,13 +238,13 @@ def gamma_factor(params: ArchParams) -> GammaFactorResult:
 # asymptotic ratio probes
 
 
-def stirling_ratio(x: float, y: float) -> float:
-    """|Gamma(x+iy)| against sqrt(2 pi) |y|^(x-1/2) e^(-pi |y|/2), in logs."""
+def stirling_ratio(x: float, y: float) -> float | None:
+    """|Gamma(x+iy)| against sqrt(2 pi) |y|^(x-1/2) e^(-pi |y|/2), in logs;
+    None when the ratio leaves the double range."""
     if abs(y) < 1:
         raise InvalidInput("need |y| >= 1")
-    log_gamma = clgamma(complex(x, y)).real
     log_form = 0.5 * math.log(2 * math.pi) + (x - 0.5) * math.log(abs(y)) - math.pi * abs(y) / 2
-    return math.exp(log_gamma - log_form)
+    return in_range(lambda: _finite(math.exp(clgamma(complex(x, y)).real - log_form)))
 
 
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
@@ -320,13 +287,14 @@ def derivative_ratio(n: int, z: complex) -> complex | None:
         raise InvalidInput("order must be 1..4")
     if z in (0, 1) or abs(cmath.phase(z)) >= math.pi:
         raise InvalidInput("need z != 1 and |arg z| < pi")
-    try:
-        psi, bell = _polygammas(z, 1 / cmath.log(z)), [1]
-        for m in range(n):  # B_(m+1) = sum_k C(m, k) B_(m-k) psi^(k)
-            bell.append(sum(math.comb(m, k) * bell[m - k] * psi[k] for k in range(m + 1)))
-        return _finite(bell[n])
-    except _RANGE_ERRORS:
-        return None
+    return in_range(_bell_ratio, n, z)
+
+
+def _bell_ratio(n: int, z: complex) -> complex | None:
+    psi, bell = _polygammas(z, 1 / cmath.log(z)), [1]
+    for m in range(n):  # B_(m+1) = sum_k C(m, k) B_(m-k) psi^(k)
+        bell.append(sum(math.comb(m, k) * bell[m - k] * psi[k] for k in range(m + 1)))
+    return _finite(bell[n])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +318,7 @@ def threshold(
     eps / 2 is nonnegative, so the maximum is taken over the integer
     pairings with w(2 rho) and scaled once.
     """
-    p = _exponent(p)
+    p = exponent(p)
     if which not in ("basic", "kernel"):
         raise InvalidInput("which must be 'basic' or 'kernel'")
     eps = Fraction(2) / p - 1
@@ -438,6 +406,23 @@ def _directions(m: int, count: int):
     return axes[:count]
 
 
+def _log_sample(weights, s: complex, x: tuple, y: tuple) -> float | None:
+    """log |L| at spectral parameter x + i y: the sum over the weights w of
+    log |pi^(-a) Gamma(a)| at a = (s + i w(x) - w(y))/2, or None once some a,
+    taken weight by weight, sits near a gamma pole."""
+    log_val = 0.0
+    for w in weights:
+        wx = sum(a * b for a, b in zip(w, x))
+        wy = sum(a * b for a, b in zip(w, y))
+        arg = (s + 1j * wx - wy) / 2
+        if arg.real < 0.25:
+            near = round(arg.real)
+            if near <= 0 and abs(arg - near) < _PROBE_POLE_TOL:
+                return None
+        log_val += clgamma(arg).real - arg.real * math.log(math.pi)
+    return log_val
+
+
 def seminorm_probe(
     rd: RootDatum,
     rho: RepSpec,
@@ -460,7 +445,7 @@ def seminorm_probe(
         raise InvalidInput(
             f"probe radii {radii} must be at least two, nonnegative and strictly increasing"
         )
-    eps = Fraction(2) / _exponent(p) - 1
+    eps = Fraction(2) / exponent(p) - 1
     weights = rep_weight_list(rd, rho)
     try:
         verts = [tuple(float(v) for v in vert) for vert in _orbit_vertices(rd, eps)]
@@ -476,26 +461,13 @@ def seminorm_probe(
             x = tuple(r * xi for xi in d)
             for y in verts:
                 samples += 1
-                log_val = 0.0
-                try:
-                    for w in weights:
-                        wx = sum(a * b for a, b in zip(w, x))
-                        wy = sum(a * b for a, b in zip(w, y))
-                        arg = (s + 1j * wx - wy) / 2
-                        if arg.real < 0.25:
-                            near = round(arg.real)
-                            if near <= 0 and abs(arg - near) < _PROBE_POLE_TOL:
-                                pole_flag = True
-                                break
-                        log_val += clgamma(arg).real - arg.real * math.log(math.pi)
-                    else:  # this sample is clear of the poles
-                        norm = math.sqrt(sum(xi * xi for xi in x))
-                        log_val += t * math.log(norm + 1.0)
-                        best = log_val if math.isnan(log_val) else max(best, log_val)
-                except PoleError:
-                    raise
-                except _RANGE_ERRORS:
-                    best = math.nan
+                log_val = in_range(_log_sample, weights, s, x, y, default=math.nan)
+                if log_val is None:
+                    pole_flag = True
+                    continue
+                norm = math.sqrt(sum(xi * xi for xi in x))
+                log_val += t * math.log(norm + 1.0)
+                best = log_val if math.isnan(log_val) else max(best, log_val)
         shell_max.append(best)
     decayed = shell_max[-1] < shell_max[0]
     top = math.nan if any(map(math.isnan, shell_max)) else max(shell_max)

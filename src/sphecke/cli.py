@@ -306,15 +306,8 @@ def _finite_or_flag(x, flags: list):
 
 
 def _evaluate_or_flag(compute, flags: list):
-    """``_finite_or_flag(compute())``, where a float that leaves the double
-    range on the way (``arch._RANGE_ERRORS``) counts as None."""
-    try:
-        value = compute()
-    except InvalidInput:  # a pole or a bad argument is a ValueError too
-        raise
-    except _arch._RANGE_ERRORS:
-        value = None
-    return _finite_or_flag(value, flags)
+    """``_finite_or_flag(compute())``, None once a float leaves the double range."""
+    return _finite_or_flag(_arch.in_range(compute), flags)
 
 
 def _complex_pair(z):
@@ -329,31 +322,32 @@ def _cmd_arch(args) -> int:
     flags = []
     if args.op in ("lfactor", "gamma"):
         lam = (0.0,) * rd.rank if args.lam is None else _parse_vec(args.lam, float)
-        params = _arch.arch_params(
-            rd, rho, lam, _parse_num(args.s, complex), _parse_num(args.p, Fraction), args.field
-        )
+    if args.op in ("lfactor", "gamma", "probe"):
+        s = _parse_num(args.s, complex)
+    if args.op in ("lfactor", "gamma", "threshold", "probe"):
+        p = _parse_num(args.p, Fraction)
+    if args.op in ("lfactor", "gamma"):  # p is unread, but checked after lam's length
+        rd.check_length(lam)
+        _arch.exponent(p)
     if args.op == "lfactor":
-        val = _arch.lfactor_real(params) if args.field == "real" else _arch.lfactor_cplx(params)
+        val = _arch.lfactor(rd, rho, lam, s, args.field)
         out = {"value": _complex_pair(_finite_or_flag(val, flags))}
     elif args.op == "gamma":
-        g = _arch.gamma_factor(params)
+        g = _arch.gamma_factor(rd, rho, lam, s, args.field)
         out = {
             "value": _complex_pair(g.value),
             "rel_discrepancy": g.rel_discrepancy,
             "flags": g.flags,
         }
     elif args.op == "stirling":
-        out = {"ratio": _evaluate_or_flag(lambda: _arch.stirling_ratio(args.x, args.y), flags)}
+        out = {"ratio": _finite_or_flag(_arch.stirling_ratio(args.x, args.y), flags)}
     elif args.op == "threshold":
-        val = _arch.threshold(rd, rho, _parse_num(args.p, Fraction), args.which, args.field)
+        val = _arch.threshold(rd, rho, p, args.which, args.field)
         out = {"threshold": str(val)}
     elif args.op == "crho":
         out = {"c_rho": str(_arch.c_rho_constant(rd, rho))}
     elif args.op == "probe":
-        rep = _arch.seminorm_probe(
-            rd, rho, _parse_num(args.s, complex), _parse_num(args.p, Fraction), args.t,
-            radii=_parse_vec(args.radii, float),
-        )
+        rep = _arch.seminorm_probe(rd, rho, s, p, args.t, radii=_parse_vec(args.radii, float))
         out = {
             "max_log_value": _finite_or_flag(rep.max_log_value, flags),
             "shell_max": [_finite_or_flag(v, flags) for v in rep.shell_max],

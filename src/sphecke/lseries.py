@@ -226,6 +226,11 @@ class VerifyReport(Record):
         }
 
 
+def _char_one(rd: RootDatum) -> GradedElement:
+    """``satake(identity_element(rd))``, built directly: 1 at weight 0."""
+    return GradedElement(rd, CHARS, {0: {(0,) * rd.rank: Laurent.one()}}, Window())
+
+
 def _telescope(
     report: VerifyReport, a: GradedElement, b: GradedElement, lo: int, hi: int, name: str
 ) -> GradedElement:
@@ -233,11 +238,10 @@ def _telescope(
     a and b; if that passed, inverse-transform the lowest two grades and
     check them on the cell side.  Returns the character-side product."""
     e = satake_mul(a, b)
-    ident = identity_element(e.rd)
-    if report.check(name, lo, hi, e.first_mismatch(satake(ident), lo, hi)):
+    if report.check(name, lo, hi, e.first_mismatch(_char_one(e.rd), lo, hi)):
         low_hi = min(lo + 1, hi)
         report.check(f"{name} (cell-side cross-check)", lo, low_hi,
-                     _cells(e, lo, low_hi).first_mismatch(ident, lo, low_hi))
+                     _cells(e, lo, low_hi).first_mismatch(identity_element(e.rd), lo, low_hi))
     return e
 
 
@@ -270,7 +274,7 @@ def _fixed_point_report(
     if report.status == "PASS":
         # promote the verified telescope to the exact identity and finish
         shifted = specialize(image, Fraction(2 + l, 2))
-        lhs = satake_mul(shifted, satake(identity_element(rd)), Window(None, N))
+        lhs = satake_mul(shifted, _char_one(rd), Window(None, N))
         if report.check("transform-side comparison", 0, N,
                         lhs.first_mismatch(shifted.restrict(Window(None, N)), 0, N)):
             top = min(1, N)

@@ -321,3 +321,164 @@ def spelled(e: GradedElement) -> tuple:
             for k, terms in e.grades.items()
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# Kostka-Foulkes polynomials by charge, weight multiplicities by Freudenthal
+
+
+def semistandard_tableaux(shape, weight):
+    """Every semistandard tableau of the partition ``shape`` with content
+    ``weight`` (weight[i] entries equal to i + 1), as a list of rows.  The
+    entries equal to i + 1 fill a horizontal strip: row j grows to at most
+    the old length of row j - 1 (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.1)."""
+    shape = [x for x in shape if x]
+
+    def strips(cur, j, left):
+        if j == len(shape):
+            if not left:
+                yield ()
+            return
+        top = min(shape[j], cur[j - 1] if j else shape[0])
+        for add in range(min(left, top - cur[j]) + 1):
+            for rest in strips(cur, j + 1, left - add):
+                yield (cur[j] + add,) + rest
+
+    def fill(rows, cur, letter):
+        if letter > len(weight):
+            if list(cur) == shape:
+                yield rows
+            return
+        for nu in strips(cur, 0, weight[letter - 1]):
+            grown = [row + [letter] * (b - a) for row, a, b in zip(rows, cur, nu)]
+            yield from fill(grown, nu, letter + 1)
+
+    yield from fill([[] for _ in shape], (0,) * len(shape), 1)
+
+
+def charge(word) -> int:
+    """The Lascoux-Schutzenberger charge of a word whose content is a
+    partition.  The word splits into standard subwords: scanning leftward
+    from the right end, take the first 1, then the next 2, 3, ... up to
+    the largest letter left, wrapping round to the right end when the
+    scan runs out; repeat on what remains.  In a subword 1 has index 0,
+    and r + 1 has the index of r, plus one when the scan wrapped (r + 1
+    stands to the right of r); the charge is the sum of all indices
+    (Macdonald, III.6, whose words run in the reverse order)."""
+    left = list(range(len(word)))
+    total = 0
+    while left:
+        p = max(q for q in left if word[q] == 1)
+        chosen, index = [p], 0
+        for r in range(2, max(word[q] for q in left) + 1):
+            before = [q for q in left if word[q] == r and q < p]
+            if not before:
+                index += 1
+            p = max(before or [q for q in left if word[q] == r])
+            chosen.append(p)
+            total += index
+        left = [q for q in left if q not in chosen]
+    return total
+
+
+def charge_kostka(lam, mu) -> dict:
+    """K[lam, mu](t) = sum over the semistandard tableaux T of shape lam and
+    content mu of t^charge(T), as {exponent: coefficient}; T is read row
+    by row from the bottom, each row left to right (Lascoux-Schutzenberger,
+    C. R. Acad. Sci. Paris 286 (1978); Macdonald, III.6)."""
+    mu = [x for x in mu if x]
+    out = {}
+    for rows in semistandard_tableaux(lam, mu):
+        e = charge([x for row in reversed(rows) for x in row])
+        out[e] = out.get(e, 0) + 1
+    return out
+
+
+def freudenthal_multiplicities(rd: RootDatum, lam: Vec) -> dict:
+    """Every weight of the irreducible module of highest weight lam, with
+    its multiplicity, from Freudenthal's formula (Humphreys, *Introduction
+    to Lie Algebras and Representation Theory*, 22.3):
+
+        ((lam + delta, lam + delta) - (mu + delta, mu + delta)) m(mu)
+            = 2 sum_(alpha > 0) sum_(k >= 1) m(mu + k alpha) (mu + k alpha, alpha).
+
+    The invariant form is (nu, alpha_j) = d_j <nu, alpha_j^vee>, read off the
+    coroot forms, with the factors d_j that make the Cartan matrix
+    (d_j <alpha_i, alpha_j^vee>) symmetric, so no coordinate dot product
+    enters (G2 sits in root-basis coordinates).  Weights are kept as the
+    simple-root coefficients c of lam - mu.  The dominant mu <= lam are
+    found by walking down one positive root at a time (complete by
+    Stembridge, Adv. Math. 136 (1998)) and solved by increasing height of
+    c; m(nu) of any nu is that of its dominant conjugate, reached by simple
+    reflections, and each orbit is spread out the same way."""
+    simples, forms = rd.simple_roots, rd.simple_coroot_forms
+    r = len(simples)
+    cartan = [[dot(forms[j], simples[i]) for j in range(r)] for i in range(r)]
+    d = [None] * r
+    for start in range(r):  # one free scale per component of the Dynkin diagram
+        if d[start] is None:
+            d[start], todo = Fraction(1), [start]
+            while todo:
+                i = todo.pop()
+                for j in range(r):
+                    if cartan[i][j] and d[j] is None:
+                        d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                        todo.append(j)
+    assert all(d[j] * cartan[i][j] == d[i] * cartan[j][i] for i in range(r) for j in range(r))
+
+    def pair(nu, coeffs):  # (nu, sum_j coeffs_j alpha_j)
+        return sum(c * d[j] * dot(forms[j], nu) for j, c in enumerate(coeffs))
+
+    def weight(c):
+        return tuple(x - sum(k * a[t] for k, a in zip(c, simples)) for t, x in enumerate(lam))
+
+    def dominant(c):
+        nu, c = weight(c), list(c)
+        while (i := next((i for i in range(r) if dot(forms[i], nu) < 0), None)) is not None:
+            n = dot(forms[i], nu)
+            nu = tuple(x - n * a for x, a in zip(nu, simples[i]))
+            c[i] += n
+        return tuple(c)
+
+    def is_dominant(c):
+        return all(dot(f, weight(c)) >= 0 for f in forms)
+
+    positive = [(alpha, tuple(int(x) for x in solve_simple_coeffs(simples, alpha)))
+                for alpha in rd.positive_roots]
+    two_delta = [sum(alpha[t] for alpha, _ in positive) for t in range(rd.rank)]
+    found, todo = {(0,) * r}, [(0,) * r]
+    while todo:
+        c = todo.pop()
+        for _, a in positive:
+            below = tuple(x + y for x, y in zip(c, a))
+            if below not in found and is_dominant(below):
+                found.add(below)
+                todo.append(below)
+    mult = {}
+    for c in sorted(found, key=sum):
+        if not any(c):
+            mult[c] = Fraction(1)
+            continue
+        mu = weight(c)
+        rhs = 0
+        for alpha, a in positive:
+            k = 1
+            while m := mult.get(dominant(tuple(x - k * y for x, y in zip(c, a))), 0):
+                rhs += m * pair(tuple(x + k * y for x, y in zip(mu, alpha)), a)
+                k += 1
+        # (lam + delta)^2 - (mu + delta)^2 = (lam - mu, lam + mu + 2 delta)
+        mult[c] = 2 * rhs / pair(tuple(map(sum, zip(lam, mu, two_delta))), c)
+        assert mult[c] > 0 and mult[c].denominator == 1, (lam, mu, mult[c])
+    out = {}
+    for c, m in mult.items():
+        orbit, todo = {weight(c)}, [weight(c)]
+        while todo:
+            nu = todo.pop()
+            for alpha, f in zip(simples, forms):
+                image = tuple(x - dot(f, nu) * a for x, a in zip(nu, alpha))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        out.update(dict.fromkeys(orbit, int(m)))
+    return out

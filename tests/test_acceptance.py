@@ -17,7 +17,6 @@ from sphecke.arch import (
     gamma_factor,
     stirling_ratio,
     threshold,
-    arch_params,
 )
 from sphecke.kostka import lusztig_q_analogue
 from sphecke.laurent import Laurent
@@ -298,7 +297,7 @@ def test_criterion_8_archimedean():
     for _ in range(100):
         lam = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         s = complex(rng.uniform(0.4, 2.4), rng.uniform(-0.8, 0.8))
-        res = gamma_factor(arch_params(GL[2], STD[2], lam, s))
+        res = gamma_factor(GL[2], STD[2], lam, s)
         if res.rel_discrepancy is not None:
             assert res.rel_discrepancy < 1e-9
             agreements += 1

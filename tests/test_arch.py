@@ -10,15 +10,12 @@ import pytest
 from oracles import row_reduce, weyl_elements
 from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.arch import (
-    ArchParams,
-    arch_params,
     c_rho_constant,
     cgamma,
     clgamma,
     derivative_ratio,
     gamma_factor,
-    lfactor_cplx,
-    lfactor_real,
+    lfactor,
     seminorm_probe,
     stirling_ratio,
     threshold,
@@ -99,20 +96,17 @@ def test_clgamma_matches_log_magnitude():
 
 
 def test_lfactor_real_gl1():
-    params = arch_params(GL1, STD1, (0.0,), 1.0)
-    assert abs(lfactor_real(params) - 1.0) < 1e-13
+    assert abs(lfactor(GL1, STD1, (0.0,), 1.0) - 1.0) < 1e-13
 
 
 def test_lfactor_cplx_gl1():
-    params = arch_params(GL1, STD1, (0.0,), 1.0, field_tag="complex")
-    assert abs(lfactor_cplx(params) - 1 / math.pi) < 1e-14
+    assert abs(lfactor(GL1, STD1, (0.0,), 1.0, "complex") - 1 / math.pi) < 1e-14
 
 
 def test_lfactor_real_gl2_against_reference():
     lam = (1.0, -1.0)
     s = 2.0
-    params = arch_params(GL2, STD2, lam, s)
-    got = lfactor_real(params)
+    got = lfactor(GL2, STD2, lam, s)
     want = mp.mpc(1)
     for wv in lam:
         arg = mp.mpc(s, wv) / 2
@@ -121,9 +115,8 @@ def test_lfactor_real_gl2_against_reference():
 
 
 def test_lfactor_pole_flag():
-    params = arch_params(GL1, STD1, (0.0,), 0.0)
     with pytest.raises(PoleError):
-        lfactor_real(params)
+        lfactor(GL1, STD1, (0.0,), 0.0)
 
 
 # -- two-route gamma factor
@@ -135,7 +128,7 @@ def test_gamma_factor_two_routes_agree():
     for _ in range(100):
         lam = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         s = complex(rng.uniform(0.3, 2.5), rng.uniform(-1.0, 1.0))
-        res = gamma_factor(arch_params(GL2, STD2, lam, s))
+        res = gamma_factor(GL2, STD2, lam, s)
         if res.rel_discrepancy is None:
             continue
         assert res.rel_discrepancy < 1e-9
@@ -148,29 +141,28 @@ def test_gamma_factor_two_routes_agree_complex_field():
     for _ in range(60):
         lam = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         s = complex(rng.uniform(0.3, 2.0), rng.uniform(-0.7, 0.7))
-        res = gamma_factor(arch_params(GL2, STD2, lam, s, field_tag="complex"))
+        res = gamma_factor(GL2, STD2, lam, s, "complex")
         if res.rel_discrepancy is not None:
             assert res.rel_discrepancy < 1e-9
 
 
 def test_gamma_factor_real_on_real_axis():
-    res = gamma_factor(arch_params(GL1, STD1, (0.0,), 0.7))
+    res = gamma_factor(GL1, STD1, (0.0,), 0.7)
     assert abs(res.value.imag) < 1e-12
 
 
 def test_gamma_factor_overflow_is_flagged():
     # route 1's denominator and route 2's sine leave the double range
-    res = gamma_factor(arch_params(GL2, STD2, (800.0, -800.0), 1.0))
+    res = gamma_factor(GL2, STD2, (800.0, -800.0), 1.0)
     assert res.flags == ["overflow"]
     assert res.value is None and res.ratio_route is None and res.rel_discrepancy is None
-    params = arch_params(GL2, STD2, (800.0, -800.0), -1.0)
-    assert lfactor_real(params) is None
-    assert lfactor_cplx(params) is None
+    for field in ("real", "complex"):
+        assert lfactor(GL2, STD2, (800.0, -800.0), -1.0, field) is None
 
 
 def test_gamma_factor_sin_zero():
     # the denominator hits a pole, so the factor vanishes
-    res = gamma_factor(arch_params(GL1, STD1, (0.0,), 2.0))
+    res = gamma_factor(GL1, STD1, (0.0,), 2.0)
     assert "denominator-pole" in res.flags
     assert res.ratio_route == 0
     assert abs(res.value) < 1e-10
@@ -437,17 +429,17 @@ def test_probe_t_zero_finite():
     assert math.isfinite(rep.max_log_value)
 
 
-# -- parameter container
+# -- argument checks
 
 
-def test_arch_params_rejects_wrong_length():
+@pytest.mark.parametrize("factor", [lfactor, gamma_factor])
+def test_factors_reject_wrong_length(factor):
     for lam in ((0.5,), (0.5, 0.0, 1.0)):
         with pytest.raises(LengthMismatchError):
-            arch_params(GL2, STD2, lam, 1.0)
+            factor(GL2, STD2, lam, 1.0)
 
 
-def test_arch_params_validation():
-    with pytest.raises(InvalidInput):
-        ArchParams((0.0,), ((1,),), 1.0, 0, Fraction(3))
-    with pytest.raises(InvalidInput):
-        ArchParams((0.0,), ((1,),), 1.0, 0, Fraction(1), "wrong")
+@pytest.mark.parametrize("factor", [lfactor, gamma_factor])
+def test_factors_check_the_field(factor):
+    with pytest.raises(InvalidInput, match="field must be 'real' or 'complex'"):
+        factor(GL1, STD1, (0.0,), 1.0, "wrong")

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import freudenthal_multiplicities
 from sphecke.errors import InvalidInput
 from sphecke.characters import (
     dual_weight,
@@ -99,6 +100,23 @@ def test_dimension_cross_check_small_sweep():
     ]
     for lam in doms:
         assert sum(weight_multiplicities(GL3, lam).values()) == weyl_dim(GL3, lam)
+
+
+@pytest.mark.parametrize(
+    "label", ["gl1", "gl2", "gl3", "gl4", "b2", "b3", "b4", "c2", "c3", "c4", "d3", "d4", "g2"]
+)
+def test_weight_multiplicities_match_freudenthal(label):
+    # Freudenthal's formula over the invariant form the coroot forms give,
+    # not the coordinate dot, and without kl_row: every dominant lam with
+    # coordinates in -2..2 and dimension at most 100
+    rd = build_preset(label)
+    lams = [
+        lam for lam in itertools.product(range(-2, 3), repeat=rd.rank)
+        if rd.is_dominant(lam) and weyl_dim(rd, lam) <= 100
+    ]
+    assert len(lams) >= 5
+    for lam in lams:
+        assert weight_multiplicities(rd, lam) == freudenthal_multiplicities(rd, lam), lam
 
 
 def test_weyl_dim_known_values():

@@ -448,6 +448,17 @@ def test_arch_threshold_cli(capsys):
     assert json.loads(out)["threshold"] == "1/2"
 
 
+@pytest.mark.parametrize("op", ["lfactor", "gamma"])
+@pytest.mark.parametrize("p", ["3", "0"])
+def test_arch_factors_check_p(capsys, op, p):
+    # the factors do not read p, but a p outside (0, 2] exits 2 as it
+    # does for threshold and probe; a wrong-length lam is reported first
+    base = ["arch", op, "--group", "gl2", "--p", p]
+    assert run(capsys, *base) == (2, "", "error: p must lie in (0, 2]\n")
+    code, _, err = run(capsys, *base, "--lam", "1")
+    assert code == 2 and err == "error: (1.0,) has length 1, want 2\n"
+
+
 def test_arch_default_lam_is_zero_vector(capsys):
     for group, rho, zero in (("gl2", "std", "0,0"), ("b2", "1,0,1", "0,0,0")):
         for op in ("lfactor", "gamma"):

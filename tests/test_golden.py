@@ -6,9 +6,11 @@ right; ``perfbench/run.py`` defines the normalization.  This test only
 reads those two files, and covers one line of each output kind, the
 orbit-walk and integer routes (a B4 Kostka polynomial, a C4 threshold
 and the GL4 weight-norm constant), the cell-to-character rows (a B2
-cell), and every line of the ``kernel`` and ``verify`` workloads, so
-each basic element, kernel and verifier report is byte-checked on every
-datum the benchmark runs it on.
+cell), the archimedean floats (a gamma factor, a local factor over each
+field, a Stirling ratio, and a seminorm probe on GL4 and on B2), and
+every line of the ``kernel`` and ``verify`` workloads, so each basic
+element, kernel and verifier report is byte-checked on every datum the
+benchmark runs it on.
 """
 
 import contextlib
@@ -29,6 +31,12 @@ LINES = [
     "kostka --group b4 --lambda 3,2,1,0,0 --mu 0,0,0,0,0",
     "arch threshold --group c4 --rho 1,0,0,0,1 --p 2/3 --field complex",
     "arch crho --group gl4",
+    "arch gamma --group gl4 --lam 0.5,-0.25,0,0.75 --s 3.25",
+    "arch lfactor --group gl4 --lam 1.5,0.5,-0.5,-1.5 --s 2.0 --field real",
+    "arch lfactor --group gl4 --lam 0.1,0.2,0.3,0.4 --s 3.25 --field complex",
+    "arch stirling --group gl1 --x 7.25 --y 1000",
+    "arch probe --group gl4 --s 3.0 --p 1/2 --t 4 --radii 2,4,6,8,10,12,14,16,18,20,22,24",
+    "arch probe --group b2 --rho 1,0,1 --s 2.5 --p 1 --t 3 --radii 2,4,6,8,10,12,14,16,18,20,22,24",
     "satake --group gl3 --mu 3,1,0",
     "satake --group b2 --mu 2,1,0",
     "convolve --group c2 --mu 1,1,0 --nu 1,0,0",

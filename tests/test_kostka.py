@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     _partition_counts,
+    charge_kostka,
     kl_row_reference,
     shifted_orbit_reference,
     solve_simple_coeffs,
@@ -443,6 +444,108 @@ def test_kostant_hesselink_catches_a_flipped_sign(monkeypatch, label):
 
     monkeypatch.setattr(kostka, "_shifted_orbit", flipped)
     assert not kostant_hesselink_holds(build_preset(label), label, 4)
+
+
+# -- K[lam, mu](q) for mu != 0 on GL_n: the charge statistic
+
+
+def _partitions(size, parts, top=None):
+    """The partitions of size into at most ``parts`` parts, padded with zeros."""
+    top = size if top is None else top
+    if parts == 0:
+        if size == 0:
+            yield ()
+        return
+    for first in range(min(size, top), -1, -1):
+        for rest in _partitions(size - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def charge_mismatch():
+    """The first (n, lam, mu) on GL2-GL4 with |lam| <= 8 where K[lam, mu]
+    differs from the charge sum over semistandard tableaux, or None."""
+    for n in (2, 3, 4):
+        rd = build_gl(n)
+        for size in range(9):
+            shapes = list(_partitions(size, n))
+            for lam, mu in itertools.product(shapes, repeat=2):
+                if lusztig_q_analogue(rd, lam, mu).terms != in_q(charge_kostka(lam, mu)):
+                    return n, lam, mu
+    return None
+
+
+def test_charge_convention():
+    # K[(2,1), (1,1,1)] = q + q^2 on both sides, from the tableaux 12/3
+    # (charge 2) and 13/2 (charge 1)
+    assert charge_kostka((2, 1, 0), (1, 1, 1)) == {1: 1, 2: 1}
+    assert lusztig_q_analogue(GL3, (2, 1, 0), (1, 1, 1)).terms == in_q({1: 1, 2: 1})
+    assert charge_kostka((3, 1, 1), (2, 2, 1)) == {1: 1}  # two standard subwords
+
+
+def test_lusztig_matches_charge():
+    assert charge_mismatch() is None
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the package caches before a mutation and after it."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_charge_catches_a_dropped_root(monkeypatch, fresh_caches):
+    # the last positive root left out of the partition count
+    tables = kostka._label_tables
+
+    def dropped(rd):
+        columns, rows, steps = tables(rd)
+        return columns, rows, steps[:-1]
+
+    monkeypatch.setattr(kostka, "_label_tables", dropped)
+    assert charge_mismatch() is not None
+
+
+def test_charge_catches_a_shifted_degree(monkeypatch, fresh_caches):
+    # the lowest degree of every polynomial with two or more terms raised by
+    # one: the value at q = 1, and so every weight multiplicity, is unchanged
+    real = kostka._alternating_sum
+
+    def shifted(*args):
+        out = real(*args)
+        if len(out) > 1:
+            e = min(out)
+            out[e + 1] = out.get(e + 1, 0) + out.pop(e)
+        return out
+
+    monkeypatch.setattr(kostka, "_alternating_sum", shifted)
+    assert charge_mismatch() is not None
+
+
+def test_charge_catches_an_image_kostant_hesselink_misses(monkeypatch, fresh_caches):
+    # the third image of every shifted orbit dropped: on GL2 and GL3 the
+    # identity at mu = 0 still holds, and the charge sum at mu != 0 does not
+    real = kostka._shifted_orbit
+
+    def dropped(rd, lam, height):
+        orbit = real(rd, lam, height)
+        return orbit[:2] + orbit[3:]
+
+    monkeypatch.setattr(kostka, "_shifted_orbit", dropped)
+    assert all(kostant_hesselink_holds(build_preset(g), g, 4) for g in ("gl2", "gl3"))
+    assert charge_mismatch() is not None
+
+
+def test_the_walk_never_reaches_the_w0_image():
+    # w0 lowers lam + rho by ht(lam - w0 lam) + ht(2 rho), more than any
+    # ht(lam - mu) over the dominant mu <= lam, so no row reads that image
+    # and dropping it would change no value
+    for label in ("gl3", "b2", "g2", "c3"):
+        rd = build_preset(label)
+        for lam in dominant_below(rd, vscale(2, _highest_root(rd))):
+            v = vadd(vscale(2, lam), rd.rho_b_times2)  # 2 (lam + rho)
+            w0_drop = sum(solve_simple_coeffs(rd.simple_roots, vsub(v, mat_apply(rd.w0, v)))) / 2
+            assert all(sum(delta) < w0_drop for _, delta in rootdata.dominant_below_coeffs(rd, lam))
 
 
 # -- the walks read no further than their rows

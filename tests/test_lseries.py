@@ -8,6 +8,7 @@ from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.laurent import Laurent
 from sphecke.lseries import (
     SchwartzElement,
+    _char_one,
     basic_function,
     fourier,
     gamma_kernel,
@@ -462,11 +463,19 @@ def test_verifiers_stay_on_the_character_side(monkeypatch):
         forward.clear()
         inverse.clear()
         assert verify(GL3, STD3, n, basic=basic).status == "PASS"
-        assert [f is basic for f in forward].count(True) == 1
-        assert all(f is basic or f == identity_element(GL3) for f in forward)
+        assert len(forward) == 1 and forward[0] is basic
         grades = [k for f in inverse for k in f.grades]
         assert set(grades) <= {-n, -n + 1, 0, 1}, verify.__name__
         assert len(grades) <= most, verify.__name__
+
+
+@pytest.mark.parametrize(
+    "label", ["gl1", "gl2", "gl3", "gl4", "b2", "b3", "b4", "c2", "c3", "c4", "d3", "d4", "g2"]
+)
+def test_character_unit_is_the_transform_of_the_identity(label):
+    # the verifiers compare with the unit built directly, not transformed
+    rd = build_preset(label)
+    assert _char_one(rd) == satake(identity_element(rd))
 
 
 def test_report_json_shape():
