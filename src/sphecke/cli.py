@@ -41,6 +41,7 @@ from .rootdata import (
 )
 from .satake import (
     CELLS,
+    GradedElement,
     cell,
     convolve,
     eval_numeric,
@@ -48,7 +49,7 @@ from .satake import (
     satake,
     specialize,
 )
-from .serialize import element_from_obj, element_to_obj
+from .serialize import element_from_obj
 
 
 def _parse_num(text: str, conv):
@@ -112,6 +113,7 @@ def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` for
     str-keyed dicts, lists, tuples, strings, ints, floats, bools and None,
     written directly: json's encoder runs in pure Python once it indents.
+    A ``GradedElement`` is written as ``element_to_obj`` spells it.
     ``pad`` is the newline and indentation before the value's closing
     bracket."""
     if type(obj) is int:  # most of every payload; bools and subclasses come below
@@ -136,7 +138,33 @@ def _json_text(obj, pad: str = "\n") -> str:
             return "{}"
         items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, GradedElement):
+        return _element_text(obj, pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _element_text(e: GradedElement, pad: str) -> str:
+    """``_json_text(element_to_obj(e), pad)``, written grade by grade from
+    the element itself, without the dicts and lists in between."""
+    p1, p2, p3, p4, p5, p6, p7 = (pad + "  " * n for n in range(1, 8))
+    triple = f"[{p7}%d,{p7}%d,{p7}%d{p6}]"
+    key = _json_str("mu" if e.basis == CELLS else "lambda")
+
+    def items(parts, inner, outer):
+        return "[" + inner + ("," + inner).join(parts) + outer + "]" if parts else "[]"
+
+    grades = []
+    for k in sorted(e.grades):
+        terms = e.grades[k]
+        texts = []
+        for vec in sorted(terms, reverse=True):
+            t = terms[vec].terms
+            coeff = items([triple % (a, b, t[a, b]) for a, b in sorted(t)], p6, p5)
+            vec_text = items(list(map(int.__repr__, vec)), p6, p5)
+            texts.append(f'{{{p5}"coeff": {coeff},{p5}{key}: {vec_text}{p4}}}')
+        grades.append(f'{{{p3}"k": {k!r},{p3}"terms": {items(texts, p4, p3)}{p2}}}')
+    return (f'{{{p1}"basis": {_json_str(e.basis)},{p1}"grades": {items(grades, p2, p1)},'
+            f'{p1}"window": {_json_text(e.window.to_json(), p1)}{pad}}}')
 
 
 def _emit(args, obj) -> None:
@@ -156,7 +184,7 @@ def _pretty_grades(element) -> dict:
 
 
 def _element_payload(element) -> dict:
-    return {"element": element_to_obj(element), "pretty": _pretty_grades(element)}
+    return {"element": element, "pretty": _pretty_grades(element)}
 
 
 def _q_text(pairs) -> str:

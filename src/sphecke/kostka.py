@@ -9,7 +9,9 @@ whole row of it, in the form the inverse transform reads.  All of them
 are ``Laurent`` polynomials in v with q = v^2: the first two return
 K(q), and ``kl_row`` holds v^(-2<rho_B,mu>) K(q^-1)
 (``weight_multiplicities`` reads only its coefficient sum, which the
-shift leaves alone).
+shift leaves alone).  A row depends on lam only through its Dynkin
+labels, so ``_label_row``, keyed by them, is the one table of rows, and
+``kl_row`` translates its entry to lam.
 
 Everything is counted in simple-root coefficients (Kostant's partition
 function, Humphreys, *Introduction to Lie Algebras and Representation
@@ -17,12 +19,12 @@ Theory*, 24.2, computed by recursion over the roots as in
 Schmidt–Bincer, J. Math. Phys. 25 (1984)).  This module holds that
 recursion: ``_context`` builds it once per datum, with the one memo
 every count reads, and only this module reads the memo's format.  The
-shifted orbit carries only the coefficients of w(lam + rho) - (lam + rho)
-along its walk, which stops at the largest height of lam - mu the caller
-reads; ``kl_row`` reads those of lam - mu off the dominance walk; and a
-vector with a negative coefficient is dropped before any count, so the
-memo holds only vectors inside the cone.  A vector off the root lattice
-counts zero.
+shifted orbit reads only labels and carries only the coefficients of
+w(lam + rho) - (lam + rho) along its walk, which stops at the largest
+height of lam - mu the caller reads; a row reads those of lam - mu off
+the dominance walk; and a vector with a negative coefficient is dropped
+before any count, so the memo holds only vectors inside the cone.  A
+vector off the root lattice counts zero.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from .rootdata import (
     _label_tables,
     _orbit_walk,
     dominant_below_coeffs,
+    dynkin_labels,
     height2,
     identity_mat,
     root_coeffs,
     sigma_grade,
-    vadd,
-    vscale,
+    vneg,
     vsub,
 )
 
@@ -107,14 +109,14 @@ def kostant_q(rd: RootDatum, beta: Vec) -> Laurent:
     return _in_q(count(coeffs, 0))
 
 
-def _shifted_orbit(rd: RootDatum, lam: Vec, height: int) -> list[tuple[int, Vec, int]]:
+def _shifted_orbit(rd: RootDatum, labels: Vec, height: int) -> list[tuple[int, Vec, int]]:
     """Triples (drop, coefficients, sign of w) over the w whose drop is at
-    most ``height``, drop ascending: the coefficients are those of
-    w(lam + rho) - (lam + rho) in the simple roots, all <= 0, and the drop
-    is minus their sum.  The walk carries only the coefficients, of
-    w(v) - v for v = 2(lam + rho), and stops at drop 2 * height."""
-    k = len(rd.simple_roots)
-    v = vadd(vscale(2, lam), rd.rho_b_times2)
+    most ``height``, drop ascending, for any lam with Dynkin labels
+    ``labels``: the coefficients are those of w(lam + rho) - (lam + rho) in
+    the simple roots, all <= 0, and the drop is minus their sum.  The walk
+    reads the labels of v = 2(lam + rho) and stops at drop 2 * height."""
+    k = len(labels)
+    v = tuple([2 * x + r for x, r in zip(labels, dynkin_labels(rd, rd.rho_b_times2))])
     orbit = []
     for depth, coeffs in _orbit_walk(rd, v, (0,) * k, identity_mat(k), 2 * height):
         if any(x % 2 for x in coeffs):
@@ -125,7 +127,7 @@ def _shifted_orbit(rd: RootDatum, lam: Vec, height: int) -> list[tuple[int, Vec,
     return orbit
 
 
-def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dict:
+def _alternating_sum(rd: RootDatum, orbit, delta: Vec) -> dict:
     """K[lam, mu] as nonzero {e: c} from the shifted orbit of lam, walked
     at least to the height of lam - mu, and its simple-root coefficients
     delta: the signed sum of the graded partition counts of
@@ -145,7 +147,7 @@ def _alternating_sum(rd: RootDatum, orbit, lam: Vec, mu: Vec, delta: Vec) -> dic
             total[e] = total.get(e, 0) + sign * c
     out = {e: c for e, c in total.items() if c}
     if any(c < 0 for c in out.values()):
-        raise RuntimeError(f"negative coefficient in K[{lam},{mu}]: {out}")
+        raise RuntimeError(f"negative coefficient in K[lam, mu] at lam - mu = {delta}: {out}")
     return out
 
 
@@ -165,24 +167,38 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
     delta = root_coeffs(rd, vsub(lam, mu))
     if delta is None or min(delta, default=0) < 0:
         return Laurent.zero()  # mu is not below lam: no orbit walk
-    orbit = _shifted_orbit(rd, lam, sum(delta))
-    return _in_q(_alternating_sum(rd, orbit, lam, mu, delta))
+    orbit = _shifted_orbit(rd, dynkin_labels(rd, lam), sum(delta))
+    return _in_q(_alternating_sum(rd, orbit, delta))
 
 
 @cache
+def _label_row(rd: RootDatum, labels: Vec) -> tuple:
+    """The row of every dominant lam with Dynkin labels ``labels``: the
+    triples (lam - mu, height2(lam - mu), K[lam, mu] as nonzero {e: c})
+    over the dominant mu <= lam, mu descending, from one shifted orbit
+    walked to the largest height of lam - mu.  The labels fix lam up to a
+    central z, which W fixes, so K[lam + z, mu + z] = K[lam, mu].  The
+    dominance walk starts at zero, so it carries mu - lam."""
+    below = dominant_below_coeffs(rd, labels, (0,) * rd.rank)
+    orbit = _shifted_orbit(rd, labels, max(sum(delta) for _, delta in below))
+    row = []
+    for step, delta in below:
+        counts = _alternating_sum(rd, orbit, delta)
+        if counts:
+            row.append((vneg(step), -height2(rd, step), counts))
+    return tuple(row)
+
+
 def kl_row(rd: RootDatum, lam: Vec) -> tuple:
     """Expansion of the lam-character into cell indicators, the inverse
     transform's row: the nonzero (mu, v^(-2<rho_B,mu>) K[lam, mu](q^-1))
-    over the dominant mu <= lam, mu descending, all from one shifted Weyl
-    orbit of lam and the coefficients of lam - mu the dominance walk
-    carries.  The orbit is walked only to the largest height of lam - mu
-    in the row, the most any of its entries reads."""
-    below = dominant_below_coeffs(rd, lam)
-    orbit = _shifted_orbit(rd, lam, max(sum(delta) for _, delta in below))
-    row = []
-    for mu, delta in below:
-        counts = _alternating_sum(rd, orbit, lam, mu, delta)
-        if counts:
-            shift = -height2(rd, mu)
-            row.append((mu, Laurent({(shift - 2 * e, 0): c for e, c in counts.items()})))
-    return tuple(row)
+    over the dominant mu <= lam, mu descending, translated from the row of
+    lam's Dynkin labels: mu = lam - d, and c q^e at height2(d) sits at
+    v^(height2(d) - height2(lam) - 2e)."""
+    if not rd.is_dominant(lam):
+        raise NonDominantError(f"{lam} is not dominant")
+    top = height2(rd, lam)
+    return tuple(
+        (tuple(map(sub, lam, d)), Laurent({(h - top - 2 * e, 0): c for e, c in counts.items()}))
+        for d, h, counts in _label_row(rd, dynkin_labels(rd, lam))
+    )

@@ -363,14 +363,23 @@ def _label_tables(rd: RootDatum) -> tuple:
     return columns, rows, steps
 
 
+def dynkin_labels(rd: RootDatum, v: Vec) -> Vec:
+    """The pairings of v with the simple coroot forms (CONVENTIONS.md)."""
+    return tuple([dot(f, v) for f in rd.simple_coroot_forms])
+
+
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
     """All dominant mu <= lam, reverse-lexicographically descending."""
-    return [mu for mu, _ in dominant_below_coeffs(rd, lam)]
+    if not rd.is_dominant(lam):
+        raise NonDominantError(f"{lam} is not dominant")
+    return [mu for mu, _ in dominant_below_coeffs(rd, dynkin_labels(rd, lam), tuple(lam))]
 
 
-def dominant_below_coeffs(rd: RootDatum, lam: Vec) -> list[tuple[Vec, Vec]]:
-    """The pairs (mu, the simple-root coefficients of lam - mu) over the
-    dominant mu <= lam, mu reverse-lexicographically descending.
+def dominant_below_coeffs(rd: RootDatum, start: Vec, top: Vec) -> list[tuple[Vec, Vec]]:
+    """The pairs (top - (lam - mu), the simple-root coefficients of
+    lam - mu) over the dominant mu <= lam, for any dominant lam with Dynkin
+    labels ``start``, mu reverse-lexicographically descending: with
+    top = lam the pairs start with mu, and any top keeps their order.
 
     A breadth-first walk down from lam that subtracts one positive root
     at a time and keeps only dominant weights.  It reaches every
@@ -386,11 +395,8 @@ def dominant_below_coeffs(rd: RootDatum, lam: Vec) -> list[tuple[Vec, Vec]]:
     carried along with the simple-root coefficients of lam - mu, the root
     subtracted from the one and its coefficients added to the other.
     """
-    if not rd.is_dominant(lam):
-        raise NonDominantError(f"{lam} is not dominant")
     _, _, steps = _label_tables(rd)
-    start = tuple(dot(f, lam) for f in rd.simple_coroot_forms)
-    seen = {start: (tuple(lam), (0,) * len(start))}
+    seen = {start: (top, (0,) * len(start))}
     frontier = [start]
     while frontier:
         new = []
@@ -409,13 +415,13 @@ def dominant_below_coeffs(rd: RootDatum, lam: Vec) -> list[tuple[Vec, Vec]]:
 # Weyl group
 
 
-def _orbit_walk(rd: RootDatum, v: Vec, start: Vec, steps, bound=float("inf")) -> list:
-    """The Weyl orbit of a dominant v, walked breadth-first by simple
-    reflections from v: pairs (the depth at which the walk first reaches
-    an image u, x_u).  x_v is ``start``, and where s_i first reaches an
-    image it subtracts f_i(u) steps[i] from x_u.  So with v and the simple
-    roots x_u is u, and with zero and the unit vectors it holds the
-    simple-root coefficients of u - v.
+def _orbit_walk(rd: RootDatum, first: Vec, start: Vec, steps, bound=float("inf")) -> list:
+    """The Weyl orbit of a dominant v with Dynkin labels ``first``, walked
+    breadth-first by simple reflections from v: pairs (the depth at which
+    the walk first reaches an image u, x_u).  x_v is ``start``, and where
+    s_i first reaches an image it subtracts f_i(u) steps[i] from x_u.  So
+    with v and the simple roots x_u is u, and with zero and the unit
+    vectors it holds the simple-root coefficients of u - v.
 
     The walk runs in Dynkin labels, as ``straighten`` does: s_i subtracts
     f_i(u) times the i-th column of the Cartan matrix from the labels,
@@ -428,7 +434,6 @@ def _orbit_walk(rd: RootDatum, v: Vec, start: Vec, steps, bound=float("inf")) ->
     images it stops with WeylCapError.
     """
     columns, _, _ = _label_tables(rd)
-    first = tuple([dot(f, v) for f in rd.simple_coroot_forms])
     seen = {first}
     walk = [(0, start)]
     frontier = [(first, start, 0)]
@@ -457,7 +462,7 @@ def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
     """The Weyl orbit of the dominant weight mu."""
     if not rd.is_dominant(mu):
         raise NonDominantError(f"{mu} is not dominant")
-    return {u for _, u in _orbit_walk(rd, mu, mu, rd.simple_roots)}
+    return {u for _, u in _orbit_walk(rd, dynkin_labels(rd, mu), mu, rd.simple_roots)}
 
 
 @cache

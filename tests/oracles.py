@@ -5,9 +5,9 @@ None of these is on a production path: the Weyl group as matrices
 simple-root coefficients solved image by image, exact rational row
 reduction, the dominance order and the half-sum pairing spelled out,
 JSON text round trips of graded elements, the Kostka-Foulkes row summed
-over the whole orbit with a memo-free partition count, and the
-transforms and the product summed one ``Laurent`` object per term, as
-the package once summed them.
+over the whole orbit with a memo-free partition count, the transforms
+and the product summed one ``Laurent`` object per term, as the package
+once summed them, and a datum carried to other coordinates.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from sphecke.rootdata import (
     _orbit_walk,
     dominant_below,
     dot,
+    dynkin_labels,
     height2,
     identity_mat,
+    mat_apply,
     root_coeffs,
     straighten,
     vadd,
@@ -97,7 +99,7 @@ def signed_orbit(rd: RootDatum, v: Vec) -> list[tuple[Vec, int, Vec]]:
     """
     if not all(dot(f, v) > 0 for f in rd.simple_coroot_forms):
         raise NonDominantError(f"{v} is not regular dominant")
-    walk = _orbit_walk(rd, v, v, rd.simple_roots)
+    walk = _orbit_walk(rd, dynkin_labels(rd, v), v, rd.simple_roots)
     return [(u, -1 if depth % 2 else 1, root_coeffs(rd, vsub(u, v))) for depth, u in walk]
 
 
@@ -193,6 +195,37 @@ def solve_simple_coeffs(simple: tuple[Vec, ...], target: Vec):
     for i, c in enumerate(pivots):
         coeffs[c] = rows[i][-1]
     return tuple(coeffs)
+
+
+def random_unimodular(rng, n: int, steps: int = 6) -> Mat:
+    """An n x n integer matrix of determinant 1: ``steps`` elementary row
+    operations, each adding +-1 or +-2 times one row to another."""
+    u = [list(row) for row in identity_mat(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return tuple(tuple(row) for row in u)
+
+
+def transform_datum(rd: RootDatum, U: Mat, perm) -> RootDatum:
+    """rd in the coordinates v -> U v, for an integer U with an integer
+    inverse, with its simple roots taken in the order ``perm``: roots map
+    by v -> U v, the coroot forms and sigma by f -> f U^-1.  Every pairing
+    f(v), and so every Dynkin label, is unchanged."""
+    n = rd.rank
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(U)]
+    assert row_reduce(rows, n) == list(range(n)), "U is singular"
+    inverse = [row[n:] for row in rows]
+    assert all(x.denominator == 1 for row in inverse for x in row), "U^-1 is not integral"
+
+    def form(f):
+        return tuple(int(sum(f[i] * inverse[i][j] for i in range(n))) for j in range(n))
+
+    simples = [mat_apply(U, rd.simple_roots[i]) for i in perm]
+    forms = [form(rd.simple_coroot_forms[i]) for i in perm]
+    return RootDatum(rd.cartan, n, simples, forms, form(rd.sigma))
 
 
 def dominance_leq(rd: RootDatum, mu: Vec, lam: Vec) -> bool:

@@ -25,7 +25,8 @@ from sphecke.cli import (
 )
 from sphecke import characters
 from sphecke.rootdata import build_gl, build_preset, datum_to_json
-from sphecke.satake import cell, convolve
+from sphecke.laurent import Laurent
+from sphecke.satake import CELLS, CHARS, GradedElement, Window, cell, convolve
 from sphecke.serialize import element_to_obj
 
 COMMANDS = tuple(_TABLE)
@@ -512,7 +513,7 @@ def test_cold_queries_build_no_weyl_matrices(capsys, monkeypatch, line):
         raise AssertionError("the Weyl group was built as matrices")
 
     monkeypatch.setattr(oracles, "_weyl_bfs", refuse)
-    for cached in (oracles.weyl_elements, kostka.kl_row):
+    for cached in (oracles.weyl_elements, kostka._label_row):
         cached.cache_clear()
     code, _, err = run(capsys, *line.split())
     assert code == 0, err
@@ -1128,7 +1129,7 @@ def test_cli_import_fills_no_cache():
         "sphecke.characters.require_valid",
         "sphecke.characters.weight_multiplicities",
         "sphecke.kostka._context",
-        "sphecke.kostka.kl_row",
+        "sphecke.kostka._label_row",
         "sphecke.rootdata._coeff_map",
         "sphecke.rootdata._label_tables",
         "sphecke.rootdata.straighten",
@@ -1239,9 +1240,47 @@ def test_json_writer_refuses_non_finite_floats(bad):
             _json_text(obj)
 
 
+_BIG_INTS = st.one_of(st.integers(), st.sampled_from([2**64, -(2**64) - 1, 3**90, -(10**40)]))
+
+
+@st.composite
+def _elements(draw):
+    """A graded element over a GL datum of rank 1-3, in either basis, with
+    any window: coefficients and vectors reach past 2^64, exponents go
+    negative, and grades may be empty."""
+    rd = build_gl(draw(st.integers(1, 3)))
+    lo = draw(st.none() | st.integers(-6, 0))
+    hi = draw(st.none() | st.integers(0, 6))
+    laurents = st.dictionaries(
+        st.tuples(st.integers(-30, 30), st.integers(-6, 6)), _BIG_INTS, max_size=4
+    ).map(Laurent)
+    vecs = st.tuples(*[_BIG_INTS] * rd.rank)
+    grades = draw(st.dictionaries(
+        st.integers(-6 if lo is None else lo, 6 if hi is None else hi),
+        st.dictionaries(vecs, laurents, max_size=4),
+        max_size=4,
+    ))
+    return GradedElement(rd, draw(st.sampled_from([CELLS, CHARS])), grades, Window(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements())
+@example(GradedElement(build_gl(2), CELLS))
+@example(GradedElement(build_gl(1), CHARS, {0: {(5,): Laurent.term(-(2**65), v=-3, x=-1)}}))
+def test_element_writer_is_the_generic_writer(e):
+    # the element is written grade by grade from the element itself, with
+    # the bytes of element_to_obj through the generic writer, at the top
+    # level and nested in a payload
+    obj = element_to_obj(e)
+    assert _json_text(e) == _json_text(obj) == _dumps(obj)
+    pretty = {"0": {"1": "v"}}
+    assert _json_text({"element": e, "pretty": pretty}) == _dumps({"element": obj, "pretty": pretty})
+
+
 def test_json_writer_on_the_benchmark_lines(monkeypatch):
     # every object a kernel, basic and verify line emits: the writer's text
-    # equals json.dumps, and stdout is that text
+    # equals json.dumps of the payload with its element spelled by
+    # element_to_obj, and stdout is that text
     emitted = []
     emit = sphecke.cli._emit
     monkeypatch.setattr(sphecke.cli, "_emit", lambda args, obj: (emitted.append(obj), emit(args, obj)))
@@ -1253,5 +1292,9 @@ def test_json_writer_on_the_benchmark_lines(monkeypatch):
             assert main(argv) == 0, argv
         obj = emitted.pop()
         text = _json_text(obj)
+        if argv[0] != "verify":
+            assert set(obj) == ({"element", "pretty", "datum"} if argv[0] == "basic"
+                                else {"element", "pretty"}), argv
+            obj = {**obj, "element": element_to_obj(obj["element"])}
         assert text == _dumps(obj), argv
         assert out.getvalue().startswith(text + "\n"), argv

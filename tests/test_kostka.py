@@ -13,7 +13,7 @@ from oracles import (
     solve_simple_coeffs,
     weyl_elements,
 )
-from sphecke import clear_caches, kostka, rootdata
+from sphecke import characters, clear_caches, kostka, rootdata, satake
 from sphecke.errors import GradeMismatchError
 from sphecke.kostka import (
     kl_row,
@@ -21,7 +21,7 @@ from sphecke.kostka import (
     lusztig_q_analogue,
 )
 from sphecke.laurent import Laurent
-from sphecke.lseries import gamma_kernel
+from sphecke.lseries import basic_function, gamma_kernel
 from sphecke.rootdata import (
     RepSpec,
     build_gl,
@@ -305,8 +305,8 @@ def test_shifted_orbit_and_row_match_the_oracles(label):
                          for mu in dominant_below(rd, lam))
         for h in (0, row_height, full[-1][0]):
             want = [image for image in full if image[0] <= h]
-            assert kostka._shifted_orbit(rd, lam, h) == want, (label, lam, h)
-        kl_row.cache_clear()
+            assert kostka._shifted_orbit(rd, rootdata.dynkin_labels(rd, lam), h) == want, (label, lam, h)
+        kostka._label_row.cache_clear()
         assert kl_row(rd, lam) == kl_row_reference(rd, lam), (label, lam)
 
 
@@ -356,10 +356,101 @@ def test_kl_row_solves_no_root_coeffs(monkeypatch, label):
     solved = rootdata.root_coeffs
     monkeypatch.setattr(rootdata, "root_coeffs", counting)
     monkeypatch.setattr(kostka, "root_coeffs", counting)
-    kl_row.cache_clear()
+    kostka._label_row.cache_clear()
     for lam in dominant_below(rd, TOPS[label]):
         assert kl_row(rd, lam)
     assert calls == []
+
+
+# -- one row per Dynkin-label class
+
+
+def _central(rd):
+    """A nonzero vector every simple coroot form kills: the diagonal of
+    GL(n), the adjoined central coordinate of the other presets."""
+    z = (1,) * rd.rank if rd.cartan.startswith("GL") else (0,) * (rd.rank - 1) + (1,)
+    assert rootdata.dynkin_labels(rd, z) == (0,) * len(rd.simple_roots)
+    return z
+
+
+def translation_mismatch(rd, top, row):
+    """The first (lam, z) with lam <= top and z a multiple of the central
+    direction where row(rd, lam + z) is not row(rd, lam) with every mu
+    moved by z and every v-power by -height2(z), or None.  Each lam is read
+    before its translates; all lam <= top share one grade, so none is a
+    translate of another."""
+    for lam in dominant_below(rd, top):
+        base = row(rd, lam)
+        for z in (_central(rd), vscale(-2, _central(rd))):
+            want = tuple((vadd(mu, z), c.shift(v=-height2(rd, z))) for mu, c in base)
+            if row(rd, vadd(lam, z)) != want:
+                return lam, z
+    return None
+
+
+@pytest.mark.parametrize("label", sorted(set(TOPS) - {"gl1"}))
+def test_kl_row_moves_with_the_center(label):
+    # the Dynkin labels fix lam up to a central z, which every Weyl element
+    # fixes, so K[lam + z, mu + z] = K[lam, mu]; height2(z) is zero, the
+    # height form being a sum of coroot forms
+    rd = build_preset(label)
+    kostka._label_row.cache_clear()
+    assert height2(rd, _central(rd)) == 0
+    assert translation_mismatch(rd, TOPS[label], kl_row) is None
+
+
+def _translate_fault(fault):
+    """``kl_row`` with a fault that only a translate shows: the first lam
+    read with given labels gets its row right, and a later lam with the
+    same labels gets v-powers without its height2 ("height") or the first
+    lam's mu ("mu")."""
+    first = {}
+
+    def row(rd, lam):
+        labels = rootdata.dynkin_labels(rd, lam)
+        rep = first.setdefault((rd, labels), lam)
+        top = 0 if fault == "height" and lam != rep else height2(rd, lam)
+        base = rep if fault == "mu" else lam
+        return tuple(
+            (vsub(base, d), Laurent({(h - top - 2 * e, 0): c for e, c in counts.items()}))
+            for d, h, counts in kostka._label_row(rd, labels)
+        )
+
+    return row
+
+
+@pytest.mark.parametrize("fault", ["height", "mu"])
+@pytest.mark.parametrize("label", ["b2", "gl3"])
+def test_translation_check_catches_a_translate_fault(label, fault):
+    rd = build_preset(label)
+    assert translation_mismatch(rd, TOPS[label], _translate_fault(fault)) is not None
+    # one grade holds no translates, so every row of one grade is right
+    faulty = _translate_fault(fault)
+    assert all(faulty(rd, lam) == kl_row(rd, lam) for lam in dominant_below(rd, TOPS[label]))
+
+
+@pytest.mark.parametrize(
+    "label, hw, build, N, rows, entries",
+    [("b2", (1, 0, 1), basic_function, 8, 25, 9), ("g2", (0, -1, 1), gamma_kernel, 0, 68, 17)],
+)
+def test_label_table_holds_one_entry_per_class(monkeypatch, label, hw, build, N, rows, entries):
+    # rows: the weights kl_row is asked for, by the inverse transform and by
+    # weight_multiplicities; entries: the label classes the table holds
+    rd = build_preset(label)
+    asked = set()
+    real = kostka.kl_row
+
+    def asking(rd, lam):
+        asked.add(lam)
+        return real(rd, lam)
+
+    monkeypatch.setattr(satake, "kl_row", asking)
+    monkeypatch.setattr(characters, "kl_row", asking)
+    clear_caches()
+    build(rd, RepSpec(hw), N)
+    assert len(asked) == rows
+    assert kostka._label_row.cache_info().currsize == entries
+    assert len({rootdata.dynkin_labels(rd, lam) for lam in asked}) == entries
 
 
 # -- classical identities at mu = 0, independent of the alternating sum
@@ -545,7 +636,8 @@ def test_the_walk_never_reaches_the_w0_image():
         for lam in dominant_below(rd, vscale(2, _highest_root(rd))):
             v = vadd(vscale(2, lam), rd.rho_b_times2)  # 2 (lam + rho)
             w0_drop = sum(solve_simple_coeffs(rd.simple_roots, vsub(v, mat_apply(rd.w0, v)))) / 2
-            assert all(sum(delta) < w0_drop for _, delta in rootdata.dominant_below_coeffs(rd, lam))
+            below = rootdata.dominant_below_coeffs(rd, rootdata.dynkin_labels(rd, lam), lam)
+            assert all(sum(delta) < w0_drop for _, delta in below)
 
 
 # -- the walks read no further than their rows
@@ -585,18 +677,21 @@ def test_zero_query_walks_no_image(monkeypatch):
 
 def test_kernel_rows_walk_only_the_images_they_read(monkeypatch):
     # an image is read when its drop is at most the height of lam - mu
-    # for some mu in the row
+    # for some mu in the row; a row's sums follow its walk, so each read
+    # is charged to the last walk.  One walk per Dynkin-label class: the
+    # 27 weights of the kernel's rows fall into 22 classes
     gl4 = build_gl(4)
     walked = _count_walks(monkeypatch)
     read = {}
 
-    def reading(rd, orbit, lam, mu, delta):
+    def reading(rd, orbit, delta):
         n = sum(1 for drop, _, _ in orbit if drop <= sum(delta))
-        read[lam] = max(read.get(lam, 0), n)
-        return summed(rd, orbit, lam, mu, delta)
+        read[len(walked)] = max(read.get(len(walked), 0), n)
+        return summed(rd, orbit, delta)
 
     summed = kostka._alternating_sum
     monkeypatch.setattr(kostka, "_alternating_sum", reading)
     gamma_kernel(gl4, RepSpec((1, 0, 0, 0)), 4)
-    assert len(walked) == len(read) == 27
-    assert sum(walked) == sum(read.values()) < 24 * 27
+    assert len(walked) == len(read) == 22
+    assert walked == [read[i] for i in range(1, 23)]
+    assert sum(walked) < 24 * 22

@@ -31,6 +31,7 @@ from sphecke.rootdata import (
     datum_to_json,
     dominant_below,
     dual_weight_vec,
+    dynkin_labels,
     identity_mat,
     l_constant,
     mat_apply,
@@ -452,7 +453,7 @@ def test_signed_orbit_cap_and_regularity(monkeypatch):
     d4 = build_preset("d4")
     monkeypatch.setattr(rootdata, "WEYL_CAP_DEFAULT", 10)
     with pytest.raises(WeylCapError, match="cap 10"):
-        _orbit_walk(d4, d4.rho_b_times2, d4.rho_b_times2, d4.simple_roots)
+        _orbit_walk(d4, dynkin_labels(d4, d4.rho_b_times2), d4.rho_b_times2, d4.simple_roots)
     with pytest.raises(NonDominantError):
         signed_orbit(GL3, (1, 0, 0))  # on a wall
 
