@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from operator import add, mul
 
 from .errors import InvalidInput, NonDominantError
 from .kostka import kl_row
@@ -21,11 +22,12 @@ from .rootdata import (
     RepSpec,
     RootDatum,
     Vec,
+    _straighten_labels,
     dot,
     dual_weight_vec,
+    dynkin_labels,
     height2,
     sigma_grade,
-    straighten,
     weyl_orbit,
 )
 
@@ -130,9 +132,10 @@ def adams(k: int, ch: CharExpansion) -> CharExpansion:
     return out
 
 
-def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
+def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec, labelled=None) -> dict:
     """sum_nu m_nu sign chi_straighten(2(nu + lam + rho)), as irreducible
     highest weight -> coefficient; the m_nu may be ints or ``Laurent``.
+    ``labelled``, when given, is ``_doubled_labels(rd, weights)``.
 
     For a Weyl-invariant weight multiset this is the multiset times the
     lam-character (Brauer-Klimyk; Humphreys, *Introduction to Lie Algebras
@@ -140,14 +143,32 @@ def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
     Weyl-invariant: the sum is always J(e^(lam + rho) sum_nu m_nu e^nu) /
     J(e^rho), with J the Weyl alternation, the sum that
     ``satake.satake_basis_row`` takes with polynomial m_nu for Macdonald's
-    formula."""
-    lam2 = tuple(2 * x + r for x, r in zip(lam, rd.rho_b_times2))
+    formula.
+
+    The shifted weight 2(nu + lam + rho) has the labels of 2 nu plus those
+    of 2(lam + rho).  With every label positive it is its own
+    straightening, with a zero label it lies on a wall, and only the rest
+    are read from ``_straighten_labels``; when the least labels of the
+    weights leave every shifted weight positive, the sum is the weights
+    moved by lam."""
+    labels2, low, rho2 = _doubled_labels(rd, weights) if labelled is None else labelled
+    shift = tuple([2 * sum(map(mul, f, lam)) + r for f, r in zip(rd.simple_coroot_forms, rho2)])
+    if min(map(add, low, shift), default=1) > 0:
+        return {tuple(map(add, nu, lam)): m for nu, m in weights.items() if m}
     out = {}
-    for nu, m in weights.items():
-        hit = straighten(rd, tuple([2 * x + y for x, y in zip(nu, lam2)]))
-        if hit is None:
+    for (nu, m), nu_labels in zip(weights.items(), labels2):
+        v2 = tuple(map(add, nu_labels, shift))
+        if min(v2) > 0:
+            sign = 1
+            top = tuple(map(add, nu, lam))
+        elif 0 in v2:
             continue
-        sign, top = hit
+        else:
+            hit = _straighten_labels(rd, v2)
+            if hit is None:
+                continue
+            sign, delta = hit
+            top = tuple([x + y + d // 2 for x, y, d in zip(nu, lam, delta)])
         c = out.get(top, 0) + sign * m
         if c:
             out[top] = c
@@ -156,11 +177,27 @@ def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec) -> dict:
     return out
 
 
+def _doubled_labels(rd: RootDatum, weights: CharExpansion) -> tuple:
+    """The Dynkin labels of 2 nu over the weights nu, in their order; the
+    least of them in each place; and the labels of 2 rho, which every
+    shifted weight adds."""
+    labels2 = tuple(dynkin_labels(rd, tuple([2 * x for x in nu])) for nu in weights)
+    return labels2, tuple(map(min, zip(*labels2))), dynkin_labels(rd, rd.rho_b_times2)
+
+
+@cache
+def _weight_labels(rd: RootDatum, lam: Vec) -> tuple:
+    """``_doubled_labels`` of the weights of V(lam), which ``tensor`` reads
+    for every product with V(lam)."""
+    return _doubled_labels(rd, weight_multiplicities(rd, lam))
+
+
 def tensor(rd: RootDatum, lam: Vec, mu: Vec) -> tuple:
     """(nu, multiplicity) pairs of the irreducibles in V(lam) (x) V(mu)."""
-    if weyl_dim(rd, lam) < weyl_dim(rd, mu):
+    if _weyl_dim(rd, lam) < _weyl_dim(rd, mu):
         lam, mu = mu, lam
-    return tuple(times_char(rd, weight_multiplicities(rd, mu), lam).items())
+    weights = weight_multiplicities(rd, mu)
+    return tuple(times_char(rd, weights, lam, _weight_labels(rd, mu)).items())
 
 
 def _by_height(rd: RootDatum, chars: dict) -> list:
@@ -168,26 +205,32 @@ def _by_height(rd: RootDatum, chars: dict) -> list:
 
 
 @cache
-def _newton_series(rd: RootDatum, hw: Vec, signed: bool) -> dict:
+def _newton_series(rd: RootDatum, hw: Vec, signed: bool) -> tuple:
     """Grade -> symmetric (exterior, when signed) power of V(hw) in the
-    character basis; ``_power`` fills in grades on demand."""
-    return {0: {(0,) * rd.rank: 1}}
+    character basis, and j -> (psi^j, its ``_doubled_labels``) with psi^j
+    the j-th Adams operation on the weights of hw, whose labels are j
+    times theirs; ``_power`` fills in both on demand."""
+    return {0: {(0,) * rd.rank: 1}}, {}
 
 
 def _power(rd: RootDatum, hw: Vec, n: int, signed: bool) -> dict:
     """Newton's identity m S^m = sum_j psi^j S^(m-j), signed for exterior
-    powers, with psi^j the j-th Adams operation on the weights of hw.
-    Grade m is written once grades below it are present, and always with
-    the same value, so concurrent callers agree."""
-    series = _newton_series(rd, hw, signed)
-    base = weight_multiplicities(rd, hw)
-    psis = [adams(j, base) for j in range(1, n + 1)] if len(series) <= n else []
+    powers.  Grade m is written once grades below it are present, and
+    always with the same value, so concurrent callers agree."""
+    series, psis = _newton_series(rd, hw, signed)
+    if len(series) <= n:
+        base = weight_multiplicities(rd, hw)
+        labels2, low, rho2 = _weight_labels(rd, hw)
+        for j in range(len(psis) + 1, n + 1):
+            scaled = [tuple([j * x for x in l]) for l in labels2], [j * x for x in low], rho2
+            psis[j] = adams(j, base), scaled
     for m in range(len(series), n + 1):
         acc = {}
         for j in range(1, m + 1):
             sign = -1 if signed and j % 2 == 0 else 1
+            psi, labelled = psis[j]
             for lam, c in series[m - j].items():
-                for nu, k in times_char(rd, psis[j - 1], lam).items():
+                for nu, k in times_char(rd, psi, lam, labelled).items():
                     acc[nu] = acc.get(nu, 0) + sign * c * k
         out = {}
         for nu, c in acc.items():

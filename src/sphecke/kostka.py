@@ -199,6 +199,9 @@ def kl_row(rd: RootDatum, lam: Vec) -> tuple:
         raise NonDominantError(f"{lam} is not dominant")
     top = height2(rd, lam)
     return tuple(
-        (tuple(map(sub, lam, d)), Laurent({(h - top - 2 * e, 0): c for e, c in counts.items()}))
+        (
+            tuple(map(sub, lam, d)),
+            Laurent.from_terms({(h - top - 2 * e, 0): c for e, c in counts.items()}),
+        )
         for d, h, counts in _label_row(rd, dynkin_labels(rd, lam))
     )

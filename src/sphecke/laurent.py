@@ -52,6 +52,15 @@ class Laurent:
         }
 
     @classmethod
+    def from_terms(cls, terms: dict):
+        """The polynomial with the term dict ``terms``, taken as it is: the
+        caller passes int exponents and nonzero int coefficients, as the
+        sums of ``add_terms`` and ``mul_terms`` have, and gives it up."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -106,11 +115,12 @@ class Laurent:
             return self
         return Laurent({(a + v, b + x): c for (a, b), c in self.terms.items()})
 
-    def specialize_x(self, s: Fraction):
+    def specialize_x(self, s: Fraction, ratio: tuple[int, int] | None = None):
         """Fold X into v at s (half-integral): X^b -> v^(-2 s b).  With
         2s = n/d, v^a X^b goes to v^((a d - n b)/d); InvalidInput where that
-        power is fractional."""
-        n, d = (2 * Fraction(s)).as_integer_ratio()
+        power is fractional.  ``ratio`` is (n, d), for a caller that folds
+        many polynomials at one s."""
+        n, d = ratio or (2 * Fraction(s)).as_integer_ratio()
         out = {}
         for (a, b), c in self.terms.items():
             e, r = divmod(a * d - n * b, d)

@@ -279,7 +279,7 @@ def _fixed_point_report(
                         lhs.first_mismatch(shifted.restrict(Window(None, N)), 0, N)):
             top = min(1, N)
             report.check("cell-side cross-check", 0, top, _cells(lhs, 0, top).first_mismatch(
-                specialize(basic, Fraction(2 + l, 2)), 0, top))
+                specialize(basic.restrict(Window(0, top)), Fraction(2 + l, 2)), 0, top))
     return report
 
 

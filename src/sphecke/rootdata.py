@@ -365,7 +365,7 @@ def _label_tables(rd: RootDatum) -> tuple:
 
 def dynkin_labels(rd: RootDatum, v: Vec) -> Vec:
     """The pairings of v with the simple coroot forms (CONVENTIONS.md)."""
-    return tuple([dot(f, v) for f in rd.simple_coroot_forms])
+    return tuple([sum(map(mul, f, v)) for f in rd.simple_coroot_forms])
 
 
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
@@ -423,15 +423,15 @@ def _orbit_walk(rd: RootDatum, first: Vec, start: Vec, steps, bound=float("inf")
     with v and the simple roots x_u is u, and with zero and the unit
     vectors it holds the simple-root coefficients of u - v.
 
-    The walk runs in Dynkin labels, as ``straighten`` does: s_i subtracts
-    f_i(u) times the i-th column of the Cartan matrix from the labels,
-    which fix u within the orbit and key the walk.  Only a positive label
-    reaches a new image (a negative one leads back), so the drop, the sum
-    of the labels stepped by (of the coefficients of v - u), rises along
-    the walk, and an image whose drop passes ``bound`` is neither recorded
-    nor expanded: the walk returns the images of drop <= bound, in the
-    same order and at the same depths.  Past ``WEYL_CAP_DEFAULT`` kept
-    images it stops with WeylCapError.
+    The walk runs in Dynkin labels, as ``_straighten_labels`` does: s_i
+    subtracts f_i(u) times the i-th column of the Cartan matrix from the
+    labels, which fix u within the orbit and key the walk.  Only a
+    positive label reaches a new image (a negative one leads back), so the
+    drop, the sum of the labels stepped by (of the coefficients of v - u),
+    rises along the walk, and an image whose drop passes ``bound`` is
+    neither recorded nor expanded: the walk returns the images of
+    drop <= bound, in the same order and at the same depths.  Past
+    ``WEYL_CAP_DEFAULT`` kept images it stops with WeylCapError.
     """
     columns, _, _ = _label_tables(rd)
     seen = {first}
@@ -466,27 +466,23 @@ def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
 
 
 @cache
-def straighten(rd: RootDatum, v2: Vec):
-    """Move v2 = 2(gamma + rho) into the dominant chamber by simple reflections.
+def _straighten_labels(rd: RootDatum, labels: Vec):
+    """The straightening of every vector with Dynkin labels ``labels``:
+    (sign, w(v2) - v2) with w(v2) strictly dominant and sign = (-1)^l(w),
+    or None when the walk meets a wall.  The labels fix v2 up to a central
+    z, which w fixes, so w(v2 + z) - (v2 + z) = w(v2) - v2 and one entry
+    serves every translate: the Brauer-Klimyk products and Macdonald rows
+    of one run straighten the same labels many times over.
 
-    Returns (sign, lam) with 2(lam + rho) = w(v2) strictly dominant and
-    sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
-    sign times that of 2(lam + rho); returns None when v2 lies on a wall,
-    where that sum vanishes.  Results are memoized per datum, keyed on
-    (rd, v2): the Brauer-Klimyk products and Macdonald rows of one run
-    straighten the same vectors many times over.
-
-    The walk runs in Dynkin labels, the pairings of the vector with the
-    simple coroot forms.  The first label that is not positive decides
-    each step: zero puts the vector on a wall, and a negative one reflects
-    in that simple root.  s_i(u) = u - f_i(u) alpha_i subtracts f_i(u)
-    times the i-th column of the Cartan matrix from the labels and f_i(u)
-    from the i-th simple-root coefficient of w(v2) - v2, so the vector is
-    rebuilt from those coefficients once, at the end.
+    The first label that is not positive decides each step: zero puts the
+    vector on a wall, and a negative one reflects in that simple root.
+    s_i(u) = u - f_i(u) alpha_i subtracts f_i(u) times the i-th column of
+    the Cartan matrix from the labels and f_i(u) from the i-th simple-root
+    coefficient of w(v2) - v2, which is spelled as a vector once, at the
+    end.
     """
     columns, rows, _ = _label_tables(rd)
-    labels = [dot(f, v2) for f in rd.simple_coroot_forms]
-    coeffs = None
+    coeffs = [0] * len(labels)
     sign = 1
     while True:
         for i, c in enumerate(labels):
@@ -496,14 +492,28 @@ def straighten(rd: RootDatum, v2: Vec):
             break
         if not c:
             return None
-        if coeffs is None:
-            coeffs = [0] * len(labels)
         coeffs[i] -= c
         labels = [x - c * a for x, a in zip(labels, columns[i])]
         sign = -sign
-    if coeffs is not None:
-        v2 = [x + dot(coeffs, row) for x, row in zip(v2, rows)]
-    return sign, tuple((x - r) // 2 for x, r in zip(v2, rd.rho_b_times2))
+    return sign, tuple([dot(coeffs, row) for row in rows])
+
+
+def straighten(rd: RootDatum, v2: Vec):
+    """Move v2 = 2(gamma + rho) into the dominant chamber by simple reflections.
+
+    Returns (sign, lam) with 2(lam + rho) = w(v2) strictly dominant and
+    sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
+    sign times that of 2(lam + rho); returns None when v2 lies on a wall,
+    where that sum vanishes.  The walk runs in Dynkin labels and its
+    result, w(v2) - v2, is read from the table ``_straighten_labels`` keyed
+    by them; the callers on hot paths read that table themselves, past the
+    strictly dominant labels (w = 1) and those with a zero (a wall).
+    """
+    hit = _straighten_labels(rd, dynkin_labels(rd, v2))
+    if hit is None:
+        return None
+    sign, delta = hit
+    return sign, tuple([(x + d - r) // 2 for x, d, r in zip(v2, delta, rd.rho_b_times2)])
 
 
 def dual_weight_vec(rd: RootDatum, lam: Vec) -> Vec:

@@ -13,9 +13,13 @@ dominance-order block, never an integral.  The transform sends the
 mu-cell to v^(2<rho_B,mu>) times Macdonald's spherical function P_mu at
 t = v^-2, summed over the Weyl group and straightened into characters
 (``satake_basis_row``); the inverse reads the Kostka-Foulkes rows
-(``kl_row``).  The product of two elements is computed on the character
-side, one tensor product of irreducibles per pair of constituents,
-which makes the transform multiplicative by construction.
+(``kl_row``).  A row of either direction depends on its weight only
+through the weight's Dynkin labels, so each direction keeps one table of
+rows keyed by them (``_macdonald_row`` here, ``kostka._label_row`` for
+the inverse) and translates the entry to the weight.  The product of
+two elements is computed on the character side, one tensor product of
+irreducibles per pair of constituents, which makes the transform
+multiplicative by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from operator import add, sub
 
 from .characters import char_eval, tensor, weight_multiplicities
 from .errors import InvalidInput, NonDominantError, WindowError
@@ -32,12 +37,13 @@ from .record import Record, Value
 from .rootdata import (
     RootDatum,
     Vec,
+    _label_tables,
+    _straighten_labels,
     dot,
     dual_weight_vec,
+    dynkin_labels,
     height2,
     sigma_grade,
-    straighten,
-    vsub,
 )
 
 CELLS = "cells"
@@ -203,17 +209,18 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 @cache
 def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
     """D = prod over the positive roots alpha of (1 - t e^-alpha), with
-    (1 - e^-alpha) on the wall roots, as (-beta, d_beta(t)) pairs with
-    each d_beta the (monomial, coefficient) pairs of a polynomial in v,
-    t = v^-2; and |W_mu|, the order of the stabilizer the walls span, as
-    the product of (ht + 1)/ht over the wall roots.  The pairs are tuples,
-    so the cached factor cannot be changed by a caller."""
+    (1 - e^-alpha) on the wall roots, as (-beta, the Dynkin labels of
+    -2 beta, d_beta(t)) triples with each d_beta the (monomial, coefficient)
+    pairs of a polynomial in v, t = v^-2; and |W_mu|, the order of the
+    stabilizer the walls span, as the product of (ht + 1)/ht over the wall
+    roots.  The triples are tuples, so the cached factor cannot be changed
+    by a caller."""
     d = {((0,) * rd.rank, 0): 1}
     for alpha in rd.positive_roots:
         step = 0 if alpha in walls else 1
         nxt = dict(d)
         for (w, e), c in d.items():
-            key = (vsub(w, alpha), e + step)
+            key = (tuple(map(sub, w, alpha)), e + step)
             c = nxt.get(key, 0) - c
             if c:
                 nxt[key] = c
@@ -225,7 +232,55 @@ def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
         weights.setdefault(w, {})[(-2 * e, 0)] = c
     hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
     order = math.prod(h + 1 for h in hts) // math.prod(hts)
-    return tuple((w, tuple(t.items())) for w, t in weights.items()), order
+    return tuple(
+        (w, dynkin_labels(rd, tuple(map(add, w, w))), tuple(t.items())) for w, t in weights.items()
+    ), order
+
+
+@cache
+def _macdonald_row(rd: RootDatum, labels: Vec) -> tuple:
+    """The row of every dominant mu with Dynkin labels ``labels``: the
+    pairs (lam - mu, the coefficient of the lam-character without its
+    v^height2(mu)) as (monomial, coefficient) pairs, lam descending.
+
+    The walls, the positive roots that vanish on mu, are those whose
+    simple-root support carries only zero labels, and the shifted weight
+    2(mu - beta) + 2 rho has labels labels(-2 beta) + labels(2(mu + rho)):
+    a row reads mu only through its labels.  A shifted weight with every
+    label positive is its own straightening and one with a zero label
+    lies on a wall; only the rest are read from ``_straighten_labels``."""
+    _, _, steps = _label_tables(rd)
+    walls = tuple(
+        root for _, coeffs, root in steps if not any(c and x for c, x in zip(coeffs, labels))
+    )
+    weights, order = _macdonald_factor(rd, walls)
+    mu2 = tuple([2 * x + r for x, r in zip(labels, dynkin_labels(rd, rd.rho_b_times2))])
+    sums = {}
+    for w, w_labels2, d in weights:
+        v2 = tuple(map(add, w_labels2, mu2))
+        if min(v2, default=1) > 0:
+            sign = 1
+        elif 0 in v2:
+            continue
+        else:
+            hit = _straighten_labels(rd, v2)
+            if hit is None:
+                continue
+            sign, delta = hit
+            w = tuple([x + y // 2 for x, y in zip(w, delta)])
+        add_terms(sums.setdefault(w, {}), d, sign)
+    row = []
+    for step, c in sums.items():
+        if not c:
+            continue
+        terms = []
+        for k, x in c.items():
+            q, r = divmod(x, order)
+            if r:
+                raise RuntimeError(f"inexact division by |W_mu| = {order} at lam - mu = {step}")
+            terms.append((k, q))
+        row.append((step, tuple(terms)))
+    return tuple(sorted(row, reverse=True))
 
 
 def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
@@ -238,35 +293,19 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
     with D = sum_beta d_beta e^-beta from ``_macdonald_factor`` (Macdonald,
     *Spherical functions on a group of p-adic type*, 1971; Nelsen-Ram,
     *Kostka-Foulkes polynomials and Macdonald spherical functions*, 2003).
+    The row is translated from that of mu's Dynkin labels
+    (``_macdonald_row``): lam = mu + d, and every v-power moves by
+    height2(mu).
     """
-    if not rd.is_dominant(mu):
+    rd.check_length(mu)
+    labels = dynkin_labels(rd, mu)
+    if min(labels, default=0) < 0:
         raise NonDominantError(f"{mu} is not dominant")
-    walls = tuple(
-        alpha
-        for alpha, form in zip(rd.positive_roots, rd.positive_coroot_forms)
-        if dot(form, mu) == 0
-    )
-    weights, order = _macdonald_factor(rd, walls)
-    mu2 = tuple(2 * x + r for x, r in zip(mu, rd.rho_b_times2))
-    sums = {}
-    for w, d in weights:
-        hit = straighten(rd, tuple([2 * x + y for x, y in zip(w, mu2)]))
-        if hit is not None:
-            sign, lam = hit
-            add_terms(sums.setdefault(lam, {}), d, sign)
     shift = height2(rd, mu)
-    out = []
-    for lam, c in sums.items():
-        if not c:
-            continue
-        terms = {}
-        for (a, b), x in c.items():
-            q, r = divmod(x, order)
-            if r:
-                raise RuntimeError(f"inexact division by |W_mu| = {order} at {lam}")
-            terms[(a + shift, b)] = q
-        out.append((lam, Laurent(terms)))
-    return tuple(sorted(out, reverse=True))
+    return tuple(
+        (tuple(map(add, mu, d)), Laurent.from_terms({(a + shift, b): c for (a, b), c in terms}))
+        for d, terms in _macdonald_row(rd, labels)
+    )
 
 
 def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:
@@ -280,7 +319,7 @@ def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:
         for vec, c in terms.items():
             for target, w in row(f.rd, vec):
                 add_terms(acc.setdefault(target, {}), mul_terms(c.terms, w.terms).items())
-        out[k] = {target: Laurent(t) for target, t in acc.items()}
+        out[k] = {target: Laurent.from_terms(t) for target, t in acc.items()}
     return GradedElement(f.rd, basis, out, f.window)
 
 
@@ -320,7 +359,7 @@ def satake_mul(a: GradedElement, b: GradedElement, window: Window | None = None)
                     c = mul_terms(c1.terms, c2.terms).items()
                     for nu, m in tensor(a.rd, lam, mu):
                         add_terms(acc.setdefault(nu, {}), c, m)
-    grades = {g: {nu: Laurent(t) for nu, t in acc.items()} for g, acc in out.items()}
+    grades = {g: {nu: Laurent.from_terms(t) for nu, t in acc.items()} for g, acc in out.items()}
     return GradedElement(a.rd, CHARS, grades, wout)
 
 
@@ -362,7 +401,8 @@ def twist(f: GradedElement, a: int, b: int) -> GradedElement:
 
 def specialize(f: GradedElement, s: Fraction) -> GradedElement:
     """Fold the symbolic X into v at a half-integral s."""
-    return f.map_coeffs(lambda k, v, c: c.specialize_x(s))
+    ratio = (2 * Fraction(s)).as_integer_ratio()
+    return f.map_coeffs(lambda k, v, c: c.specialize_x(s, ratio))
 
 
 def identity_element(rd: RootDatum) -> GradedElement:

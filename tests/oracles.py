@@ -4,7 +4,8 @@ None of these is on a production path: the Weyl group as matrices
 (breadth-first by length), the signed orbit of a regular weight with its
 simple-root coefficients solved image by image, exact rational row
 reduction, the dominance order and the half-sum pairing spelled out,
-JSON text round trips of graded elements, the Kostka-Foulkes row summed
+JSON text round trips of graded elements, a row read at the central
+translates of a weight, the Kostka-Foulkes row summed
 over the whole orbit with a memo-free partition count, the transforms
 and the product summed one ``Laurent`` object per term, as the package
 once summed them, and a datum carried to other coordinates.
@@ -242,6 +243,30 @@ def pair_rho_b(rd: RootDatum, mu: Vec) -> Fraction:
     side, i.e. half the sum of the stored coroot forms."""
     rd.check_length(mu)
     return Fraction(dot(rd.pair2_form, mu), 2)
+
+
+def central(rd: RootDatum) -> Vec:
+    """A nonzero vector every simple coroot form kills: the diagonal of
+    GL(n), the adjoined central coordinate of the other presets."""
+    z = (1,) * rd.rank if rd.cartan.startswith("GL") else (0,) * (rd.rank - 1) + (1,)
+    assert dynkin_labels(rd, z) == (0,) * len(rd.simple_roots)
+    return z
+
+
+def translation_mismatch(rd: RootDatum, top: Vec, row, power: int):
+    """The first (lam, z) with lam <= top and z a multiple of the central
+    direction where row(rd, lam + z) is not row(rd, lam) with every target
+    moved by z and every v-power by power * height2(z), or None: a row
+    whose coefficients carry v^(power * height2) of the weight it expands.
+    Each lam is read before its translates; all lam <= top share one
+    grade, so none is a translate of another."""
+    for lam in dominant_below(rd, top):
+        base = row(rd, lam)
+        for z in (central(rd), tuple(-2 * x for x in central(rd))):
+            want = tuple((vadd(mu, z), c.shift(v=power * height2(rd, z))) for mu, c in base)
+            if row(rd, vadd(lam, z)) != want:
+                return lam, z
+    return None
 
 
 def element_to_json(e: GradedElement) -> str:

@@ -1125,6 +1125,7 @@ def test_cli_import_fills_no_cache():
     ).stdout)
     assert set(tables) == {
         "sphecke.characters._newton_series",
+        "sphecke.characters._weight_labels",
         "sphecke.characters._weyl_dim",
         "sphecke.characters.require_valid",
         "sphecke.characters.weight_multiplicities",
@@ -1132,8 +1133,9 @@ def test_cli_import_fills_no_cache():
         "sphecke.kostka._label_row",
         "sphecke.rootdata._coeff_map",
         "sphecke.rootdata._label_tables",
-        "sphecke.rootdata.straighten",
+        "sphecke.rootdata._straighten_labels",
         "sphecke.satake._macdonald_factor",
+        "sphecke.satake._macdonald_row",
     }
     assert {name: size for name, size in tables.items() if size} == {}
 
@@ -1151,7 +1153,9 @@ def test_clear_caches_empties_every_table(capsys):
     argv = ("verify", "fixed-point", "--group", "b2", "--rho", "1,0,1", "--N", "5")
     code, first, _ = run(capsys, *argv)
     assert code == 0
-    assert _cache_tables()["sphecke.rootdata.straighten"].cache_info().currsize > 0
+    tables = _cache_tables()
+    assert tables["sphecke.rootdata._straighten_labels"].cache_info().currsize > 0
+    assert tables["sphecke.satake._macdonald_row"].cache_info().currsize > 0
     sphecke.clear_caches()
     sizes = {name: obj.cache_info().currsize for name, obj in _cache_tables().items()}
     assert {name: size for name, size in sizes.items() if size} == {}

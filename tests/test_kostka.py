@@ -7,10 +7,12 @@ import pytest
 
 from oracles import (
     _partition_counts,
+    central,
     charge_kostka,
     kl_row_reference,
     shifted_orbit_reference,
     solve_simple_coeffs,
+    translation_mismatch,
     weyl_elements,
 )
 from sphecke import characters, clear_caches, kostka, rootdata, satake
@@ -365,29 +367,6 @@ def test_kl_row_solves_no_root_coeffs(monkeypatch, label):
 # -- one row per Dynkin-label class
 
 
-def _central(rd):
-    """A nonzero vector every simple coroot form kills: the diagonal of
-    GL(n), the adjoined central coordinate of the other presets."""
-    z = (1,) * rd.rank if rd.cartan.startswith("GL") else (0,) * (rd.rank - 1) + (1,)
-    assert rootdata.dynkin_labels(rd, z) == (0,) * len(rd.simple_roots)
-    return z
-
-
-def translation_mismatch(rd, top, row):
-    """The first (lam, z) with lam <= top and z a multiple of the central
-    direction where row(rd, lam + z) is not row(rd, lam) with every mu
-    moved by z and every v-power by -height2(z), or None.  Each lam is read
-    before its translates; all lam <= top share one grade, so none is a
-    translate of another."""
-    for lam in dominant_below(rd, top):
-        base = row(rd, lam)
-        for z in (_central(rd), vscale(-2, _central(rd))):
-            want = tuple((vadd(mu, z), c.shift(v=-height2(rd, z))) for mu, c in base)
-            if row(rd, vadd(lam, z)) != want:
-                return lam, z
-    return None
-
-
 @pytest.mark.parametrize("label", sorted(set(TOPS) - {"gl1"}))
 def test_kl_row_moves_with_the_center(label):
     # the Dynkin labels fix lam up to a central z, which every Weyl element
@@ -395,8 +374,8 @@ def test_kl_row_moves_with_the_center(label):
     # height form being a sum of coroot forms
     rd = build_preset(label)
     kostka._label_row.cache_clear()
-    assert height2(rd, _central(rd)) == 0
-    assert translation_mismatch(rd, TOPS[label], kl_row) is None
+    assert height2(rd, central(rd)) == 0
+    assert translation_mismatch(rd, TOPS[label], kl_row, -1) is None
 
 
 def _translate_fault(fault):
@@ -423,7 +402,7 @@ def _translate_fault(fault):
 @pytest.mark.parametrize("label", ["b2", "gl3"])
 def test_translation_check_catches_a_translate_fault(label, fault):
     rd = build_preset(label)
-    assert translation_mismatch(rd, TOPS[label], _translate_fault(fault)) is not None
+    assert translation_mismatch(rd, TOPS[label], _translate_fault(fault), -1) is not None
     # one grade holds no translates, so every row of one grade is right
     faulty = _translate_fault(fault)
     assert all(faulty(rd, lam) == kl_row(rd, lam) for lam in dominant_below(rd, TOPS[label]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    central,
     element_from_json,
     element_to_json,
     inverse_satake_reference,
@@ -17,17 +18,20 @@ from oracles import (
     satake_reference,
     signed_orbit,
     spelled,
+    translation_mismatch,
 )
 import sphecke.characters
 import sphecke.satake
+from sphecke import clear_caches
 from sphecke.errors import WindowError
-from sphecke.lseries import h_value
+from sphecke.lseries import basic_function, h_value, verify_fixed_point
 from sphecke.laurent import Laurent
 from sphecke.rootdata import (
     RepSpec,
     build_gl,
     build_preset,
     dominant_below,
+    dynkin_labels,
     height2,
     sigma_grade,
     weyl_orbit,
@@ -496,6 +500,83 @@ def test_satake_basis_row_matches_the_laurent_loop(label):
         got = [(lam, list(c.terms.items())) for lam, c in satake_basis_row(rd, mu)]
         want = [(lam, list(c.terms.items())) for lam, c in satake_basis_row_reference(rd, mu)]
         assert got == want, mu
+
+
+# -- one Macdonald row per Dynkin-label class
+
+# a top per preset with a central direction; the weights below it share
+# one grade, so none is a central translate of another
+CENTRAL_TOPS = {
+    "gl2": (2, 0), "gl3": (2, 1, 0), "gl4": (2, 1, 0, 0),
+    "b2": (2, 1, 0), "b3": (2, 1, 0, 0), "b4": (1, 1, 0, 0, 0),
+    "c2": (2, 1, 0), "c3": (2, 1, 0, 0), "c4": (1, 1, 0, 0, 0),
+    "d3": (2, 1, 0, 0), "d4": (1, 1, 0, 0, 0), "g2": (0, -3, 0),
+}
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the package caches before a mutation and after it."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+@pytest.mark.parametrize("label", sorted(CENTRAL_TOPS))
+def test_satake_basis_row_moves_with_the_center(label, fresh_caches):
+    # the labels fix mu up to a central z, which every Weyl element fixes,
+    # so the row of mu + z is that of mu moved by z, and v^height2(mu)
+    # moves by height2(z), which is zero
+    rd = build_preset(label)
+    assert height2(rd, central(rd)) == 0
+    assert translation_mismatch(rd, CENTRAL_TOPS[label], satake_basis_row, 1) is None
+
+
+@pytest.mark.parametrize(
+    "label, hw, N, rows, entries",
+    [("b2", (1, 0, 1), 8, 95, 25), ("g2", (0, -1, 1), 5, 34, 12), ("gl3", (1, 0, 0), 12, 102, 49)],
+)
+def test_macdonald_table_holds_one_entry_per_class(label, hw, N, rows, entries, fresh_caches):
+    # rows: the cells of the basic element, one Macdonald row each;
+    # entries: the label classes the table holds
+    rd = build_preset(label)
+    basic = basic_function(rd, RepSpec(hw), N)
+    cells = {mu for terms in basic.grades.values() for mu in terms}
+    satake(basic)
+    assert len(cells) == rows
+    assert sphecke.satake._macdonald_row.cache_info().currsize == entries
+    assert len({dynkin_labels(rd, mu) for mu in cells}) == entries
+
+
+@pytest.mark.parametrize("label, hw, N", [("b2", (1, 0, 1), 6), ("g2", (0, -1, 1), 5)])
+def test_fixed_point_catches_a_flipped_macdonald_image(monkeypatch, label, hw, N, fresh_caches):
+    # the first image the straightening table moves in a row of a regular
+    # mu (|W_mu| = 1, so the row stays integral) comes back with the wrong
+    # sign; every other image, row and product is left alone
+    rd = build_preset(label)
+    assert verify_fixed_point(rd, RepSpec(hw), N).status == "PASS"
+    clear_caches()
+    real_straighten = sphecke.satake._straighten_labels
+    real_factor = sphecke.satake._macdonald_factor
+    state = {"order": None, "flipped": False}
+
+    def factor(rd, walls):
+        out = real_factor(rd, walls)
+        state["order"] = out[1]
+        return out
+
+    def flipping(rd, labels):
+        hit = real_straighten(rd, labels)
+        if hit is not None and state["order"] == 1 and not state["flipped"]:
+            state["flipped"] = True
+            return -hit[0], hit[1]
+        return hit
+
+    monkeypatch.setattr(sphecke.satake, "_macdonald_factor", factor)
+    monkeypatch.setattr(sphecke.satake, "_straighten_labels", flipping)
+    report = verify_fixed_point(rd, RepSpec(hw), N)
+    assert state["flipped"]
+    assert report.status == "FAIL"
 
 
 @pytest.mark.parametrize("label, mu", [("gl3", (2, 1, 0)), ("b2", (2, 1, 0)), ("g2", (0, -2, 1))])
