@@ -356,7 +356,8 @@ def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
             solved = bareiss_solve([list(cut) + [0] for cut in subset] + [[1] * (m + 1)])
             if solved is None:
                 continue  # singular: the cuts meet in no single vertex
-            nums, d = solved
+            tails, d = solved
+            nums = [u for u, in tails]
             if any(u < 0 for u in nums):
                 continue
             val = Fraction(sum(abs(dot(f, nums)) for f in forms), d)

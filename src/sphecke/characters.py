@@ -24,9 +24,9 @@ from .rootdata import (
     Vec,
     _straighten_labels,
     dot,
-    dual_weight_vec,
     dynkin_labels,
     height2,
+    mat_apply,
     sigma_grade,
     weyl_orbit,
 )
@@ -269,10 +269,10 @@ def ext_power_decomp(rd: RootDatum, rho: RepSpec, i: int):
 
 
 def dual_weight(rd: RootDatum, lam: Vec) -> Vec:
-    """Highest weight of the contragredient module."""
+    """Highest weight of the contragredient module: -w0(lam)."""
     if not rd.is_dominant(lam):
         raise NonDominantError(f"{lam} is not dominant")
-    return dual_weight_vec(rd, lam)
+    return tuple([-x for x in mat_apply(rd.w0, lam)])
 
 
 def require_defined(point, w: Vec) -> None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .errors import (
     InvalidInput,
@@ -40,19 +41,19 @@ WEYL_CAP_DEFAULT = 50_000
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vscale(c: int, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple(map(mul, repeat(c), a))
 
 
 def dot(a: Vec, b: Vec) -> int:
@@ -60,7 +61,7 @@ def dot(a: Vec, b: Vec) -> int:
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
+    return tuple(map(dot, m, repeat(v)))
 
 
 def identity_mat(n: int) -> Mat:
@@ -70,10 +71,11 @@ def identity_mat(n: int) -> Mat:
 class RootDatum(Value):
     """Immutable root datum; safe to share across threads.
 
-    The constructor derives the positive roots and forms, ``rho_b_times2``,
-    ``pair2_form`` and ``w0`` from the simple roots and their coroot forms,
-    and raises InvalidInput where those give no finite root system that
-    ``sigma`` grades."""
+    The constructor derives the positive roots with their coroot forms and
+    simple-root coefficients, ``rho_b_times2`` and ``pair2_form`` from the
+    simple roots and their coroot forms, and raises InvalidInput where
+    those give no finite root system that ``sigma`` grades.  ``w0`` is
+    built on first read."""
 
     __slots__ = (
         "cartan",
@@ -83,9 +85,9 @@ class RootDatum(Value):
         "sigma",
         "positive_roots",
         "positive_coroot_forms",
+        "positive_coeffs",
         "rho_b_times2",
         "pair2_form",
-        "w0",
     )
 
     def __init__(
@@ -107,19 +109,25 @@ class RootDatum(Value):
         for alpha, f in zip(simples, forms):
             if dot(f, alpha) != 2:
                 raise InvalidInput(f"coroot form of {alpha} does not pair to 2")
-        positive = _close_roots(simples, forms)
-        pos_roots = tuple(r for r, _ in positive)
-        pos_forms = tuple(f for _, f in positive)
+        positive, balance = _close_roots(simples, forms)
+        pos_roots, pos_forms, pos_coeffs = tuple(zip(*positive)) or ((),) * 3
         for r in pos_roots:
             if dot(sigma, r) != 0:
                 raise InvalidInput(f"root {r} has nonzero grade under sigma")
-        rho2 = tuple(sum(r[i] for r in pos_roots) for i in range(rank))
-        pair2 = tuple(sum(f[i] for f in pos_forms) for i in range(rank))
+        rho2 = tuple([sum(col) for col in zip(*pos_roots)]) or (0,) * rank
+        pair2 = tuple([sum(col) for col in zip(*pos_forms)]) or (0,) * rank
         for alpha in pos_roots:
             if dot(pair2, alpha) <= 0:
                 raise InvalidInput(f"height form not positive on {alpha}")
-        w0 = _longest_element(simples, forms, rho2, len(pos_roots))
-        self._freeze(cartan, rank, simples, forms, sigma, pos_roots, pos_forms, rho2, pair2, w0)
+        _w0_word(simples, forms, rho2, len(pos_roots))
+        if any(b != 1 for b in balance):
+            raise InvalidInput("the simple reflections do not permute the positive roots")
+        self._freeze(cartan, rank, simples, forms, sigma, pos_roots, pos_forms, pos_coeffs, rho2, pair2)
+
+    @property
+    def w0(self) -> Mat:
+        """The longest Weyl element as a matrix, from the table ``_w0``."""
+        return _w0(self)
 
     def __reduce__(self):
         return type(self), self._fields()[:5]
@@ -150,15 +158,14 @@ def build_gl(n: int) -> RootDatum:
     """GL(n) datum: standard Z^n coordinates, sigma = sum of entries."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    simple = [
-        tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n))
-        for i in range(n - 1)
-    ]
+    eye = identity_mat(n)
+    simple = [vsub(e, f) for e, f in zip(eye, eye[1:])]
     return RootDatum(f"GL{n}", n, simple, simple, (1,) * n)
 
 
 def _euclidean_simples(kind: str, r: int):
-    e = lambda i: tuple(1 if k == i else 0 for k in range(r))
+    """Type B, C or D of rank r: e_0..e_(r-1) Euclidean, e_r central."""
+    e = lambda i: tuple(1 if k == i else 0 for k in range(r + 1))
     chain = [vsub(e(i), e(i + 1)) for i in range(r - 1)]
     if kind == "B":
         simples = chain + [e(r - 1)]
@@ -166,13 +173,11 @@ def _euclidean_simples(kind: str, r: int):
     elif kind == "C":
         simples = chain + [vscale(2, e(r - 1))]
         forms = list(chain) + [e(r - 1)]
-    elif kind == "D":
-        if r < 3:
-            raise InvalidInput("type D needs rank >= 3")
+    elif r < 3:
+        raise InvalidInput("type D needs rank >= 3")
+    else:
         simples = chain + [vadd(e(r - 2), e(r - 1))]
         forms = list(simples)
-    else:
-        raise InvalidInput(f"unknown classical kind {kind}")
     return simples, forms
 
 
@@ -190,27 +195,26 @@ def build_preset(label: str) -> RootDatum:
     if kind not in "BCD" or digits not in ("2", "3", "4"):
         raise InvalidInput(f"unknown preset {label}")
     r = int(digits)
-    base_simples, base_forms = _euclidean_simples(kind, r)
-    simples = [s + (0,) for s in base_simples]
-    forms = [f + (0,) for f in base_forms]
-    sigma = (0,) * r + (1,)
-    return RootDatum(f"{kind}{r}", r + 1, simples, forms, sigma)
+    simples, forms = _euclidean_simples(kind, r)
+    return RootDatum(f"{kind}{r}", r + 1, simples, forms, (0,) * r + (1,))
 
 
 def _close_roots(simples, forms):
-    """All positive (root, coroot form) pairs, closed under reflections.
+    """The positive roots as (root, coroot form, simple-root coefficients),
+    root descending, by one walk up from the simple roots; and for each i
+    the sum over those roots of the sign of f_i.
 
-    Each root carries its integer coefficients in the simple roots along
-    the reflections that reach it, s_i(beta) = beta - f_i(beta) alpha_i;
-    the positive roots are those with no negative coefficient.  Past
-    ``WEYL_CAP_DEFAULT`` roots (an infinite system, such as an affine one)
-    the closure stops with WeylCapError.
+    Where f_i(beta) < 0, s_i(beta) = beta - f_i(beta) alpha_i is a higher
+    positive root, with form f_beta - f_beta(alpha_i) f_i; every positive
+    root is reached so (Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, 10.2).  s_i maps the roots with f_i < 0 one to
+    one into those with f_i > 0 other than alpha_i, so it permutes the
+    positive roots but alpha_i, as in a finite root system, just when the
+    i-th sum is 1.  Past ``WEYL_CAP_DEFAULT`` roots (an infinite system,
+    such as an affine one) the walk stops with WeylCapError.
     """
-    k = len(simples)
-    seen = {
-        s: (f, tuple(int(j == i) for j in range(k)))
-        for i, (s, f) in enumerate(zip(simples, forms))
-    }
+    seen = {s: (f, e) for s, f, e in zip(simples, forms, identity_mat(len(simples)))}
+    balance = [0] * len(simples)
     frontier = list(simples)
     while frontier:
         new = []
@@ -218,41 +222,51 @@ def _close_roots(simples, forms):
             fbeta, cbeta = seen[beta]
             for i, (alpha, falpha) in enumerate(zip(simples, forms)):
                 c = dot(falpha, beta)
-                img = vsub(beta, vscale(c, alpha))
+                balance[i] += (c > 0) - (c < 0)
+                if c >= 0:
+                    continue
+                img = tuple([x - c * a for x, a in zip(beta, alpha)])
                 if img not in seen:
-                    fimg = vsub(fbeta, vscale(dot(fbeta, alpha), falpha))
+                    e = dot(fbeta, alpha)
+                    fimg = tuple([x - e * y for x, y in zip(fbeta, falpha)])
                     seen[img] = (fimg, cbeta[:i] + (cbeta[i] - c,) + cbeta[i + 1:])
                     new.append(img)
                     if len(seen) > WEYL_CAP_DEFAULT:
                         raise WeylCapError(f"root system exceeds cap {WEYL_CAP_DEFAULT}")
         frontier = new
-    positive = [(beta, f) for beta, (f, coeffs) in seen.items() if min(coeffs) >= 0]
-    positive.sort(reverse=True)
-    return positive
+    return sorted(((beta, f, coeffs) for beta, (f, coeffs) in seen.items()), reverse=True), balance
 
 
-def _longest_element(simples, forms, rho2: Vec, length: int) -> Mat:
-    """w0 from a reduced word: reflect the regular vector rho2 across any
+def _w0_word(simples, forms, rho2: Vec, length: int) -> list[int]:
+    """A reduced word of w0: reflect the regular vector rho2 across any
     wall it lies on the positive side of until it reaches -rho2.
 
     Each step s_i raises the length by one, so the word has l(w0) letters,
     one per positive root (Humphreys, *Reflection Groups and Coxeter
-    Groups*, 1.6-1.8), and the walk stops there; the matrix follows by the
-    rank-one rule s_i w = w - alpha_i (f_i w).
+    Groups*, 1.6-1.8), and the walk stops there.
     """
-    w = identity_mat(len(rho2))
-    v = rho2
+    word, v = [], rho2
     for _ in range(length):
         i = next((i for i, f in enumerate(forms) if dot(f, v) > 0), None)
         if i is None:
             break
-        alpha, f = simples[i], forms[i]
-        c = dot(f, v)
-        v = tuple(x - c * a for x, a in zip(v, alpha))
-        fw = tuple(dot(f, col) for col in zip(*w))
-        w = tuple(tuple(x - a * y for x, y in zip(row, fw)) for row, a in zip(w, alpha))
+        c = dot(forms[i], v)
+        v = tuple([x - c * a for x, a in zip(v, simples[i])])
+        word.append(i)
     if v != vneg(rho2):
         raise InvalidInput("the half-sum vector is not regular: no finite Weyl group")
+    return word
+
+
+@cache
+def _w0(rd: RootDatum) -> Mat:
+    """w0 as a matrix, from its reduced word by the rank-one rule
+    s_i w = w - alpha_i (f_i w)."""
+    roots, forms = rd.simple_roots, rd.simple_coroot_forms
+    w = identity_mat(rd.rank)
+    for i in _w0_word(roots, forms, rd.rho_b_times2, len(rd.positive_roots)):
+        fw = tuple(dot(forms[i], col) for col in zip(*w))
+        w = tuple(tuple(x - a * y for x, y in zip(row, fw)) for row, a in zip(w, roots[i]))
     return w
 
 
@@ -282,13 +296,14 @@ def l_constant(rd: RootDatum, rho: RepSpec) -> int:
 
 
 def bareiss_solve(rows: list[list[int]]):
-    """Solve a square integer system without fractions, or None if singular.
+    """Solve a square integer system A X = B without fractions, or None if
+    A is singular.
 
-    ``rows`` is the n x (n + 1) augmented matrix [A | b], overwritten.
+    ``rows`` is the n x (n + m) augmented matrix [A | B], overwritten.
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
     (1968)): every division is exact, and at the end each diagonal entry
-    is d = +-det A and the last column is d x.  Returns (numerators, d)
-    with d > 0 and x = numerators / d.
+    is d = +-det A and the last m columns are d X.  Returns (numerators, d)
+    with d > 0 and X = numerators / d, the numerators as n rows of m.
     """
     n = len(rows)
     prev = 1
@@ -305,10 +320,9 @@ def bareiss_solve(rows: list[list[int]]):
                 c = ri[k]
                 rows[i] = [(d * x - c * y) // prev for x, y in zip(ri, pk)]
         prev = d
-    nums = [row[n] for row in rows]
     if prev < 0:
-        return [-x for x in nums], -prev
-    return nums, prev
+        return [[-x for x in row[n:]] for row in rows], -prev
+    return [row[n:] for row in rows], prev
 
 
 @cache
@@ -317,16 +331,12 @@ def _coeff_map(rd: RootDatum) -> tuple[Mat, int]:
     coefficients M v / d.
 
     Pairing v = sum_j c_j alpha_j with the simple coroot forms gives
-    A c = F v, with A the Cartan matrix and F the forms as rows; each
-    column of M = d A^-1 F comes from one fraction-free solve.
+    A c = F v, with A the Cartan matrix and F the forms as rows, so
+    M = d A^-1 F comes from one fraction-free solve of [A | F].
     """
-    forms = rd.simple_coroot_forms
-    cartan = [[dot(f, a) for a in rd.simple_roots] for f in forms]
-    cols, d = [], 1
-    for j in range(rd.rank):
-        col, d = bareiss_solve([row + [f[j]] for row, f in zip(cartan, forms)])
-        cols.append(col)
-    return tuple(zip(*cols)), d
+    roots, forms = rd.simple_roots, rd.simple_coroot_forms
+    m, d = bareiss_solve([[dot(f, a) for a in roots] + list(f) for f in forms])
+    return tuple(map(tuple, m)), d
 
 
 def root_coeffs(rd: RootDatum, v: Vec) -> Vec | None:
@@ -339,11 +349,8 @@ def root_coeffs(rd: RootDatum, v: Vec) -> Vec | None:
         if r:
             return None
         coeffs.append(c)
-    spelled = [0] * rd.rank
-    for c, alpha in zip(coeffs, rd.simple_roots):
-        for i, a in enumerate(alpha):
-            spelled[i] += c * a
-    return tuple(coeffs) if tuple(spelled) == tuple(v) else None
+    spelled = [dot(coeffs, row) for row in _label_tables(rd)[1]]
+    return tuple(coeffs) if spelled == list(v) else None
 
 
 @cache
@@ -356,10 +363,8 @@ def _label_tables(rd: RootDatum) -> tuple:
     forms, roots = rd.simple_coroot_forms, rd.simple_roots
     columns = tuple(tuple(dot(f, alpha) for f in forms) for alpha in roots)
     rows = tuple(tuple(alpha[t] for alpha in roots) for t in range(rd.rank))
-    steps = tuple(
-        (tuple(dot(f, beta) for f in forms), root_coeffs(rd, beta), beta)
-        for beta in rd.positive_roots
-    )
+    labels = [dynkin_labels(rd, beta) for beta in rd.positive_roots]
+    steps = tuple(zip(labels, rd.positive_coeffs, rd.positive_roots))
     return columns, rows, steps
 
 
@@ -514,11 +519,6 @@ def straighten(rd: RootDatum, v2: Vec):
         return None
     sign, delta = hit
     return sign, tuple([(x + d - r) // 2 for x, d, r in zip(v2, delta, rd.rho_b_times2)])
-
-
-def dual_weight_vec(rd: RootDatum, lam: Vec) -> Vec:
-    """Highest weight of the contragredient: -w0(lam)."""
-    return vneg(mat_apply(rd.w0, lam))
 
 
 def datum_to_json(rd: RootDatum) -> dict:

@@ -40,7 +40,6 @@ from .rootdata import (
     _label_tables,
     _straighten_labels,
     dot,
-    dual_weight_vec,
     dynkin_labels,
     height2,
     sigma_grade,
@@ -384,9 +383,9 @@ def convolve(a: GradedElement, b: GradedElement, window: Window | None = None) -
 
 def dual(f: GradedElement) -> GradedElement:
     """The involution induced by inverting the group variable."""
-    out = {}
+    out, w0 = {}, f.rd.w0
     for k, terms in f.grades.items():
-        out[-k] = {dual_weight_vec(f.rd, v): c for v, c in terms.items()}
+        out[-k] = {tuple([-dot(row, v) for row in w0]): c for v, c in terms.items()}
     w = Window(
         None if f.window.hi is None else -f.window.hi,
         None if f.window.lo is None else -f.window.lo,

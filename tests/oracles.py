@@ -8,7 +8,9 @@ JSON text round trips of graded elements, a row read at the central
 translates of a weight, the Kostka-Foulkes row summed
 over the whole orbit with a memo-free partition count, the transforms
 and the product summed one ``Laurent`` object per term, as the package
-once summed them, and a datum carried to other coordinates.
+once summed them, a datum carried to other coordinates, the product of
+two data, and a datum's derived fields from the whole root system and
+a product of reflection matrices.
 """
 
 from __future__ import annotations
@@ -227,6 +229,77 @@ def transform_datum(rd: RootDatum, U: Mat, perm) -> RootDatum:
     simples = [mat_apply(U, rd.simple_roots[i]) for i in perm]
     forms = [form(rd.simple_coroot_forms[i]) for i in perm]
     return RootDatum(rd.cartan, n, simples, forms, form(rd.sigma))
+
+
+def product_datum(rd1: RootDatum, rd2: RootDatum) -> RootDatum:
+    """rd1 x rd2: the coordinates of rd1, then those of rd2; each factor's
+    simple roots, coroot forms and sigma padded with zeros on the other's
+    coordinates, rd1's simple roots first."""
+    pad1, pad2 = (0,) * rd2.rank, (0,) * rd1.rank
+    side = lambda first, second: [v + pad1 for v in first] + [pad2 + v for v in second]
+    return RootDatum(f"{rd1.cartan}x{rd2.cartan}", rd1.rank + rd2.rank,
+                     side(rd1.simple_roots, rd2.simple_roots),
+                     side(rd1.simple_coroot_forms, rd2.simple_coroot_forms),
+                     rd1.sigma + rd2.sigma)
+
+
+# -- the datum's derived fields, as the constructor once derived them
+
+
+def close_roots_reference(simples, forms) -> list[tuple[Vec, Vec, Vec]]:
+    """The positive (root, coroot form, simple-root coefficients) triples,
+    root descending, from the whole root system: every image of a simple
+    root under the simple reflections, s_i(beta) = beta - f_i(beta) alpha_i,
+    each root carrying its form and its coefficients along the reflections
+    that reach it; the positive roots are those with no negative
+    coefficient.  Past ``WEYL_CAP_DEFAULT`` roots it stops with
+    WeylCapError."""
+    seen = {s: (f, e) for s, f, e in zip(simples, forms, identity_mat(len(simples)))}
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            fbeta, cbeta = seen[beta]
+            for i, (alpha, falpha) in enumerate(zip(simples, forms)):
+                c = dot(falpha, beta)
+                img = vsub(beta, tuple(c * a for a in alpha))
+                if img not in seen:
+                    e = dot(fbeta, alpha)
+                    fimg = vsub(fbeta, tuple(e * x for x in falpha))
+                    seen[img] = (fimg, cbeta[:i] + (cbeta[i] - c,) + cbeta[i + 1:])
+                    new.append(img)
+                    if len(seen) > WEYL_CAP_DEFAULT:
+                        raise WeylCapError(f"root system exceeds cap {WEYL_CAP_DEFAULT}")
+        frontier = new
+    return sorted(((b, f, c) for b, (f, c) in seen.items() if min(c) >= 0), reverse=True)
+
+
+def w0_reference(simples, forms, rho2: Vec) -> Mat:
+    """w0 as a matrix from a reduced word: reflect rho2 across the first
+    wall it lies on the positive side of, multiplying the reflections'
+    matrices, until no such wall is left; the vector must then be -rho2."""
+    w, v = identity_mat(len(rho2)), rho2
+    while (i := next((i for i, f in enumerate(forms) if dot(f, v) > 0), None)) is not None:
+        s = _reflection_matrix(simples[i], forms[i], len(rho2))
+        w, v = mat_mul(s, w), mat_apply(s, v)
+    assert v == tuple(-x for x in rho2), "rho2 is not regular"
+    return w
+
+
+def derived_fields_reference(rd: RootDatum) -> dict:
+    """The fields ``RootDatum`` derives from rd's simple roots and coroot
+    forms, by name, from ``close_roots_reference`` and ``w0_reference``."""
+    positive = close_roots_reference(rd.simple_roots, rd.simple_coroot_forms)
+    roots, forms, coeffs = tuple(zip(*positive)) or ((), (), ())
+    rho2 = tuple(sum(r[t] for r in roots) for t in range(rd.rank))
+    return {
+        "positive_roots": roots,
+        "positive_coroot_forms": forms,
+        "positive_coeffs": coeffs,
+        "rho_b_times2": rho2,
+        "pair2_form": tuple(sum(f[t] for f in forms) for t in range(rd.rank)),
+        "w0": w0_reference(rd.simple_roots, rd.simple_coroot_forms, rho2),
+    }
 
 
 def dominance_leq(rd: RootDatum, mu: Vec, lam: Vec) -> bool:

@@ -1134,6 +1134,7 @@ def test_cli_import_fills_no_cache():
         "sphecke.rootdata._coeff_map",
         "sphecke.rootdata._label_tables",
         "sphecke.rootdata._straighten_labels",
+        "sphecke.rootdata._w0",
         "sphecke.satake._macdonald_factor",
         "sphecke.satake._macdonald_row",
     }
@@ -1147,6 +1148,35 @@ def _cache_tables():
         for name, mod in list(sys.modules.items()) if name.startswith("sphecke")
         for obj in vars(mod).values() if hasattr(obj, "cache_info")
     }
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "arch gamma --group gl4 --lam 0.1,0.2,0.3,0.4 --s 2.0",
+        "arch lfactor --group gl4 --lam 0.5,-0.25,0,0.75 --s 3.25 --field complex",
+        "satake --group gl3 --mu 3,1,0",
+    ],
+)
+def test_cold_queries_build_no_w0_matrix_or_coefficient_map(capsys, line):
+    # building a datum and checking rho solve nothing and form no w0
+    # matrix: the positive roots carry their coefficients, and w0 is built
+    # on first read, here never
+    sphecke.clear_caches()
+    code, _, err = run(capsys, *line.split())
+    assert code == 0, err
+    tables = _cache_tables()
+    assert tables["sphecke.rootdata._label_tables"].cache_info().currsize > 0
+    for name in ("sphecke.rootdata._w0", "sphecke.rootdata._coeff_map"):
+        assert tables[name].cache_info().currsize == 0, name
+
+
+def test_kernel_builds_the_w0_matrix_once(capsys):
+    # the kernel multiplies by the inverse series of the dual, so it reads w0
+    sphecke.clear_caches()
+    code, _, err = run(capsys, "kernel", "--group", "gl3", "--N", "1")
+    assert code == 0, err
+    assert _cache_tables()["sphecke.rootdata._w0"].cache_info().currsize == 1
 
 
 def test_clear_caches_empties_every_table(capsys):

@@ -1,23 +1,35 @@
-"""Metamorphic oracle: the same datum in other coordinates.
+"""Metamorphic oracles: the same datum in other coordinates, and products.
 
 Every preset is written in one set of coordinates, so a step that is
 right only in those coordinates (a grade taken as the sum of the
 coordinates, say) passes every preset test.  An isomorphic datum, with
 vectors mapped by v -> U v for a unimodular U and the simple roots
-shuffled, must give the same coefficients after the map.
+shuffled, must give the same coefficients after the map.  Every preset
+is also irreducible (but for its center); the product of two data must
+have the roots of its factors side by side and multiply their
+Kostka-Foulkes polynomials.
 """
 
+import json
 import random
 import sys
 
 import pytest
 
-from oracles import random_unimodular, transform_datum
-from sphecke import clear_caches, rootdata
+from oracles import product_datum, random_unimodular, transform_datum
+from sphecke import cli, clear_caches, rootdata
 from sphecke.errors import InvalidInput
-from sphecke.kostka import kl_row
+from sphecke.kostka import kl_row, lusztig_q_analogue
 from sphecke.lseries import basic_function
-from sphecke.rootdata import RepSpec, build_preset, dominant_below, identity_mat, mat_apply
+from sphecke.rootdata import (
+    RepSpec,
+    RootDatum,
+    build_preset,
+    datum_to_json,
+    dominant_below,
+    identity_mat,
+    mat_apply,
+)
 
 # per preset: a dominant top for the rows, the highest weight of rho, and
 # the truncation of its basic function
@@ -99,3 +111,62 @@ def test_a_coordinate_grade_fails_only_in_other_coordinates(monkeypatch, fresh_c
     for seed in (1, 2):
         with pytest.raises(InvalidInput, match="grade != 1"):
             coordinate_mismatch("gl3", seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kostka_through_a_datum_file_in_other_coordinates(tmp_path, capsys, seed):
+    # the --datum route: b4 in the coordinates of a seeded U with its simple
+    # roots shuffled, read from its JSON body, prints what --group b4 prints
+    # once lambda and mu are mapped by U
+    rd, U, _, other = _transformed("b4", seed)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_json(other)))
+    vec = lambda v: ",".join(map(str, v))
+    for lam, mu in (((3, 2, 1, 0, 1), (0, 0, 0, 0, 1)), ((3, 1, 0, 0, -2), (1, 1, 0, 0, -2))):
+        assert cli.main(["kostka", "--group", "b4", "--lambda", vec(lam), "--mu", vec(mu)]) == 0
+        want = capsys.readouterr().out
+        code = cli.main(["kostka", "--datum", str(path), "--lambda", vec(mat_apply(U, lam)),
+                         "--mu", vec(mat_apply(U, mu))])
+        assert (code, capsys.readouterr().out) == (0, want)
+        assert want != "0\n"
+
+
+# A1 in its adjoint coordinates: root 1, coroot form 2
+A1 = RootDatum("A1", 1, [(1,)], [(2,)], (0,))
+
+# per product: the factors and, for each, a dominant top for lambda
+PRODUCTS = {
+    "A1xB2": ((A1, (3,)), (build_preset("b2"), (2, 1, 0))),
+    "A1xG2": ((A1, (2,)), (build_preset("g2"), (0, -3, 0))),
+    "GL2xGL2": ((build_preset("gl2"), (2, 0)), (build_preset("gl2"), (3, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_roots_are_the_factors_side_by_side(name):
+    (rd1, _), (rd2, _) = PRODUCTS[name]
+    prod = product_datum(rd1, rd2)
+    k1, k2 = len(rd1.simple_roots), len(rd2.simple_roots)
+    want = [(r + (0,) * rd2.rank, c + (0,) * k2)
+            for r, c in zip(rd1.positive_roots, rd1.positive_coeffs)]
+    want += [((0,) * rd1.rank + r, (0,) * k1 + c)
+             for r, c in zip(rd2.positive_roots, rd2.positive_coeffs)]
+    assert list(zip(prod.positive_roots, prod.positive_coeffs)) == sorted(want, reverse=True)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_kostka_is_the_product_of_the_factors(name):
+    # K[(l1, l2), (m1, m2)] = K[l1, m1] K[l2, m2] over every dominant
+    # m1 <= l1 <= top1 and m2 <= l2 <= top2, and with the first factor's
+    # lambda and mu swapped, where both sides vanish off the diagonal
+    (rd1, top1), (rd2, top2) = PRODUCTS[name]
+    prod = product_datum(rd1, rd2)
+    pairs = lambda rd, top: [(l, m) for l in dominant_below(rd, top) for m in dominant_below(rd, l)]
+    checked = 0
+    for l1, m1 in pairs(rd1, top1):
+        for l2, m2 in pairs(rd2, top2):
+            for a, b in ((l1, m1), (m1, l1)):
+                want = lusztig_q_analogue(rd1, a, b) * lusztig_q_analogue(rd2, l2, m2)
+                assert lusztig_q_analogue(prod, a + l2, b + m2) == want, (a, l2, b, m2)
+                checked += bool(want)
+    assert checked > 10

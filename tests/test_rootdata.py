@@ -8,16 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    derived_fields_reference,
     dominance_leq,
     mat_mul,
     pair_rho_b,
+    random_unimodular,
     row_reduce,
     signed_orbit,
     solve_simple_coeffs,
+    transform_datum,
     weyl_elements,
 )
 from sphecke import rootdata
-from sphecke.characters import _span_rank, require_valid
+from sphecke.characters import _span_rank, dual_weight, require_valid
 from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError, WeylCapError
 from sphecke.rootdata import (
     WEYL_CAP_DEFAULT,
@@ -30,7 +33,6 @@ from sphecke.rootdata import (
     datum_from_json,
     datum_to_json,
     dominant_below,
-    dual_weight_vec,
     dynkin_labels,
     identity_mat,
     l_constant,
@@ -224,7 +226,7 @@ def test_w0_involution_and_dominance():
         # -w0 preserves dominance
         doms = [v for v in itertools.product(range(0, 2), repeat=rd.rank) if rd.is_dominant(v)]
         for v in doms:
-            assert rd.is_dominant(dual_weight_vec(rd, v))
+            assert rd.is_dominant(dual_weight(rd, v))
 
 
 def test_dominance_partial_order():
@@ -484,12 +486,15 @@ def _det(a):
 @example([[0, 1, 2], [1, 0, 3]])  # needs a row swap
 @example([[1, 2, 3], [2, 4, 6]])  # singular
 @example([[2, 1, 0, 1], [1, 2, 1, 0], [3, 3, 1, 1]])  # singular, rank 2
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n
+@example([[2, -1, 1, 0], [-1, 2, 0, 1]])  # the A2 Cartan matrix with F = I
+@given(st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda nm: st.lists(
+        st.lists(st.integers(-3, 3), min_size=sum(nm), max_size=sum(nm)),
+        min_size=nm[0], max_size=nm[0],
     )
 ))
 def test_bareiss_solve_matches_row_reduce(rows):
+    # [A | B] with one to three right-hand sides, as _coeff_map solves them
     n = len(rows)
     ref = [[Fraction(x) for x in row] for row in rows]
     rank = len(row_reduce(ref, n))
@@ -499,7 +504,7 @@ def test_bareiss_solve_matches_row_reduce(rows):
         return
     nums, d = got
     assert d == abs(_det([row[:n] for row in rows]))
-    assert [Fraction(x, d) for x in nums] == [row[n] for row in ref]
+    assert [[Fraction(x, d) for x in row] for row in nums] == [row[n:] for row in ref]
 
 
 def test_datum_derives_its_fields():
@@ -525,9 +530,67 @@ def test_datum_derives_its_fields():
         # affine A1: the closure never ends, so it stops at the cap
         ([(1, 0, 0), (0, 1, 0)], [(2, -2, 0), (-2, 2, 0)], (0, 0, 1), WeylCapError,
          f"root system exceeds cap {WEYL_CAP_DEFAULT}"),
+        # Cartan matrix [[2, -1], [0, 2]]: the walk finds alpha_1, alpha_2 and
+        # their sum, and s_2 sends the sum to alpha_1 - alpha_2, so no finite
+        # root system; the whole closure never ends
+        ([(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (1, 1, -1)], (1, 1, 1), InvalidInput,
+         "the simple reflections do not permute the positive roots"),
+        # one simple root given twice: dependent simple roots
+        ([(1, 0), (1, 0)], [(2, 0), (2, 0)], (0, 1), InvalidInput,
+         "the simple reflections do not permute the positive roots"),
     ],
-    ids=["pair-up", "length", "pairing", "sigma", "height", "not-regular", "affine"],
+    ids=["pair-up", "length", "pairing", "sigma", "height", "not-regular", "affine",
+         "not-permuted", "repeated"],
 )
 def test_datum_refuses_inconsistent_inputs(simples, forms, sigma, error, match):
     with pytest.raises(error, match=match):
         RootDatum("X", len(sigma), simples, forms, sigma)
+
+
+def _derived_cases():
+    """The data the derivation is checked on: the 13 presets, two copies
+    of each in the coordinates of a seeded unimodular U with the simple
+    roots shuffled, and GL9, past the Weyl cap."""
+    cases = [pytest.param(build_preset(label), id=label) for label in PRESETS]
+    for label in PRESETS:
+        rd = build_preset(label)
+        for seed in (1, 2):
+            rng = random.Random(f"derived-{label}-{seed}")
+            perm = list(range(len(rd.simple_roots)))
+            while len(perm) > 1 and perm == sorted(perm):
+                rng.shuffle(perm)
+            U = random_unimodular(rng, rd.rank)
+            cases.append(pytest.param(transform_datum(rd, U, perm), id=f"{label}-U{seed}"))
+    return cases + [pytest.param(build_gl(9), id="gl9")]
+
+
+def _derived_mismatch(rd):
+    """The first field the constructor derives differently from the
+    reference closure and reduced word, or None."""
+    for name, want in derived_fields_reference(rd).items():
+        if getattr(rd, name) != want:
+            return name
+    return None
+
+
+@pytest.mark.parametrize("rd", _derived_cases())
+def test_derived_fields_match_the_whole_closure(rd):
+    # positive roots (in order), coroot forms, simple-root coefficients,
+    # rho_b_times2, pair2_form and w0 against the whole root system
+    assert _derived_mismatch(rd) is None
+
+
+def test_derived_fields_catch_a_walk_that_skips_a_reflection(monkeypatch):
+    # the upward walk with s_1 never tried: the constructor refuses every
+    # preset with two or more simple roots, or derives a field the
+    # reference does not
+    def skip_first(pairs, start=0):
+        walked = enumerate(pairs, start)
+        return ((i, x) for i, x in walked if i != start) if type(pairs) is zip else walked
+
+    monkeypatch.setattr(rootdata, "enumerate", skip_first, raising=False)
+    for label in PRESETS[2:]:
+        try:
+            assert _derived_mismatch(build_preset(label)) is not None, label
+        except InvalidInput:
+            pass
