@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import add, mul
+from operator import add
 
-from .errors import InvalidInput, NonDominantError
+from .errors import InvalidInput
 from .kostka import kl_row
 from .rootdata import (
     RepSpec,
     RootDatum,
     Vec,
     _straighten_labels,
+    dominant_labels,
     dot,
     dynkin_labels,
     height2,
@@ -41,8 +42,7 @@ def weyl_dim(rd: RootDatum, lam: Vec) -> int:
 
 @cache
 def _weyl_dim(rd: RootDatum, lam: Vec) -> int:
-    if not rd.is_dominant(lam):
-        raise NonDominantError(f"{lam} is not dominant")
+    dominant_labels(rd, lam)
     rho2 = rd.rho_b_times2
     lam2 = tuple(2 * x + r for x, r in zip(lam, rho2))
     forms = rd.positive_coroot_forms
@@ -56,9 +56,8 @@ def _weyl_dim(rd: RootDatum, lam: Vec) -> int:
 
 @cache
 def weight_multiplicities(rd: RootDatum, lam: Vec) -> CharExpansion:
-    """Full weight multiset of the irreducible with highest weight lam."""
-    if not rd.is_dominant(lam):
-        raise NonDominantError(f"{lam} is not dominant")
+    """Full weight multiset of the irreducible with highest weight lam;
+    ``kl_row`` refuses a lam that is not dominant."""
     out = {}
     for mu, kq in kl_row(rd, lam):
         m = sum(kq.terms.values())
@@ -133,42 +132,40 @@ def adams(k: int, ch: CharExpansion) -> CharExpansion:
 
 
 def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec, labelled=None) -> dict:
-    """sum_nu m_nu sign chi_straighten(2(nu + lam + rho)), as irreducible
-    highest weight -> coefficient; the m_nu may be ints or ``Laurent``.
-    ``labelled``, when given, is ``_doubled_labels(rd, weights)``.
+    """sum_nu m_nu sign chi_straighten(nu + lam + rho) over integer m_nu, as
+    irreducible highest weight -> coefficient.  ``labelled``, when given,
+    is ``_labelled(rd, weights)``.
 
     For a Weyl-invariant weight multiset this is the multiset times the
     lam-character (Brauer-Klimyk; Humphreys, *Introduction to Lie Algebras
-    and Representation Theory*, 24 ex. 9).  The weights need not be
-    Weyl-invariant: the sum is always J(e^(lam + rho) sum_nu m_nu e^nu) /
-    J(e^rho), with J the Weyl alternation, the sum that
-    ``satake.satake_basis_row`` takes with polynomial m_nu for Macdonald's
-    formula.
+    and Representation Theory*, 24 ex. 9); for any weights it is
+    J(e^(lam + rho) sum_nu m_nu e^nu) / J(e^rho), with J the Weyl
+    alternation.
 
-    The shifted weight 2(nu + lam + rho) has the labels of 2 nu plus those
-    of 2(lam + rho).  With every label positive it is its own
-    straightening, with a zero label it lies on a wall, and only the rest
-    are read from ``_straighten_labels``; when the least labels of the
-    weights leave every shifted weight positive, the sum is the weights
-    moved by lam."""
-    labels2, low, rho2 = _doubled_labels(rd, weights) if labelled is None else labelled
-    shift = tuple([2 * sum(map(mul, f, lam)) + r for f, r in zip(rd.simple_coroot_forms, rho2)])
+    The shifted weight nu + lam + rho has the labels of nu plus those of
+    lam, plus one each, every label of rho being one.  With every label
+    positive it is its own straightening, with a zero label it lies on a
+    wall, and only the rest are read from ``_straighten_labels``; when the
+    least labels of the weights leave every shifted weight positive, the
+    sum is the weights moved by lam."""
+    labels, low = _labelled(rd, weights) if labelled is None else labelled
+    shift = tuple([x + 1 for x in dynkin_labels(rd, lam)])
     if min(map(add, low, shift), default=1) > 0:
         return {tuple(map(add, nu, lam)): m for nu, m in weights.items() if m}
     out = {}
-    for (nu, m), nu_labels in zip(weights.items(), labels2):
-        v2 = tuple(map(add, nu_labels, shift))
-        if min(v2) > 0:
+    for (nu, m), nu_labels in zip(weights.items(), labels):
+        v = tuple(map(add, nu_labels, shift))
+        if min(v) > 0:
             sign = 1
             top = tuple(map(add, nu, lam))
-        elif 0 in v2:
+        elif 0 in v:
             continue
         else:
-            hit = _straighten_labels(rd, v2)
+            hit = _straighten_labels(rd, v)
             if hit is None:
                 continue
             sign, delta = hit
-            top = tuple([x + y + d // 2 for x, y, d in zip(nu, lam, delta)])
+            top = tuple([x + y + d for x, y, d in zip(nu, lam, delta)])
         c = out.get(top, 0) + sign * m
         if c:
             out[top] = c
@@ -177,19 +174,18 @@ def times_char(rd: RootDatum, weights: CharExpansion, lam: Vec, labelled=None) -
     return out
 
 
-def _doubled_labels(rd: RootDatum, weights: CharExpansion) -> tuple:
-    """The Dynkin labels of 2 nu over the weights nu, in their order; the
-    least of them in each place; and the labels of 2 rho, which every
-    shifted weight adds."""
-    labels2 = tuple(dynkin_labels(rd, tuple([2 * x for x in nu])) for nu in weights)
-    return labels2, tuple(map(min, zip(*labels2))), dynkin_labels(rd, rd.rho_b_times2)
+def _labelled(rd: RootDatum, weights: CharExpansion) -> tuple:
+    """The Dynkin labels of the weights, in their order, and the least of
+    them in each place."""
+    labels = tuple(dynkin_labels(rd, nu) for nu in weights)
+    return labels, tuple(map(min, zip(*labels)))
 
 
 @cache
 def _weight_labels(rd: RootDatum, lam: Vec) -> tuple:
-    """``_doubled_labels`` of the weights of V(lam), which ``tensor`` reads
+    """``_labelled`` of the weights of V(lam), which ``tensor`` reads
     for every product with V(lam)."""
-    return _doubled_labels(rd, weight_multiplicities(rd, lam))
+    return _labelled(rd, weight_multiplicities(rd, lam))
 
 
 def tensor(rd: RootDatum, lam: Vec, mu: Vec) -> tuple:
@@ -207,7 +203,7 @@ def _by_height(rd: RootDatum, chars: dict) -> list:
 @cache
 def _newton_series(rd: RootDatum, hw: Vec, signed: bool) -> tuple:
     """Grade -> symmetric (exterior, when signed) power of V(hw) in the
-    character basis, and j -> (psi^j, its ``_doubled_labels``) with psi^j
+    character basis, and j -> (psi^j, its ``_labelled``) with psi^j
     the j-th Adams operation on the weights of hw, whose labels are j
     times theirs; ``_power`` fills in both on demand."""
     return {0: {(0,) * rd.rank: 1}}, {}
@@ -220,9 +216,9 @@ def _power(rd: RootDatum, hw: Vec, n: int, signed: bool) -> dict:
     series, psis = _newton_series(rd, hw, signed)
     if len(series) <= n:
         base = weight_multiplicities(rd, hw)
-        labels2, low, rho2 = _weight_labels(rd, hw)
+        labels, low = _weight_labels(rd, hw)
         for j in range(len(psis) + 1, n + 1):
-            scaled = [tuple([j * x for x in l]) for l in labels2], [j * x for x in low], rho2
+            scaled = [tuple([j * x for x in l]) for l in labels], [j * x for x in low]
             psis[j] = adams(j, base), scaled
     for m in range(len(series), n + 1):
         acc = {}
@@ -270,8 +266,7 @@ def ext_power_decomp(rd: RootDatum, rho: RepSpec, i: int):
 
 def dual_weight(rd: RootDatum, lam: Vec) -> Vec:
     """Highest weight of the contragredient module: -w0(lam)."""
-    if not rd.is_dominant(lam):
-        raise NonDominantError(f"{lam} is not dominant")
+    dominant_labels(rd, lam)
     return tuple([-x for x in mat_apply(rd.w0, lam)])
 
 

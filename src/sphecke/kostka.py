@@ -11,7 +11,7 @@ K(q), and ``kl_row`` holds v^(-2<rho_B,mu>) K(q^-1)
 (``weight_multiplicities`` reads only its coefficient sum, which the
 shift leaves alone).  A row depends on lam only through its Dynkin
 labels, so ``_label_row``, keyed by them, is the one table of rows, and
-``kl_row`` translates its entry to lam.
+``kl_row`` translates its entry to lam (``_translate``).
 
 Everything is counted in simple-root coefficients (Kostant's partition
 function, Humphreys, *Introduction to Lie Algebras and Representation
@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cache
 from operator import add, sub
 
-from .errors import GradeMismatchError, NonDominantError
+from .errors import GradeMismatchError
 from .laurent import Laurent
 from .rootdata import (
     RootDatum,
@@ -40,12 +40,11 @@ from .rootdata import (
     _label_tables,
     _orbit_walk,
     dominant_below_coeffs,
-    dynkin_labels,
+    dominant_labels,
     height2,
     identity_mat,
     root_coeffs,
     sigma_grade,
-    vneg,
     vsub,
 )
 
@@ -113,18 +112,12 @@ def _shifted_orbit(rd: RootDatum, labels: Vec, height: int) -> list[tuple[int, V
     """Triples (drop, coefficients, sign of w) over the w whose drop is at
     most ``height``, drop ascending, for any lam with Dynkin labels
     ``labels``: the coefficients are those of w(lam + rho) - (lam + rho) in
-    the simple roots, all <= 0, and the drop is minus their sum.  The walk
-    reads the labels of v = 2(lam + rho) and stops at drop 2 * height."""
+    the simple roots, all <= 0, and the drop is minus their sum.  Every
+    label of rho is one, so the walk starts from ``labels`` plus one each,
+    the labels of lam + rho."""
     k = len(labels)
-    v = tuple([2 * x + r for x, r in zip(labels, dynkin_labels(rd, rd.rho_b_times2))])
-    orbit = []
-    for depth, coeffs in _orbit_walk(rd, v, (0,) * k, identity_mat(k), 2 * height):
-        if any(x % 2 for x in coeffs):
-            raise RuntimeError("odd coordinate in shifted Weyl sum")
-        half = tuple([x // 2 for x in coeffs])
-        orbit.append((-sum(half), half, -1 if depth % 2 else 1))
-    orbit.sort()
-    return orbit
+    walk = _orbit_walk(rd, tuple([x + 1 for x in labels]), (0,) * k, identity_mat(k), height)
+    return sorted((-sum(coeffs), coeffs, -1 if depth % 2 else 1) for depth, coeffs in walk)
 
 
 def _alternating_sum(rd: RootDatum, orbit, delta: Vec) -> dict:
@@ -157,9 +150,8 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
     Vanishes unless mu <= lam; specializes at q=1 to the weight
     multiplicity of mu in the highest-weight module of lam.
     """
-    for v in (lam, mu):
-        if not rd.is_dominant(v):
-            raise NonDominantError(f"{v} is not dominant")
+    labels = dominant_labels(rd, lam)
+    dominant_labels(rd, mu)
     if sigma_grade(rd, lam) != sigma_grade(rd, mu):
         raise GradeMismatchError(
             f"grades differ: {sigma_grade(rd, lam)} vs {sigma_grade(rd, mu)}"
@@ -167,41 +159,46 @@ def lusztig_q_analogue(rd: RootDatum, lam: Vec, mu: Vec) -> Laurent:
     delta = root_coeffs(rd, vsub(lam, mu))
     if delta is None or min(delta, default=0) < 0:
         return Laurent.zero()  # mu is not below lam: no orbit walk
-    orbit = _shifted_orbit(rd, dynkin_labels(rd, lam), sum(delta))
+    orbit = _shifted_orbit(rd, labels, sum(delta))
     return _in_q(_alternating_sum(rd, orbit, delta))
 
 
 @cache
 def _label_row(rd: RootDatum, labels: Vec) -> tuple:
     """The row of every dominant lam with Dynkin labels ``labels``: the
-    triples (lam - mu, height2(lam - mu), K[lam, mu] as nonzero {e: c})
-    over the dominant mu <= lam, mu descending, from one shifted orbit
-    walked to the largest height of lam - mu.  The labels fix lam up to a
-    central z, which W fixes, so K[lam + z, mu + z] = K[lam, mu].  The
-    dominance walk starts at zero, so it carries mu - lam."""
+    pairs (mu - lam, v^height2(lam - mu) K[lam, mu](q^-1) as (monomial,
+    coefficient) pairs) over the dominant mu <= lam with K[lam, mu] nonzero,
+    mu descending, from one shifted orbit walked to the largest height of
+    lam - mu.  The labels fix lam up to a central z, which W fixes, so
+    K[lam + z, mu + z] = K[lam, mu].  The dominance walk starts at zero,
+    so it carries mu - lam, and height2(lam - mu) is twice the sum of the
+    coefficients of lam - mu, each simple root having height2 two."""
     below = dominant_below_coeffs(rd, labels, (0,) * rd.rank)
     orbit = _shifted_orbit(rd, labels, max(sum(delta) for _, delta in below))
     row = []
     for step, delta in below:
         counts = _alternating_sum(rd, orbit, delta)
         if counts:
-            row.append((vneg(step), -height2(rd, step), counts))
+            h = 2 * sum(delta)
+            row.append((step, tuple([((h - 2 * e, 0), c) for e, c in counts.items()])))
     return tuple(row)
+
+
+def _translate(vec: Vec, shift: int, row) -> tuple:
+    """A row of a label-keyed table moved to the weight ``vec``: each
+    (step, terms) entry becomes (vec + step, the ``Laurent`` of the terms
+    with every v-power moved by ``shift``), the terms kept in their order.
+    ``kl_row`` and ``satake.satake_basis_row`` both read their rows so."""
+    return tuple(
+        (tuple(map(add, vec, step)), Laurent.from_terms({(a + shift, b): c for (a, b), c in terms}))
+        for step, terms in row
+    )
 
 
 def kl_row(rd: RootDatum, lam: Vec) -> tuple:
     """Expansion of the lam-character into cell indicators, the inverse
     transform's row: the nonzero (mu, v^(-2<rho_B,mu>) K[lam, mu](q^-1))
     over the dominant mu <= lam, mu descending, translated from the row of
-    lam's Dynkin labels: mu = lam - d, and c q^e at height2(d) sits at
-    v^(height2(d) - height2(lam) - 2e)."""
-    if not rd.is_dominant(lam):
-        raise NonDominantError(f"{lam} is not dominant")
-    top = height2(rd, lam)
-    return tuple(
-        (
-            tuple(map(sub, lam, d)),
-            Laurent.from_terms({(h - top - 2 * e, 0): c for e, c in counts.items()}),
-        )
-        for d, h, counts in _label_row(rd, dynkin_labels(rd, lam))
-    )
+    lam's Dynkin labels (``_label_row``) with every v-power moved by
+    -height2(lam): v^(-2<rho_B,mu>) = v^(height2(lam - mu) - height2(lam))."""
+    return _translate(lam, -height2(rd, lam), _label_row(rd, dominant_labels(rd, lam)))

@@ -373,11 +373,19 @@ def dynkin_labels(rd: RootDatum, v: Vec) -> Vec:
     return tuple([sum(map(mul, f, v)) for f in rd.simple_coroot_forms])
 
 
+def dominant_labels(rd: RootDatum, v: Vec) -> Vec:
+    """The Dynkin labels of v; LengthMismatchError for a vector of the
+    wrong length and NonDominantError when a label is negative."""
+    rd.check_length(v)
+    labels = dynkin_labels(rd, v)
+    if min(labels, default=0) < 0:
+        raise NonDominantError(f"{v} is not dominant")
+    return labels
+
+
 def dominant_below(rd: RootDatum, lam: Vec) -> list[Vec]:
     """All dominant mu <= lam, reverse-lexicographically descending."""
-    if not rd.is_dominant(lam):
-        raise NonDominantError(f"{lam} is not dominant")
-    return [mu for mu, _ in dominant_below_coeffs(rd, dynkin_labels(rd, lam), tuple(lam))]
+    return [mu for mu, _ in dominant_below_coeffs(rd, dominant_labels(rd, lam), tuple(lam))]
 
 
 def dominant_below_coeffs(rd: RootDatum, start: Vec, top: Vec) -> list[tuple[Vec, Vec]]:
@@ -465,25 +473,24 @@ def _orbit_walk(rd: RootDatum, first: Vec, start: Vec, steps, bound=float("inf")
 
 def weyl_orbit(rd: RootDatum, mu: Vec) -> set[Vec]:
     """The Weyl orbit of the dominant weight mu."""
-    if not rd.is_dominant(mu):
-        raise NonDominantError(f"{mu} is not dominant")
-    return {u for _, u in _orbit_walk(rd, dynkin_labels(rd, mu), mu, rd.simple_roots)}
+    return {u for _, u in _orbit_walk(rd, dominant_labels(rd, mu), mu, rd.simple_roots)}
 
 
 @cache
 def _straighten_labels(rd: RootDatum, labels: Vec):
-    """The straightening of every vector with Dynkin labels ``labels``:
-    (sign, w(v2) - v2) with w(v2) strictly dominant and sign = (-1)^l(w),
-    or None when the walk meets a wall.  The labels fix v2 up to a central
-    z, which w fixes, so w(v2 + z) - (v2 + z) = w(v2) - v2 and one entry
-    serves every translate: the Brauer-Klimyk products and Macdonald rows
-    of one run straighten the same labels many times over.
+    """The straightening of every vector v with Dynkin labels ``labels``:
+    (sign, w(v) - v) with w(v) strictly dominant and sign = (-1)^l(w), or
+    None when the walk meets a wall.  The labels fix v up to a central z,
+    which w fixes, so w(v + z) - (v + z) = w(v) - v and one entry serves
+    every translate: the Brauer-Klimyk products and Macdonald rows of one
+    run straighten the same labels many times over, those of nu + rho;
+    ``straighten`` reads those of 2(nu + rho), whose entry is doubled.
 
     The first label that is not positive decides each step: zero puts the
     vector on a wall, and a negative one reflects in that simple root.
     s_i(u) = u - f_i(u) alpha_i subtracts f_i(u) times the i-th column of
     the Cartan matrix from the labels and f_i(u) from the i-th simple-root
-    coefficient of w(v2) - v2, which is spelled as a vector once, at the
+    coefficient of w(v) - v, which is spelled as a vector once, at the
     end.
     """
     columns, rows, _ = _label_tables(rd)
@@ -511,8 +518,8 @@ def straighten(rd: RootDatum, v2: Vec):
     sign times that of 2(lam + rho); returns None when v2 lies on a wall,
     where that sum vanishes.  The walk runs in Dynkin labels and its
     result, w(v2) - v2, is read from the table ``_straighten_labels`` keyed
-    by them; the callers on hot paths read that table themselves, past the
-    strictly dominant labels (w = 1) and those with a zero (a wall).
+    by them; the callers on hot paths read it at gamma + rho themselves,
+    past the strictly dominant labels (w = 1) and those with a zero.
     """
     hit = _straighten_labels(rd, dynkin_labels(rd, v2))
     if hit is None:

@@ -30,8 +30,8 @@ from functools import cache
 from operator import add, sub
 
 from .characters import char_eval, tensor, weight_multiplicities
-from .errors import InvalidInput, NonDominantError, WindowError
-from .kostka import kl_row
+from .errors import InvalidInput, WindowError
+from .kostka import _translate, kl_row
 from .laurent import Laurent, add_terms, mul_terms
 from .record import Record, Value
 from .rootdata import (
@@ -39,6 +39,7 @@ from .rootdata import (
     Vec,
     _label_tables,
     _straighten_labels,
+    dominant_labels,
     dot,
     dynkin_labels,
     height2,
@@ -209,7 +210,7 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
     """D = prod over the positive roots alpha of (1 - t e^-alpha), with
     (1 - e^-alpha) on the wall roots, as (-beta, the Dynkin labels of
-    -2 beta, d_beta(t)) triples with each d_beta the (monomial, coefficient)
+    -beta, d_beta(t)) triples with each d_beta the (monomial, coefficient)
     pairs of a polynomial in v, t = v^-2; and |W_mu|, the order of the
     stabilizer the walls span, as the product of (ht + 1)/ht over the wall
     roots.  The triples are tuples, so the cached factor cannot be changed
@@ -231,9 +232,7 @@ def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
         weights.setdefault(w, {})[(-2 * e, 0)] = c
     hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
     order = math.prod(h + 1 for h in hts) // math.prod(hts)
-    return tuple(
-        (w, dynkin_labels(rd, tuple(map(add, w, w))), tuple(t.items())) for w, t in weights.items()
-    ), order
+    return tuple((w, dynkin_labels(rd, w), tuple(t.items())) for w, t in weights.items()), order
 
 
 @cache
@@ -244,29 +243,29 @@ def _macdonald_row(rd: RootDatum, labels: Vec) -> tuple:
 
     The walls, the positive roots that vanish on mu, are those whose
     simple-root support carries only zero labels, and the shifted weight
-    2(mu - beta) + 2 rho has labels labels(-2 beta) + labels(2(mu + rho)):
-    a row reads mu only through its labels.  A shifted weight with every
-    label positive is its own straightening and one with a zero label
+    mu - beta + rho has the labels of -beta plus those of mu plus one (each
+    label of rho is one): a row reads mu only through its labels.  One with
+    every label positive is its own straightening and one with a zero label
     lies on a wall; only the rest are read from ``_straighten_labels``."""
     _, _, steps = _label_tables(rd)
     walls = tuple(
         root for _, coeffs, root in steps if not any(c and x for c, x in zip(coeffs, labels))
     )
     weights, order = _macdonald_factor(rd, walls)
-    mu2 = tuple([2 * x + r for x, r in zip(labels, dynkin_labels(rd, rd.rho_b_times2))])
+    shift = tuple([x + 1 for x in labels])
     sums = {}
-    for w, w_labels2, d in weights:
-        v2 = tuple(map(add, w_labels2, mu2))
-        if min(v2, default=1) > 0:
+    for w, w_labels, d in weights:
+        v = tuple(map(add, w_labels, shift))
+        if min(v, default=1) > 0:
             sign = 1
-        elif 0 in v2:
+        elif 0 in v:
             continue
         else:
-            hit = _straighten_labels(rd, v2)
+            hit = _straighten_labels(rd, v)
             if hit is None:
                 continue
             sign, delta = hit
-            w = tuple([x + y // 2 for x, y in zip(w, delta)])
+            w = tuple(map(add, w, delta))
         add_terms(sums.setdefault(w, {}), d, sign)
     row = []
     for step, c in sums.items():
@@ -288,23 +287,15 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
 
     Macdonald's formula for the spherical function P_mu, summed over
     the Weyl group and straightened into characters:
-    |W_mu| P_mu = sum_beta d_beta(t) sign chi_straighten(2(mu - beta) + 2 rho),
+    |W_mu| P_mu = sum_beta d_beta(t) sign chi_straighten(mu - beta + rho),
     with D = sum_beta d_beta e^-beta from ``_macdonald_factor`` (Macdonald,
     *Spherical functions on a group of p-adic type*, 1971; Nelsen-Ram,
     *Kostka-Foulkes polynomials and Macdonald spherical functions*, 2003).
     The row is translated from that of mu's Dynkin labels
-    (``_macdonald_row``): lam = mu + d, and every v-power moves by
-    height2(mu).
+    (``_macdonald_row``) by ``kostka._translate``: lam = mu + (lam - mu),
+    and every v-power moves by height2(mu).
     """
-    rd.check_length(mu)
-    labels = dynkin_labels(rd, mu)
-    if min(labels, default=0) < 0:
-        raise NonDominantError(f"{mu} is not dominant")
-    shift = height2(rd, mu)
-    return tuple(
-        (tuple(map(add, mu, d)), Laurent.from_terms({(a + shift, b): c for (a, b), c in terms}))
-        for d, terms in _macdonald_row(rd, labels)
-    )
+    return _translate(mu, height2(rd, mu), _macdonald_row(rd, dominant_labels(rd, mu)))
 
 
 def _change_basis(f: GradedElement, row, basis: str) -> GradedElement:

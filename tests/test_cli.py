@@ -719,7 +719,7 @@ def _exit_of(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @given(_mutated(_DATUM_BODIES), _mutated(_H_BODIES))
 def test_json_body_fuzz(tmp_path_factory, datum_text, h_text):
     # a --datum or --h-json file of any content: exit 0, 1 or 2, never an
@@ -883,7 +883,7 @@ def _table_argv(draw):
     return [command] + [w for word in draw(st.permutations(words)) for w in word]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(st.one_of(_LOOSE_ARGV, _table_argv()))
 # the spellings the table reader leaves to argparse
 @example(["basic", "--gr", "gl2"])  # an abbreviated flag
@@ -986,7 +986,7 @@ def _numeric_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_numeric_argv())
 def test_numeric_flag_fuzz(argv):
     # finite, huge, infinite, nan and malformed numbers: a clean exit with
@@ -1029,7 +1029,7 @@ def _algebra_argv(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_algebra_argv())
 def test_algebra_argv_fuzz(argv):
     # exit 0 with strict JSON on stdout (kostka without --json prints its
@@ -1083,7 +1083,7 @@ def _series_argv(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(_series_argv())
 def test_series_argv_fuzz(argv):
     # basic, kernel, verify and zeta through their handlers: exit 0 with
@@ -1255,7 +1255,7 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(_JSON_VALUES)
 @example({})
 @example([])
@@ -1297,7 +1297,7 @@ def _elements(draw):
     return GradedElement(rd, draw(st.sampled_from([CELLS, CHARS])), grades, Window(lo, hi))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_elements())
 @example(GradedElement(build_gl(2), CELLS))
 @example(GradedElement(build_gl(1), CHARS, {0: {(5,): Laurent.term(-(2**65), v=-3, x=-1)}}))

@@ -16,11 +16,12 @@ import sys
 
 import pytest
 
-from oracles import product_datum, random_unimodular, transform_datum
+from oracles import central, product_datum, random_unimodular, transform_datum
 from sphecke import cli, clear_caches, rootdata
 from sphecke.errors import InvalidInput
 from sphecke.kostka import kl_row, lusztig_q_analogue
-from sphecke.lseries import basic_function
+from sphecke.laurent import Laurent
+from sphecke.lseries import basic_function, gamma_kernel
 from sphecke.rootdata import (
     RepSpec,
     RootDatum,
@@ -29,7 +30,9 @@ from sphecke.rootdata import (
     dominant_below,
     identity_mat,
     mat_apply,
+    vadd,
 )
+from sphecke.satake import CELLS, GradedElement, satake
 
 # per preset: a dominant top for the rows, the highest weight of rho, and
 # the truncation of its basic function
@@ -51,28 +54,60 @@ def _transformed(label, seed):
     return rd, U, perm, transform_datum(rd, U, perm)
 
 
+def _seeded_cells(rd, top, seed):
+    """A cell-side element on up to five dominant weights below top and
+    their translates by the central direction, one grade higher, each
+    with a seeded coefficient in v and X."""
+    rng = random.Random(f"cells-{seed}")
+    cells = rng.sample(dominant_below(rd, top), min(5, len(dominant_below(rd, top))))
+    coeff = lambda: Laurent({(rng.randint(-3, 3), rng.randint(-1, 1)): rng.choice((-2, -1, 1, 2))})
+    z = central(rd)
+    grades = {}
+    for mu in cells:
+        for nu in (mu, vadd(mu, z)):
+            grades.setdefault(rootdata.sigma_grade(rd, nu), {})[nu] = coeff()
+    return GradedElement(rd, CELLS, grades)
+
+
+def _moved(rd, U, e):
+    """The element e of another datum read in rd, its vectors moved by U."""
+    grades = {k: {mat_apply(U, mu): c for mu, c in terms.items()} for k, terms in e.grades.items()}
+    return GradedElement(rd, e.basis, grades, e.window)
+
+
 def coordinate_mismatch(label, seed):
-    """The first row or grade where the datum and its copy in the
-    coordinates of the seeded U disagree after v -> U v, or None."""
+    """The first row, or the first window or grade of the basic function,
+    the kernel to grade one or the transform of seeded cells, where the
+    datum and its copy in the coordinates of the seeded U disagree after
+    v -> U v, or None.  The kernel's products and powers and the
+    transform's Macdonald rows straighten shifted weights in labels."""
     rd, U, _, other = _transformed(label, seed)
     top, hw, N = CASES[label]
     for lam in dominant_below(rd, top):
         want = {mat_apply(U, mu): c for mu, c in kl_row(rd, lam)}
         if dict(kl_row(other, mat_apply(U, lam))) != want:
             return "row", lam
-    here = basic_function(rd, RepSpec(hw), N)
-    there = basic_function(other, RepSpec(mat_apply(U, hw)), N)
-    if there.window != here.window:
-        return "window", there.window
-    for k in range(N + 1):
-        want = {mat_apply(U, mu): c for mu, c in here.grades.get(k, {}).items()}
-        if there.grades.get(k, {}) != want:
-            return "grade", k
+    cells = _seeded_cells(rd, top, seed)
+    builds = {
+        "basic": lambda d, hw: basic_function(d, RepSpec(hw), N),
+        "kernel": lambda d, hw: gamma_kernel(d, RepSpec(hw), 1),
+        "satake": lambda d, _: satake(cells if d is rd else _moved(other, U, cells)),
+    }
+    for name, build in builds.items():
+        here = _moved(other, U, build(rd, hw))
+        there = build(other, mat_apply(U, hw))
+        if there.window != here.window:
+            return name, "window", there.window
+        for k in sorted(set(here.grades) | set(there.grades)):
+            if there.grades.get(k) != here.grades.get(k):
+                return name, "grade", k
     return None
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_rows_and_basic_function_ignore_coordinates(label):
+    # the rows, the basic function, the kernel and the transform of seeded
+    # cells, at both seeds
     for seed in (1, 2):
         rd, U, perm, _ = _transformed(label, seed)
         assert U != identity_mat(rd.rank) and perm != sorted(perm)

@@ -388,12 +388,9 @@ def _translate_fault(fault):
     def row(rd, lam):
         labels = rootdata.dynkin_labels(rd, lam)
         rep = first.setdefault((rd, labels), lam)
-        top = 0 if fault == "height" and lam != rep else height2(rd, lam)
+        shift = 0 if fault == "height" and lam != rep else -height2(rd, lam)
         base = rep if fault == "mu" else lam
-        return tuple(
-            (vsub(base, d), Laurent({(h - top - 2 * e, 0): c for e, c in counts.items()}))
-            for d, h, counts in kostka._label_row(rd, labels)
-        )
+        return kostka._translate(base, shift, kostka._label_row(rd, labels))
 
     return row
 

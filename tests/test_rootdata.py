@@ -12,6 +12,7 @@ from oracles import (
     dominance_leq,
     mat_mul,
     pair_rho_b,
+    product_datum,
     random_unimodular,
     row_reduce,
     signed_orbit,
@@ -20,7 +21,13 @@ from oracles import (
     weyl_elements,
 )
 from sphecke import rootdata
-from sphecke.characters import _span_rank, dual_weight, require_valid
+from sphecke.characters import (
+    _span_rank,
+    dual_weight,
+    require_valid,
+    weight_multiplicities,
+    weyl_dim,
+)
 from sphecke.errors import InvalidInput, LengthMismatchError, NonDominantError, WeylCapError
 from sphecke.rootdata import (
     WEYL_CAP_DEFAULT,
@@ -34,6 +41,7 @@ from sphecke.rootdata import (
     datum_to_json,
     dominant_below,
     dynkin_labels,
+    height2,
     identity_mat,
     l_constant,
     mat_apply,
@@ -44,6 +52,9 @@ from sphecke.rootdata import (
     vsub,
     weyl_orbit,
 )
+from sphecke.kostka import kl_row, lusztig_q_analogue
+from sphecke.satake import satake_basis_row
+from test_coordinates import PRODUCTS
 
 GL1 = build_gl(1)
 GL2 = build_gl(2)
@@ -594,3 +605,59 @@ def test_derived_fields_catch_a_walk_that_skips_a_reflection(monkeypatch):
             assert _derived_mismatch(build_preset(label)) is not None, label
         except InvalidInput:
             pass
+
+
+@pytest.mark.parametrize("rd", _derived_cases() + [
+    pytest.param(product_datum(rd1, rd2), id=name)
+    for name, ((rd1, _), (rd2, _)) in sorted(PRODUCTS.items())
+])
+def test_every_label_of_rho_is_one(rd):
+    # <rho, alpha_i^vee> = <rho^vee, alpha_i> = 1 for each simple root
+    # (Humphreys, *Introduction to Lie Algebras and Representation
+    # Theory*, 10.2): the label walks shift every label by one for rho and
+    # read height2 of lam - mu as twice its coefficient sum
+    k = len(rd.simple_roots)
+    assert dynkin_labels(rd, rd.rho_b_times2) == (2,) * k
+    assert [height2(rd, alpha) for alpha in rd.simple_roots] == [2] * k
+
+
+# each entry point that takes one dominant weight, by a call on it
+ONE_WEIGHT = {
+    "kl_row": kl_row,
+    "satake_basis_row": satake_basis_row,
+    "weight_multiplicities": weight_multiplicities,
+    "weyl_dim": weyl_dim,
+    "dual_weight": dual_weight,
+    "dominant_below": dominant_below,
+    "weyl_orbit": weyl_orbit,
+    "lusztig_q_analogue lam": lambda rd, v: lusztig_q_analogue(rd, v, (0, 0, 0)),
+    "lusztig_q_analogue mu": lambda rd, v: lusztig_q_analogue(rd, (1, 0, 0), v),
+}
+
+
+def _refusal(call):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_WEIGHT))
+def test_entry_points_refuse_a_weight_by_length_then_dominance(name):
+    # b2: the labels of (a, b, c) are a - b and 2b.  A short vector is
+    # refused for its length, even where its labels would be negative, and
+    # a vector of the right length for a negative label
+    b2, call = build_preset("b2"), ONE_WEIGHT[name]
+    short, negative = (0, 1), (0, 1, 0)
+    assert _refusal(lambda: call(b2, short)) == (LengthMismatchError, "(0, 1) has length 2, want 3")
+    assert _refusal(lambda: call(b2, negative)) == (NonDominantError, "(0, 1, 0) is not dominant")
+
+
+def test_lusztig_q_analogue_checks_lam_before_mu():
+    b2 = build_preset("b2")
+    for lam, mu, want in [
+        ((0, 1, 0), (0, 1), (NonDominantError, "(0, 1, 0) is not dominant")),
+        ((0, 1), (0, 1, 0), (LengthMismatchError, "(0, 1) has length 2, want 3")),
+        ((1, 0, 0), (0, 1, 0, 0), (LengthMismatchError, "(0, 1, 0, 0) has length 4, want 3")),
+        ((1, 0, 0), (0, -1, 0), (NonDominantError, "(0, -1, 0) is not dominant")),
+    ]:
+        assert _refusal(lambda: lusztig_q_analogue(b2, lam, mu)) == want, (lam, mu)
