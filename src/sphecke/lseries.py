@@ -360,7 +360,10 @@ def h_value(rd: RootDatum, rho: RepSpec, h: GradedElement, c, q: float, s: compl
     """Transform of h at the numeric point, grade g shifted by q^(-(s+l/2) g).
 
     Grades are summed in ascending order and each grade in sorted lam
-    order, so the float result depends only on the element."""
+    order, and ``Laurent.eval_complex`` sums a coefficient's terms in their
+    stored order, so the float result depends on the element and on that
+    order: equal elements whose terms are stored in other orders may
+    differ in the last bits."""
     rd.check_length(tuple(c))
     l = l_constant(rd, rho)
     total = 0j
@@ -406,14 +409,6 @@ class ZetaPolynomial(Record):
 
     def x_support(self):
         return sorted(self.terms)
-
-    def is_constant_one(self) -> bool:
-        if set(self.terms) != {0}:
-            return False
-        inner = self.terms[0]
-        return list(inner.items()) == [(next(iter(inner)), Laurent.one())] and all(
-            x == 0 for x in next(iter(inner))
-        )
 
     def __str__(self):
         if not self.terms:

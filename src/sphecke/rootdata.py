@@ -483,8 +483,7 @@ def _straighten_labels(rd: RootDatum, labels: Vec):
     None when the walk meets a wall.  The labels fix v up to a central z,
     which w fixes, so w(v + z) - (v + z) = w(v) - v and one entry serves
     every translate: the Brauer-Klimyk products and Macdonald rows of one
-    run straighten the same labels many times over, those of nu + rho;
-    ``straighten`` reads those of 2(nu + rho), whose entry is doubled.
+    run straighten the same labels many times over, those of nu + rho.
 
     The first label that is not positive decides each step: zero puts the
     vector on a wall, and a negative one reflects in that simple root.
@@ -508,24 +507,6 @@ def _straighten_labels(rd: RootDatum, labels: Vec):
         labels = [x - c * a for x, a in zip(labels, columns[i])]
         sign = -sign
     return sign, tuple([dot(coeffs, row) for row in rows])
-
-
-def straighten(rd: RootDatum, v2: Vec):
-    """Move v2 = 2(gamma + rho) into the dominant chamber by simple reflections.
-
-    Returns (sign, lam) with 2(lam + rho) = w(v2) strictly dominant and
-    sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
-    sign times that of 2(lam + rho); returns None when v2 lies on a wall,
-    where that sum vanishes.  The walk runs in Dynkin labels and its
-    result, w(v2) - v2, is read from the table ``_straighten_labels`` keyed
-    by them; the callers on hot paths read it at gamma + rho themselves,
-    past the strictly dominant labels (w = 1) and those with a zero.
-    """
-    hit = _straighten_labels(rd, dynkin_labels(rd, v2))
-    if hit is None:
-        return None
-    sign, delta = hit
-    return sign, tuple([(x + d - r) // 2 for x, d, r in zip(v2, delta, rd.rho_b_times2)])
 
 
 def datum_to_json(rd: RootDatum) -> dict:

@@ -11,15 +11,16 @@ refuse to fabricate grades that the inputs do not determine.
 The transform and its inverse are changes of basis on each
 dominance-order block, never an integral.  The transform sends the
 mu-cell to v^(2<rho_B,mu>) times Macdonald's spherical function P_mu at
-t = v^-2, summed over the Weyl group and straightened into characters
-(``satake_basis_row``); the inverse reads the Kostka-Foulkes rows
-(``kl_row``).  A row of either direction depends on its weight only
-through the weight's Dynkin labels, so each direction keeps one table of
-rows keyed by them (``_macdonald_row`` here, ``kostka._label_row`` for
-the inverse) and translates the entry to the weight.  The product of
-two elements is computed on the character side, one tensor product of
-irreducibles per pair of constituents, which makes the transform
-multiplicative by construction.
+t = v^-2: e^(mu+rho) times the product of (1 - t e^-alpha) over the
+positive roots off mu's walls, straightened into characters with no
+division (``satake_basis_row``, which says why); the inverse reads the
+Kostka-Foulkes rows (``kl_row``).  A row of either direction depends on
+its weight only through the weight's Dynkin labels, so each direction
+keeps one table of rows keyed by them (``_macdonald_row`` here,
+``kostka._label_row`` for the inverse) and translates the entry to the
+weight.  The product of two elements is computed on the character
+side, one tensor product of irreducibles per pair of constituents, which
+makes the transform multiplicative by construction.
 """
 
 from __future__ import annotations
@@ -208,31 +209,26 @@ def conv_window(a: GradedElement, b: GradedElement) -> Window:
 
 @cache
 def _macdonald_factor(rd: RootDatum, walls: tuple) -> tuple:
-    """D = prod over the positive roots alpha of (1 - t e^-alpha), with
-    (1 - e^-alpha) on the wall roots, as (-beta, the Dynkin labels of
-    -beta, d_beta(t)) triples with each d_beta the (monomial, coefficient)
-    pairs of a polynomial in v, t = v^-2; and |W_mu|, the order of the
-    stabilizer the walls span, as the product of (ht + 1)/ht over the wall
-    roots.  The triples are tuples, so the cached factor cannot be changed
-    by a caller."""
+    """D' = prod over the positive roots alpha off the walls of
+    (1 - t e^-alpha), as (-beta, the Dynkin labels of -beta, d_beta(t))
+    triples with each d_beta the (monomial, coefficient) pairs of a
+    polynomial in v, t = v^-2.  Every factor carries t, so a term's
+    t-power counts its roots and its coefficient's sign is fixed by that
+    count: no two terms cancel.  The triples are tuples, so the cached
+    factor cannot be changed by a caller."""
     d = {((0,) * rd.rank, 0): 1}
     for alpha in rd.positive_roots:
-        step = 0 if alpha in walls else 1
+        if alpha in walls:
+            continue
         nxt = dict(d)
         for (w, e), c in d.items():
-            key = (tuple(map(sub, w, alpha)), e + step)
-            c = nxt.get(key, 0) - c
-            if c:
-                nxt[key] = c
-            else:
-                del nxt[key]
+            key = (tuple(map(sub, w, alpha)), e + 1)
+            nxt[key] = nxt.get(key, 0) - c
         d = nxt
     weights = {}
     for (w, e), c in d.items():
         weights.setdefault(w, {})[(-2 * e, 0)] = c
-    hts = [dot(rd.pair2_form, alpha) // 2 for alpha in walls]
-    order = math.prod(h + 1 for h in hts) // math.prod(hts)
-    return tuple((w, dynkin_labels(rd, w), tuple(t.items())) for w, t in weights.items()), order
+    return tuple((w, dynkin_labels(rd, w), tuple(t.items())) for w, t in weights.items())
 
 
 @cache
@@ -251,10 +247,9 @@ def _macdonald_row(rd: RootDatum, labels: Vec) -> tuple:
     walls = tuple(
         root for _, coeffs, root in steps if not any(c and x for c, x in zip(coeffs, labels))
     )
-    weights, order = _macdonald_factor(rd, walls)
     shift = tuple([x + 1 for x in labels])
     sums = {}
-    for w, w_labels, d in weights:
+    for w, w_labels, d in _macdonald_factor(rd, walls):
         v = tuple(map(add, w_labels, shift))
         if min(v, default=1) > 0:
             sign = 1
@@ -267,18 +262,7 @@ def _macdonald_row(rd: RootDatum, labels: Vec) -> tuple:
             sign, delta = hit
             w = tuple(map(add, w, delta))
         add_terms(sums.setdefault(w, {}), d, sign)
-    row = []
-    for step, c in sums.items():
-        if not c:
-            continue
-        terms = []
-        for k, x in c.items():
-            q, r = divmod(x, order)
-            if r:
-                raise RuntimeError(f"inexact division by |W_mu| = {order} at lam - mu = {step}")
-            terms.append((k, q))
-        row.append((step, tuple(terms)))
-    return tuple(sorted(row, reverse=True))
+    return tuple(sorted(((step, tuple(c.items())) for step, c in sums.items() if c), reverse=True))
 
 
 def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
@@ -287,13 +271,19 @@ def satake_basis_row(rd: RootDatum, mu: Vec) -> tuple:
 
     Macdonald's formula for the spherical function P_mu, summed over
     the Weyl group and straightened into characters:
-    |W_mu| P_mu = sum_beta d_beta(t) sign chi_straighten(mu - beta + rho),
-    with D = sum_beta d_beta e^-beta from ``_macdonald_factor`` (Macdonald,
-    *Spherical functions on a group of p-adic type*, 1971; Nelsen-Ram,
-    *Kostka-Foulkes polynomials and Macdonald spherical functions*, 2003).
-    The row is translated from that of mu's Dynkin labels
-    (``_macdonald_row``) by ``kostka._translate``: lam = mu + (lam - mu),
-    and every v-power moves by height2(mu).
+    P_mu = sum_beta d_beta(t) sign chi_straighten(mu - beta + rho), with
+    D' = sum_beta d_beta e^-beta the product over the roots off mu's walls
+    from ``_macdonald_factor`` (Macdonald, *Spherical functions on a group
+    of p-adic type*, 1971; Nelsen-Ram, *Kostka-Foulkes polynomials and
+    Macdonald spherical functions*, 2003).  Macdonald sums over W/W_mu;
+    the sum over W with the wall roots' factors (1 - e^-alpha) as well is
+    |W_mu| times this one, because that product is e^-rho_J times
+    sum_{u in W_mu} sgn(u) e^(u rho_J) (the Weyl denominator formula of
+    mu's Levi, rho_J its half-sum), and W_mu fixes mu + rho - rho_J and
+    permutes the roots off the walls, so every u gives the same
+    alternating sum.  The row is translated from that of mu's Dynkin
+    labels (``_macdonald_row``) by ``kostka._translate``:
+    lam = mu + (lam - mu), and every v-power moves by height2(mu).
     """
     return _translate(mu, height2(rd, mu), _macdonald_row(rd, dominant_labels(rd, mu)))
 

@@ -6,10 +6,12 @@ simple-root coefficients solved image by image, exact rational row
 reduction, the dominance order and the half-sum pairing spelled out,
 JSON text round trips of graded elements, a row read at the central
 translates of a weight, the Kostka-Foulkes row summed
-over the whole orbit with a memo-free partition count, the transforms
-and the product summed one ``Laurent`` object per term, as the package
-once summed them, a datum carried to other coordinates, the product of
-two data, and a datum's derived fields from the whole root system and
+over the whole orbit with a memo-free partition count, the straightening
+of a doubled vector, the Macdonald row over the whole Weyl group divided
+by |W_mu|, the transforms and the product summed one ``Laurent`` object
+per term, as the package once summed them, the constant-one test of a
+zeta-over-L expansion, a datum carried to other coordinates, the product
+of two data, and a datum's derived fields from the whole root system and
 a product of reflection matrices.
 """
 
@@ -31,6 +33,7 @@ from sphecke.rootdata import (
     RootDatum,
     Vec,
     _orbit_walk,
+    _straighten_labels,
     dominant_below,
     dot,
     dynkin_labels,
@@ -38,7 +41,6 @@ from sphecke.rootdata import (
     identity_mat,
     mat_apply,
     root_coeffs,
-    straighten,
     vadd,
     vsub,
 )
@@ -353,10 +355,31 @@ def element_from_json(rd: RootDatum, text: str) -> GradedElement:
 # -- the transforms and the product, one ``Laurent`` object per term
 
 
+def straighten(rd: RootDatum, v2: Vec):
+    """Move v2 = 2(gamma + rho) into the dominant chamber by simple reflections.
+
+    Returns (sign, lam) with 2(lam + rho) = w(v2) strictly dominant and
+    sign = (-1)^l(w), so that the alternating sum over the orbit of v2 is
+    sign times that of 2(lam + rho); returns None when v2 lies on a wall,
+    where that sum vanishes.  A vector can hold rho only doubled (rho of
+    GL(2) is (1/2, -1/2)), so the argument is doubled: the walk is read
+    from ``rootdata._straighten_labels`` at v2's labels, whose entry is
+    doubled too, and lam = (w(v2) - 2 rho) / 2.
+    """
+    hit = _straighten_labels(rd, dynkin_labels(rd, v2))
+    if hit is None:
+        return None
+    sign, delta = hit
+    return sign, tuple([(x + d - r) // 2 for x, d, r in zip(v2, delta, rd.rho_b_times2)])
+
+
 def satake_basis_row_reference(rd: RootDatum, mu: Vec) -> tuple:
-    """Macdonald's row for the mu-cell, summed with ``Laurent`` objects:
-    the factor D = prod (1 - t e^-alpha), (1 - e^-alpha) on the wall roots,
-    straightened weight by weight."""
+    """Macdonald's row for the mu-cell, summed with ``Laurent`` objects
+    over the whole Weyl group: the factor D_J = prod (1 - t e^-alpha), with
+    (1 - e^-alpha) on the wall roots, straightened weight by weight, and
+    the sum divided by |W_mu|, the product of (ht + 1)/ht over the wall
+    roots.  The package drops the wall roots' factors instead, which are
+    worth exactly |W_mu|, so this is an independent route to its rows."""
     walls = tuple(
         alpha
         for alpha, form in zip(rd.positive_roots, rd.positive_coroot_forms)
@@ -439,6 +462,14 @@ def satake_mul_reference(a: GradedElement, b: GradedElement) -> GradedElement:
                     for nu, m in tensor(a.rd, lam, mu):
                         acc[nu] = acc.get(nu, Laurent.zero()) + c * m
     return GradedElement(a.rd, CHARS, out, wout)
+
+
+def is_constant_one(zp) -> bool:
+    """True iff the ``ZetaPolynomial`` zp is the constant one: X^0 alone,
+    with the trivial character's coefficient 1 and no other character."""
+    return list(zp.terms) == [0] and [
+        (not any(lam), c) for lam, c in zp.terms[0].items()
+    ] == [(True, Laurent.one())]
 
 
 def spelled(e: GradedElement) -> tuple:

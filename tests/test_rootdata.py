@@ -17,6 +17,7 @@ from oracles import (
     row_reduce,
     signed_orbit,
     solve_simple_coeffs,
+    straighten,
     transform_datum,
     weyl_elements,
 )
@@ -47,7 +48,6 @@ from sphecke.rootdata import (
     mat_apply,
     root_coeffs,
     sigma_grade,
-    straighten,
     vscale,
     vsub,
     weyl_orbit,

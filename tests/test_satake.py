@@ -24,13 +24,14 @@ import sphecke.characters
 import sphecke.satake
 from sphecke import clear_caches
 from sphecke.errors import WindowError
-from sphecke.lseries import basic_function, h_value, verify_fixed_point
+from sphecke.lseries import basic_function, h_value, verify_fixed_point, verify_unitarity
 from sphecke.laurent import Laurent
 from sphecke.rootdata import (
     RepSpec,
     build_gl,
     build_preset,
     dominant_below,
+    dot,
     dynkin_labels,
     height2,
     sigma_grade,
@@ -548,35 +549,85 @@ def test_macdonald_table_holds_one_entry_per_class(label, hw, N, rows, entries, 
     assert len({dynkin_labels(rd, mu) for mu in cells}) == entries
 
 
-@pytest.mark.parametrize("label, hw, N", [("b2", (1, 0, 1), 6), ("g2", (0, -1, 1), 5)])
-def test_fixed_point_catches_a_flipped_macdonald_image(monkeypatch, label, hw, N, fresh_caches):
-    # the first image the straightening table moves in a row of a regular
-    # mu (|W_mu| = 1, so the row stays integral) comes back with the wrong
-    # sign; every other image, row and product is left alone
-    rd = build_preset(label)
-    assert verify_fixed_point(rd, RepSpec(hw), N).status == "PASS"
-    clear_caches()
+def _flip_first_macdonald_image(monkeypatch, regular: bool) -> dict:
+    """Make the first image the straightening table moves in a Macdonald
+    row come back with the wrong sign: in a row of a regular mu (no walls)
+    when ``regular``, else in a row with walls; every other image, row and
+    product is left alone.  The returned state records whether it fired."""
     real_straighten = sphecke.satake._straighten_labels
     real_factor = sphecke.satake._macdonald_factor
-    state = {"order": None, "flipped": False}
+    state = {"walls": None, "flipped": False}
 
     def factor(rd, walls):
-        out = real_factor(rd, walls)
-        state["order"] = out[1]
-        return out
+        state["walls"] = walls
+        return real_factor(rd, walls)
 
     def flipping(rd, labels):
         hit = real_straighten(rd, labels)
-        if hit is not None and state["order"] == 1 and not state["flipped"]:
+        if hit is not None and (state["walls"] == ()) == regular and not state["flipped"]:
             state["flipped"] = True
             return -hit[0], hit[1]
         return hit
 
     monkeypatch.setattr(sphecke.satake, "_macdonald_factor", factor)
     monkeypatch.setattr(sphecke.satake, "_straighten_labels", flipping)
+    return state
+
+
+@pytest.mark.parametrize("label, hw, N", [("b2", (1, 0, 1), 6), ("g2", (0, -1, 1), 5)])
+def test_fixed_point_catches_a_flipped_macdonald_image(monkeypatch, label, hw, N, fresh_caches):
+    rd = build_preset(label)
+    assert verify_fixed_point(rd, RepSpec(hw), N).status == "PASS"
+    clear_caches()
+    state = _flip_first_macdonald_image(monkeypatch, regular=True)
     report = verify_fixed_point(rd, RepSpec(hw), N)
     assert state["flipped"]
     assert report.status == "FAIL"
+
+
+@pytest.mark.parametrize("verify", [verify_fixed_point, verify_unitarity])
+@pytest.mark.parametrize("label, hw, N", [("b2", (1, 0, 1), 6), ("g2", (0, -1, 1), 5)])
+def test_verifiers_catch_a_flipped_singular_macdonald_image(
+    monkeypatch, verify, label, hw, N, fresh_caches
+):
+    # a row with walls has no division left to trip over, so a wrong image
+    # there must show up as a failed check (gl3's singular rows straighten
+    # nothing, so it is not among the cases)
+    rd = build_preset(label)
+    assert verify(rd, RepSpec(hw), N).status == "PASS"
+    clear_caches()
+    state = _flip_first_macdonald_image(monkeypatch, regular=False)
+    report = verify(rd, RepSpec(hw), N)
+    assert state["flipped"]
+    assert report.status == "FAIL"
+
+
+@pytest.mark.parametrize("label", ["b3", "c3", "d4", "b4", "c4", "gl5"])
+def test_satake_basis_row_matches_the_reference_at_rank_3_and_up(label):
+    # every dominant mu with entries 0 or 1 (52 rows in all); the reference
+    # multiplies in the wall roots' factors and divides by |W_mu|, and the
+    # order of terms inside a coefficient may differ, so the rows are
+    # compared as dicts
+    rd = build_preset(label)
+    pool = [v for v in itertools.product((0, 1), repeat=rd.rank) if rd.is_dominant(v)]
+    for mu in pool:
+        assert dict(satake_basis_row(rd, mu)) == dict(satake_basis_row_reference(rd, mu)), mu
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_macdonald_factor_skips_the_wall_roots(n, fresh_caches):
+    # mu = e_1 on GL(n) has walls e_i - e_j for 1 < i < j; the factor over
+    # the n - 1 roots e_1 - e_j off them has 2^(n - 1) weights, where the
+    # product with the wall roots' factors has n!
+    rd = build_gl(n)
+    mu = (1,) + (0,) * (n - 1)
+    walls = tuple(
+        alpha
+        for alpha, form in zip(rd.positive_roots, rd.positive_coroot_forms)
+        if dot(form, mu) == 0
+    )
+    assert len(walls) == (n - 1) * (n - 2) // 2
+    assert len(sphecke.satake._macdonald_factor(rd, walls)) == 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("label, mu", [("gl3", (2, 1, 0)), ("b2", (2, 1, 0)), ("g2", (0, -2, 1))])
