@@ -14,9 +14,9 @@ and of its derivatives (DLMF 5.15.8); nothing is a finite difference.
 Thresholds and the weight-norm constant are exact.  The threshold walks
 the Weyl orbit of the integer vector 2 rho by simple reflections
 (``rootdata.weyl_orbit``), maximizes each weight's integer pairing over
-it, and scales once by eps / 2.  The weight-norm constant solves
-each vertex system by fraction-free elimination over the integers
-(``rootdata.bareiss_solve``).  Neither builds the Weyl group as matrices.
+it, and scales once by eps / 2.  The weight-norm constant is the least
+ratio at the facet normals of the weights' zonotope, each one integer
+solve (``rootdata.bareiss_solve``).  Neither builds Weyl group matrices.
 """
 
 from __future__ import annotations
@@ -335,35 +335,31 @@ def threshold(
 
 
 def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
-    """Largest C with sum_k |w_k(x)| >= C sum_t |x_t| for all x.
+    """Largest C with sum_k |w_k(x)| >= C |x|_1 for all x, over the weights
+    of rho with multiplicity; |x|_1 is taken in the datum's coordinates.
 
-    Exact: on each sign-orthant face of the unit cross-polytope the
-    objective is piecewise linear, so the minimum sits at a vertex of
-    the subdivision cut out by the weight hyperplanes; all candidate
-    vertices are enumerated and solved exactly over the integers, each
-    as numerators over one positive determinant.
+    Exact.  The two sides are the support functions of the zonotope
+    Z = sum_k [-w_k, w_k] and of C [-1, 1]^m, so C is the largest c with
+    c [-1, 1]^m inside Z, which Z's facet inequalities decide: the least
+    ratio at a facet normal n, a normal to m - 1 independent weights
+    (Ziegler, *Lectures on Polytopes*, 7.3; McMullen, Trans. AMS 159
+    (1971)).  Each n is one integer solve of w(n) = 0 over m - 1 distinct
+    weights and e_j(n) = 1, for the first unit e_j that makes it nonsingular.
     """
     m = rd.rank
     if m > 4:
         raise InvalidInput("weight-norm constant limited to rank <= 4")
     weights = rep_weight_list(rd, rho)
-    units = [tuple(int(t == j) for t in range(m)) for j in range(m)]
-    best = None
-    for signs in itertools.product((1, -1), repeat=m):
-        # face coordinates u >= 0 with sum u = 1; x_t = signs_t u_t
-        forms = [tuple(w[t] * signs[t] for t in range(m)) for w in weights]
-        for subset in itertools.combinations(forms + units, m - 1):
-            solved = bareiss_solve([list(cut) + [0] for cut in subset] + [[1] * (m + 1)])
-            if solved is None:
-                continue  # singular: the cuts meet in no single vertex
-            tails, d = solved
-            nums = [u for u, in tails]
-            if any(u < 0 for u in nums):
-                continue
-            val = Fraction(sum(abs(dot(f, nums)) for f in forms), d)
-            if best is None or val < best:
-                best = val
-    if best is None or best <= 0:
+    units = [[int(t == j) for t in range(m)] + [1] for j in range(m)]
+    ratios = []
+    for subset in itertools.combinations(set(weights), m - 1):
+        cuts = [list(w) + [0] for w in subset]
+        solved = next(filter(None, (bareiss_solve(cuts + [unit]) for unit in units)), None)
+        if solved:  # else the weights are dependent and span no hyperplane
+            n = [x for x, in solved[0]]
+            ratios.append(Fraction(sum(abs(dot(w, n)) for w in weights), sum(map(abs, n))))
+    best = min(ratios, default=0)
+    if not best:
         raise InvalidInput("weights do not span: no positive constant exists")
     return best
 

@@ -155,9 +155,12 @@ class RepSpec(Value):
 
 
 def build_gl(n: int) -> RootDatum:
-    """GL(n) datum: standard Z^n coordinates, sigma = sum of entries."""
+    """GL(n) datum: standard Z^n coordinates, sigma = sum of entries; refused
+    before anything is built past ``WEYL_CAP_DEFAULT`` roots, n(n - 1)/2."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
+    if n * (n - 1) // 2 > WEYL_CAP_DEFAULT:
+        raise WeylCapError(f"root system exceeds cap {WEYL_CAP_DEFAULT}")
     eye = identity_mat(n)
     simple = [vsub(e, f) for e, f in zip(eye, eye[1:])]
     return RootDatum(f"GL{n}", n, simple, simple, (1,) * n)

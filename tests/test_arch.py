@@ -3,11 +3,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
 
-from oracles import row_reduce, weyl_elements
+from oracles import row_reduce, transform_datum, weyl_elements
+from sphecke import arch
 from sphecke.errors import InvalidInput, LengthMismatchError, PoleError
 from sphecke.arch import (
     c_rho_constant,
@@ -26,6 +28,7 @@ from sphecke.rootdata import (
     build_gl,
     build_preset,
     l_constant,
+    mat_apply,
 )
 
 mp.mp.dps = 30
@@ -339,12 +342,15 @@ def _threshold_fraction_route(rd, rho, p):
 
 
 def _c_rho_fraction_route(rd, rho):
-    """The weight-norm constant as first written: every vertex system
-    solved by Gauss-Jordan elimination over the rationals."""
+    """The weight-norm constant as first written, independent of the facet
+    argument: every vertex that the weight hyperplanes cut out of a sign
+    orthant's face of the unit cross-polytope, solved by Gauss-Jordan
+    elimination over the rationals (one orthant of each pair +-x)."""
     m = rd.rank
     weights = rep_weight_list(rd, rho)
     best = None
-    for signs in itertools.product((1, -1), repeat=m):
+    for signs in itertools.product((1, -1), repeat=m - 1):
+        signs = (1,) + signs  # x and -x give the same ratio
         forms = [tuple(Fraction(w[t] * signs[t]) for t in range(m)) for w in weights]
         cuts = forms + [
             tuple(Fraction(1 if t == j else 0) for t in range(m)) for j in range(m)
@@ -372,10 +378,36 @@ def test_threshold_matches_fraction_route(label):
             assert threshold(rd, rho, p, which, field_tag) == want
 
 
-@pytest.mark.parametrize("label", sorted(k for k in PRESET_RHO if build_preset(k).rank <= 4))
-def test_c_rho_matches_fraction_route(label):
-    rd, rho = build_preset(label), RepSpec(PRESET_RHO[label])
-    assert c_rho_constant(rd, rho) == _c_rho_fraction_route(rd, rho)
+@cache
+def _c_rho_oracle(label, hw):
+    return _c_rho_fraction_route(build_preset(label), RepSpec(hw))
+
+
+# modules with weights of multiplicity above one: the constant sums over
+# the weights with multiplicity, the facets over the distinct ones
+_C_RHO_MULTIPLE = [("gl3", (2, 0, -1)), ("gl3", (2, 1, -2)), ("b2", (1, 1, 1)), ("c3", (1, 1, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "label, hw",
+    [pytest.param(k, PRESET_RHO[k], id=k) for k in sorted(PRESET_RHO) if build_preset(k).rank <= 4]
+    + [pytest.param(k, hw, id=f"{k}-{','.join(map(str, hw))}") for k, hw in _C_RHO_MULTIPLE],
+)
+def test_c_rho_matches_fraction_route(label, hw):
+    assert c_rho_constant(build_preset(label), RepSpec(hw)) == _c_rho_oracle(label, hw)
+
+
+def test_c_rho_fraction_route_catches_distinct_weights(monkeypatch):
+    # summing over the distinct weights only drops the multiplicities:
+    # 4, 6 and 11/3 where the oracle gives 5, 8 and 4
+    cases = _C_RHO_MULTIPLE[:3]
+    want = [_c_rho_oracle(label, hw) for label, hw in cases]
+    assert want == [5, 8, 4]
+    monkeypatch.setattr(
+        arch, "rep_weight_list", lambda rd, rho: list(dict.fromkeys(rep_weight_list(rd, rho)))
+    )
+    got = [c_rho_constant(build_preset(label), RepSpec(hw)) for label, hw in cases]
+    assert got == [4, 6, Fraction(11, 3)]
 
 
 # -- weight-norm constant
@@ -402,6 +434,19 @@ def test_c_rho_scaling():
 def test_c_rho_cubic_module_positive():
     val = c_rho_constant(GL2, RepSpec((2, -1)))
     assert val > 0
+
+
+def test_c_rho_ignores_the_order_of_coordinates():
+    # |x|_1 is symmetric in the coordinates, so moving the last (central on
+    # the B, C, D and G presets) to the front keeps the constant; a normal
+    # solve that tries only e_1 misses g2's least facets there and gives 9/4
+    for label in sorted(k for k in PRESET_RHO if build_preset(k).rank <= 4):
+        rd, hw = build_preset(label), PRESET_RHO[label]
+        n = rd.rank
+        U = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
+        moved = transform_datum(rd, U, range(len(rd.simple_roots)))
+        want = c_rho_constant(rd, RepSpec(hw))
+        assert c_rho_constant(moved, RepSpec(mat_apply(U, hw))) == want, label
 
 
 def test_c_rho_rank_cap():

@@ -567,6 +567,12 @@ def test_large_weyl_group_datum_answers_where_the_walks_stay_small(tmp_path, cap
                "--mu", "1,1,1,0,0,0,0,0,0") == small
 
 
+def test_gl_preset_past_the_root_cap_exits_2(capsys):
+    # gl400 has 79,800 positive roots; it is refused on the count alone
+    code, out, err = run(capsys, "basic", "--group", "gl400", "--N", "0")
+    assert (code, out, err) == (2, "", "error: root system exceeds cap 50000\n")
+
+
 def test_affine_datum_exits_2_at_the_root_cap(tmp_path, capsys):
     # affine A1 (Cartan matrix [[2, -2], [-2, 2]]) has infinitely many roots
     path = tmp_path / "datum.json"

@@ -481,6 +481,23 @@ def test_large_weyl_group_loads_and_caps_at_the_first_orbit_walk():
         signed_orbit(gl9, gl9.rho_b_times2)
 
 
+def test_gl_past_the_root_cap_is_refused_before_the_walk(monkeypatch):
+    # GL(n) has n(n - 1)/2 positive roots: 49,770 on gl316, 50,086 on gl317;
+    # past the cap build_gl refuses before building or walking anything
+    class Walked(Exception):
+        pass
+
+    def walk(simples, forms):
+        raise Walked
+
+    monkeypatch.setattr(rootdata, "_close_roots", walk)
+    for label in ("gl317", "gl400"):
+        with pytest.raises(WeylCapError, match=f"^root system exceeds cap {WEYL_CAP_DEFAULT}$"):
+            build_preset(label)
+    with pytest.raises(Walked):
+        build_preset("gl316")
+
+
 def _det(a):
     n = len(a)
     total = 0
