@@ -16,7 +16,7 @@ the Weyl orbit of the integer vector 2 rho by simple reflections
 (``rootdata.weyl_orbit``), maximizes each weight's integer pairing over
 it, and scales once by eps / 2.  The weight-norm constant is the least
 ratio at the facet normals of the weights' zonotope, each one integer
-solve (``rootdata.bareiss_solve``).  Neither builds Weyl group matrices.
+elimination (``rootdata.bareiss``).  Neither builds Weyl group matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .characters import rep_weight_list, weight_multiplicities
 from .errors import InvalidInput, PoleError
 from .record import Record
-from .rootdata import RepSpec, RootDatum, Vec, bareiss_solve, dot, l_constant, weyl_orbit
+from .rootdata import RepSpec, RootDatum, Vec, bareiss, dot, l_constant, weyl_orbit
 
 # Lanczos g=7, n=9 coefficient set (double precision)
 _LANCZOS_G = 7.0
@@ -343,20 +343,22 @@ def c_rho_constant(rd: RootDatum, rho: RepSpec) -> Fraction:
     c [-1, 1]^m inside Z, which Z's facet inequalities decide: the least
     ratio at a facet normal n, a normal to m - 1 independent weights
     (Ziegler, *Lectures on Polytopes*, 7.3; McMullen, Trans. AMS 159
-    (1971)).  Each n is one integer solve of w(n) = 0 over m - 1 distinct
-    weights and e_j(n) = 1, for the first unit e_j that makes it nonsingular.
+    (1971)).  Each n is read from one ``bareiss`` of m - 1 distinct weights
+    of rank m - 1: with d the last pivot and j the one column without a
+    pivot, n_j = d and n = -row_i[j] at pivot i, so that row_i(n) = 0.
     """
     m = rd.rank
     if m > 4:
         raise InvalidInput("weight-norm constant limited to rank <= 4")
     weights = rep_weight_list(rd, rho)
-    units = [[int(t == j) for t in range(m)] + [1] for j in range(m)]
     ratios = []
     for subset in itertools.combinations(set(weights), m - 1):
-        cuts = [list(w) + [0] for w in subset]
-        solved = next(filter(None, (bareiss_solve(cuts + [unit]) for unit in units)), None)
-        if solved:  # else the weights are dependent and span no hyperplane
-            n = [x for x, in solved[0]]
+        rows = [list(w) for w in subset]
+        pivots, d = bareiss(rows, m)
+        if len(pivots) == m - 1:  # else the weights span no hyperplane
+            (j,) = set(range(m)).difference(pivots)
+            n = [-row[j] for row in rows]
+            n.insert(j, d)  # the pivots, ascending, fill the other columns
             ratios.append(Fraction(sum(abs(dot(w, n)) for w in weights), sum(map(abs, n))))
     best = min(ratios, default=0)
     if not best:

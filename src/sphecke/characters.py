@@ -23,6 +23,7 @@ from .rootdata import (
     RootDatum,
     Vec,
     _straighten_labels,
+    bareiss,
     dominant_labels,
     dot,
     dynkin_labels,
@@ -76,27 +77,6 @@ def rep_weight_list(rd: RootDatum, rho: RepSpec) -> list[Vec]:
     return out
 
 
-def _span_rank(vectors) -> int:
-    """The rank of integer vectors by fraction-free elimination, each
-    cleared row divided by the gcd of its entries."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            r = rows[i]
-            if r[c]:
-                r = [p[c] * x - r[c] * y for x, y in zip(r, p)]
-                g = math.gcd(*r)
-                rows[i] = [x // g for x in r] if g > 1 else r
-        rank += 1
-    return rank
-
-
 @cache
 def require_valid(rd: RootDatum, rho: RepSpec) -> None:
     """InvalidInput unless rho has a dominant highest weight, every weight
@@ -115,7 +95,7 @@ def require_valid(rd: RootDatum, rho: RepSpec) -> None:
             f"representation invalid: weights with grade != 1: "
             f"{bad[:4]}{'...' if len(bad) > 4 else ''}"
         )
-    span = _span_rank(weights)
+    span = len(bareiss([list(w) for w in weights], rd.rank)[0])
     if span < rd.rank:
         raise InvalidInput(
             f"representation invalid: weights span only {span} of {rd.rank} torus directions"

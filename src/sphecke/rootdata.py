@@ -19,7 +19,6 @@ basis coordinates.  In all presets the coroot forms are integral.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from operator import add, mul, neg, sub
@@ -298,48 +297,48 @@ def l_constant(rd: RootDatum, rho: RepSpec) -> int:
     return l
 
 
-def bareiss_solve(rows: list[list[int]]):
-    """Solve a square integer system A X = B without fractions, or None if
-    A is singular.
+def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
+    (1968)) of integer ``rows`` in place on their first ``ncols`` columns,
+    later columns carried along.
 
-    ``rows`` is the n x (n + m) augmented matrix [A | B], overwritten.
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
-    (1968)): every division is exact, and at the end each diagonal entry
-    is d = +-det A and the last m columns are d X.  Returns (numerators, d)
-    with d > 0 and X = numerators / d, the numerators as n rows of m.
+    Returns (the pivot columns, d), d the last pivot (1 with none); their
+    number is the rank.  Row i then holds d at pivot i and 0 at every
+    other pivot column, and the rows past the rank are 0 on the first
+    ``ncols`` columns.  Every entry is a minor of the input, so every
+    division is exact; with a square nonsingular A first, d = +-det A and
+    the carried columns B of [A | B] become d A^-1 B.
     """
-    n = len(rows)
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
+    pivots, prev = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
-            return None
-        rows[k], rows[piv] = rows[piv], rows[k]
-        pk = rows[k]
-        d = pk[k]
-        for i in range(n):
-            if i != k:
-                ri = rows[i]
-                c = ri[k]
-                rows[i] = [(d * x - c * y) // prev for x, y in zip(ri, pk)]
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        d = pr[c]
+        for i, ri in enumerate(rows):
+            if i != r:
+                rows[i] = [(d * x - ri[c] * y) // prev for x, y in zip(ri, pr)]
+        pivots.append(c)
         prev = d
-    if prev < 0:
-        return [[-x for x in row[n:]] for row in rows], -prev
-    return [row[n:] for row in rows], prev
+    return pivots, prev
 
 
 @cache
 def _coeff_map(rd: RootDatum) -> tuple[Mat, int]:
-    """(M, d) with d > 0: a vector v of the root span has simple-root
-    coefficients M v / d.
+    """(M, d): a vector v of the root span has simple-root coefficients
+    M v / d.
 
     Pairing v = sum_j c_j alpha_j with the simple coroot forms gives
     A c = F v, with A the Cartan matrix and F the forms as rows, so
-    M = d A^-1 F comes from one fraction-free solve of [A | F].
+    M = d A^-1 F is read from one ``bareiss`` of [A | F].
     """
     roots, forms = rd.simple_roots, rd.simple_coroot_forms
-    m, d = bareiss_solve([[dot(f, a) for a in roots] + list(f) for f in forms])
-    return tuple(map(tuple, m)), d
+    rows = [[dot(f, a) for a in roots] + list(f) for f in forms]
+    _, d = bareiss(rows, len(roots))
+    return tuple(tuple(row[len(roots):]) for row in rows), d
 
 
 def root_coeffs(rd: RootDatum, v: Vec) -> Vec | None:
@@ -528,7 +527,8 @@ def datum_from_json(obj: dict) -> RootDatum:
     """The datum a JSON body spells, as ``datum_to_json`` writes it, with
     the coroot forms optional; InvalidInput for a malformed body (an entry
     that is not a JSON integer is named) or stated positive roots or
-    rho_b_times_2 that the datum does not derive."""
+    rho_b_times_2 that the datum does not derive, and WeylCapError, before
+    any root is walked, for more than ``WEYL_CAP_DEFAULT`` stated roots."""
     def vectors(key):
         rows = obj[key]
         if type(rows) is not list:
@@ -549,18 +549,20 @@ def datum_from_json(obj: dict) -> RootDatum:
         raise InvalidInput(f"malformed datum: {exc}") from None
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidInput(f"malformed datum: {type(exc).__name__}: {exc}") from None
+    if len(stated) > WEYL_CAP_DEFAULT:
+        raise WeylCapError(f"root system exceeds cap {WEYL_CAP_DEFAULT}")
     if forms is None:
         forms = []
         for s in simples:
             norm = dot(s, s)
             if not norm:
                 raise InvalidInput("a zero simple root has no coroot form")
-            f = tuple(Fraction(2 * x, norm) for x in s)
-            if any(x.denominator != 1 for x in f):
+            f, rems = zip(*(divmod(2 * x, norm) for x in s))
+            if any(rems):
                 raise InvalidInput(
                     f"coroot form of {s} is not integral; supply simple_coroot_forms"
                 )
-            forms.append(tuple(int(x) for x in f))
+            forms.append(f)
     rd = RootDatum(cartan, rank, simples, forms, sigma)
     if stated != sorted(rd.positive_roots):
         raise InvalidInput("stated positive roots disagree with the reflection closure")

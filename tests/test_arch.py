@@ -410,6 +410,22 @@ def test_c_rho_fraction_route_catches_distinct_weights(monkeypatch):
     assert got == [4, 6, Fraction(11, 3)]
 
 
+def test_c_rho_catches_a_flipped_normal(monkeypatch):
+    # reading the normal as +row_i[j] at the pivots, in place of -row_i[j],
+    # gives a vector the weights do not vanish on: 9/4 on g2 where the
+    # oracle gives 2
+    assert _c_rho_oracle("g2", (0, -1, 1)) == 2
+    bareiss = arch.bareiss
+
+    def flipped(rows, ncols):
+        pivots, d = bareiss(rows, ncols)
+        rows[:] = [[x if c in pivots else -x for c, x in enumerate(row)] for row in rows]
+        return pivots, d
+
+    monkeypatch.setattr(arch, "bareiss", flipped)
+    assert c_rho_constant(build_preset("g2"), RepSpec((0, -1, 1))) == Fraction(9, 4)
+
+
 # -- weight-norm constant
 
 
@@ -439,7 +455,8 @@ def test_c_rho_cubic_module_positive():
 def test_c_rho_ignores_the_order_of_coordinates():
     # |x|_1 is symmetric in the coordinates, so moving the last (central on
     # the B, C, D and G presets) to the front keeps the constant; a normal
-    # solve that tries only e_1 misses g2's least facets there and gives 9/4
+    # read off with the last column taken as the free one gives 9/4 on g2
+    # and 2 on the moved g2
     for label in sorted(k for k in PRESET_RHO if build_preset(k).rank <= 4):
         rd, hw = build_preset(label), PRESET_RHO[label]
         n = rd.rank

@@ -24,7 +24,7 @@ from sphecke.cli import (
     main,
 )
 from sphecke import characters
-from sphecke.rootdata import build_gl, build_preset, datum_to_json
+from sphecke.rootdata import WEYL_CAP_DEFAULT, build_gl, build_preset, datum_to_json
 from sphecke.laurent import Laurent
 from sphecke.satake import CELLS, CHARS, GradedElement, Window, cell, convolve
 from sphecke.serialize import element_to_obj
@@ -573,6 +573,15 @@ def test_gl_preset_past_the_root_cap_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: root system exceeds cap 50000\n")
 
 
+def test_datum_past_the_root_cap_exits_2(tmp_path, capsys):
+    # a body stating 50,001 positive roots is refused on their count alone
+    path = tmp_path / "datum.json"
+    stated = [[1, -1]] * (WEYL_CAP_DEFAULT + 1)
+    path.write_text(json.dumps({**datum_to_json(build_gl(2)), "positive_roots": stated}))
+    code, out, err = run(capsys, "basic", "--datum", str(path), "--N", "0")
+    assert (code, out, err) == (2, "", "error: root system exceeds cap 50000\n")
+
+
 def test_affine_datum_exits_2_at_the_root_cap(tmp_path, capsys):
     # affine A1 (Cartan matrix [[2, -2], [-2, 2]]) has infinitely many roots
     path = tmp_path / "datum.json"
@@ -747,10 +756,10 @@ def test_json_body_fuzz(tmp_path_factory, datum_text, h_text):
 
 def test_rho_is_validated_once_per_op(capsys, monkeypatch):
     # the command line, l_series, the kernel image and the inverse series all
-    # ask for the check; the span rank runs once
+    # ask for the check; the span elimination runs once
     calls = []
-    span_rank = characters._span_rank
-    monkeypatch.setattr(characters, "_span_rank", lambda v: calls.append(v) or span_rank(v))
+    bareiss = characters.bareiss
+    monkeypatch.setattr(characters, "bareiss", lambda rows, n: calls.append(rows) or bareiss(rows, n))
     characters.require_valid.cache_clear()
     code, _, err = run(capsys, "kernel", "--group", "b2", "--rho", "1,0,1", "--N", "2")
     assert code == 0, err

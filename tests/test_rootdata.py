@@ -23,7 +23,6 @@ from oracles import (
 )
 from sphecke import rootdata
 from sphecke.characters import (
-    _span_rank,
     dual_weight,
     require_valid,
     weight_multiplicities,
@@ -35,7 +34,7 @@ from sphecke.rootdata import (
     RepSpec,
     RootDatum,
     _orbit_walk,
-    bareiss_solve,
+    bareiss,
     build_gl,
     build_preset,
     datum_from_json,
@@ -343,21 +342,6 @@ def test_validate_rho_fails_span_on_a_custom_datum():
     assert str(info.value) == "representation invalid: weights span only 1 of 2 torus directions"
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@example((2, [[1, 2], [2, 4]]))  # dependent rows
-@example((3, [[0, 0, 3], [0, 2, 1], [0, 4, 2]]))  # a zero column, dependent rows
-@example((1, []))  # no vectors
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(
-        st.just(n), st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=6)
-    )
-))
-def test_span_rank_matches_row_reduce(case):
-    n, rows = case
-    ref = [[Fraction(x) for x in row] for row in rows]
-    assert _span_rank(rows) == len(row_reduce(ref, n))
-
-
 def test_datum_json_roundtrip():
     for rd in (GL3, build_preset("c2"), build_preset("g2")):
         obj = datum_to_json(rd)
@@ -397,6 +381,42 @@ def test_datum_json_refuses_mistyped_entries(key, value, message):
     with pytest.raises(InvalidInput) as info:
         datum_from_json({**datum_to_json(GL2), key: value})
     assert str(info.value) == f"malformed datum: {message}"
+
+
+@pytest.mark.parametrize(
+    "simple, message",
+    [
+        ((0, 0, 0), "a zero simple root has no coroot form"),
+        ((1, 1, 1), "coroot form of (1, 1, 1) is not integral; supply simple_coroot_forms"),
+    ],
+)
+def test_datum_json_refuses_an_underivable_coroot_form(simple, message):
+    # with no forms given, each is 2 alpha / (alpha, alpha): 2/3 in each
+    # place for (1, 1, 1), and none for a zero root
+    obj = {
+        "cartan": "X", "rank": 3, "sigma": [0, 0, 1], "simple_roots": [list(simple)],
+        "positive_roots": [list(simple)], "rho_b_times_2": list(simple),
+    }
+    with pytest.raises(InvalidInput) as info:
+        datum_from_json(obj)
+    assert type(info.value) is InvalidInput and str(info.value) == message
+
+
+def test_datum_past_the_root_cap_is_refused_before_the_walk(monkeypatch):
+    # a body stating more than WEYL_CAP_DEFAULT positive roots is refused on
+    # their count, before the datum is built or any root walked
+    class Walked(Exception):
+        pass
+
+    def walk(simples, forms):
+        raise Walked
+
+    monkeypatch.setattr(rootdata, "_close_roots", walk)
+    obj = datum_to_json(GL2)
+    with pytest.raises(WeylCapError, match=f"^root system exceeds cap {WEYL_CAP_DEFAULT}$"):
+        datum_from_json({**obj, "positive_roots": [[1, -1]] * (WEYL_CAP_DEFAULT + 1)})
+    with pytest.raises(Walked):
+        datum_from_json({**obj, "positive_roots": [[1, -1]] * WEYL_CAP_DEFAULT})
 
 
 def test_datum_json_rejects_bad_positive_roots():
@@ -510,6 +530,46 @@ def _det(a):
     return total
 
 
+def _bareiss_against_row_reduce(rows, ncols):
+    """Run ``bareiss`` on a copy of ``rows`` and check it against the
+    rational reduced row echelon form; returns (pivots, d)."""
+    ref = [[Fraction(x) for x in row] for row in rows]
+    want = row_reduce(ref, ncols)
+    got = [list(row) for row in rows]
+    pivots, d = bareiss(got, ncols)
+    assert pivots == want
+    assert pivots or d == 1
+    for i, row in enumerate(got):
+        if i < len(pivots):
+            # each pivot row is d times the rational RREF row
+            assert row == [d * x for x in ref[i]]
+        else:
+            assert not any(row[:ncols])
+    return pivots, d
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@example((2, 0, [[1, 2], [2, 4]]))  # dependent rows
+@example((3, 0, [[0, 0, 3], [0, 2, 1], [0, 4, 2]]))  # a zero column, dependent rows
+@example((1, 0, []))  # no rows
+@example((2, 1, [[1, 2, 3], [2, 4, 6], [0, 1, 5]]))  # rank 2 of 3 rows, one carried column
+@given(st.tuples(st.integers(1, 5), st.integers(0, 2)).flatmap(
+    lambda nk: st.tuples(
+        st.just(nk[0]),
+        st.just(nk[1]),
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=sum(nk), max_size=sum(nk)),
+            max_size=7,
+        ),
+    )
+))
+def test_bareiss_matches_row_reduce(case):
+    # rectangular input, carried columns after the first ncols; the rank is
+    # the number of pivots, as require_valid reads it
+    ncols, _, rows = case
+    _bareiss_against_row_reduce(rows, ncols)
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @example([[0, 1, 2], [1, 0, 3]])  # needs a row swap
 @example([[1, 2, 3], [2, 4, 6]])  # singular
@@ -521,18 +581,15 @@ def _det(a):
         min_size=nm[0], max_size=nm[0],
     )
 ))
-def test_bareiss_solve_matches_row_reduce(rows):
-    # [A | B] with one to three right-hand sides, as _coeff_map solves them
+def test_bareiss_solves_square_systems(rows):
+    # [A | B] with one to three carried columns, as _coeff_map solves them:
+    # a singular A shows as fewer than n pivots, and a nonsingular one
+    # leaves d = +-det A (and, as the helper checks, d A^-1 B in the
+    # carried columns)
     n = len(rows)
-    ref = [[Fraction(x) for x in row] for row in rows]
-    rank = len(row_reduce(ref, n))
-    got = bareiss_solve([list(row) for row in rows])
-    if rank < n:
-        assert got is None
-        return
-    nums, d = got
-    assert d == abs(_det([row[:n] for row in rows]))
-    assert [[Fraction(x, d) for x in row] for row in nums] == [row[n:] for row in ref]
+    pivots, d = _bareiss_against_row_reduce(rows, n)
+    det = _det([row[:n] for row in rows])
+    assert abs(d) == abs(det) if len(pivots) == n else det == 0
 
 
 def test_datum_derives_its_fields():
